@@ -329,13 +329,13 @@ pub fn running_example() -> String {
 
 /// Print solver internals for the fig12@4-nodes point (calibration aid).
 pub fn debug_point() {
-    use mapreduce_sim::profile::{measure_workload, profile_job};
+    use mapreduce_sim::profile::{eval_mix, profile_job};
     use mapreduce_sim::workload::wordcount;
     use mr2_model::input::Estimator;
     use mr2_model::solve;
     let cfg = SimConfig::paper_testbed(4);
     let spec = wordcount(5 * GB, 4);
-    let m = measure_workload(&spec, &cfg, 1, REPS);
+    let m = eval_mix(&cfg, &[(spec.clone(), 1)], &[], REPS);
     let (profile, result) = profile_job(&spec, &cfg);
     println!("measured median: {:.1}", m.median_response);
     println!(
@@ -387,14 +387,14 @@ pub fn debug_point() {
 /// Design-choice ablations on the 5 GB / 1 job / 4 nodes point:
 /// P-subtree balancing, slow start, and the overlap factors.
 pub fn ablations() -> String {
-    use mapreduce_sim::profile::{measure_workload, profile_job};
+    use mapreduce_sim::profile::{eval_mix, profile_job};
     use mapreduce_sim::workload::wordcount;
     use mr2_model::input::Estimator;
     use mr2_model::solve;
 
     let cfg = SimConfig::paper_testbed(4);
     let spec = wordcount(5 * GB, 4);
-    let measured = measure_workload(&spec, &cfg, 1, REPS).median_response;
+    let measured = eval_mix(&cfg, &[(spec.clone(), 1)], &[], REPS).median_response;
     let (profile, _) = profile_job(&spec, &cfg);
     let cal = Calibration::default();
 

@@ -1,30 +1,14 @@
-//! High-level estimation API: one call from `(cluster, job, N)` to the
-//! paper's model estimates plus the related-work baselines.
+//! High-level estimation API: one call from a cluster and a mix of
+//! concurrent job classes to the paper's model estimates plus the
+//! related-work baselines, aggregate and per class. A workload of `N`
+//! identical jobs is a one-class mix of count `N`.
 
 use crate::aria::{aria_bounds, AriaProfile, StageStats};
 use crate::calibrate::{herodotou_estimate, mix_model_input, Calibration, MixClass};
 use crate::input::{Estimator, ModelOptions};
 use crate::memo::cached_solve;
 use crate::solver::SolveResult;
-use mapreduce_sim::profile::MeasuredProfile;
-use mapreduce_sim::{JobSpec, SimConfig};
-
-/// Estimates of the average job response time for one workload point.
-#[derive(Debug, Clone)]
-pub struct WorkloadEstimate {
-    /// Fork/join-based modified-MVA estimate (the paper's best method).
-    pub fork_join: f64,
-    /// Tripathi-based estimate.
-    pub tripathi: f64,
-    /// ARIA `T_avg` baseline (fixed-slot makespan bounds).
-    pub aria: f64,
-    /// Herodotou static-sum baseline.
-    pub herodotou: f64,
-    /// Full fork/join solver output.
-    pub fork_join_detail: SolveResult,
-    /// Full Tripathi solver output.
-    pub tripathi_detail: SolveResult,
-}
+use mapreduce_sim::SimConfig;
 
 /// All four estimate series of one job class (or, aggregated, of the
 /// whole mix).
@@ -267,42 +251,6 @@ pub fn estimate_mix(
     }
 }
 
-/// Run both estimators and both baselines for `n_jobs` identical jobs —
-/// the single-class convenience over [`estimate_mix`].
-///
-/// `measured` optionally supplies duration CVs from a profiling run
-/// (§4.2.1's "sample techniques"); without it the calibration defaults are
-/// used, and the initial responses come from the Herodotou bootstrap
-/// either way.
-pub fn estimate_workload(
-    cfg: &SimConfig,
-    spec: &JobSpec,
-    n_jobs: usize,
-    options: &ModelOptions,
-    cal: &Calibration,
-    measured: Option<&MeasuredProfile>,
-) -> WorkloadEstimate {
-    let e = estimate_mix(
-        cfg,
-        &[MixClass {
-            spec: spec.clone(),
-            count: n_jobs,
-            profile: measured.cloned(),
-        }],
-        &[],
-        options,
-        cal,
-    );
-    WorkloadEstimate {
-        fork_join: e.fork_join,
-        tripathi: e.tripathi,
-        aria: e.aria,
-        herodotou: e.herodotou,
-        fork_join_detail: e.fork_join_detail,
-        tripathi_detail: e.tripathi_detail,
-    }
-}
-
 /// Schema version of the analytic model's inputs and outputs.
 ///
 /// Bump whenever a change makes previously computed [`ModelPoint`]s
@@ -453,46 +401,28 @@ pub fn eval_mix(
     }
 }
 
-/// Narrow batch-evaluation entry point: both estimators and both
-/// baselines for one `(cfg, spec, n_jobs)` point — the single-class,
-/// batch-arrival convenience over [`eval_mix`].
-pub fn eval_point(
-    cfg: &SimConfig,
-    spec: &JobSpec,
-    n_jobs: usize,
-    options: &ModelOptions,
-    cal: &Calibration,
-    measured: Option<&MeasuredProfile>,
-) -> ModelPoint {
-    eval_mix(
-        cfg,
-        &[MixClass {
-            spec: spec.clone(),
-            count: n_jobs,
-            profile: measured.cloned(),
-        }],
-        &[],
-        options,
-        cal,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mapreduce_sim::workload::wordcount_1gb;
 
+    /// `count` concurrent 1 GB WordCount jobs: a one-class mix.
+    fn wordcount_jobs(count: usize) -> [MixClass; 1] {
+        [MixClass {
+            spec: wordcount_1gb(4),
+            count,
+            profile: None,
+        }]
+    }
+
     #[test]
     fn all_estimates_positive_and_finite() {
-        let cfg = SimConfig::paper_testbed(4);
-        let spec = wordcount_1gb(4);
-        let e = estimate_workload(
-            &cfg,
-            &spec,
-            1,
+        let e = estimate_mix(
+            &SimConfig::paper_testbed(4),
+            &wordcount_jobs(1),
+            &[],
             &ModelOptions::default(),
             &Calibration::default(),
-            None,
         );
         for (name, v) in [
             ("fork_join", e.fork_join),
@@ -504,20 +434,6 @@ mod tests {
         }
         assert!(e.fork_join_detail.converged);
         assert!(e.tripathi_detail.converged);
-    }
-
-    #[test]
-    fn eval_point_matches_estimate_workload() {
-        let cfg = SimConfig::paper_testbed(4);
-        let spec = wordcount_1gb(4);
-        let opts = ModelOptions::default();
-        let cal = Calibration::default();
-        let e = estimate_workload(&cfg, &spec, 2, &opts, &cal, None);
-        let p = eval_point(&cfg, &spec, 2, &opts, &cal, None);
-        assert_eq!(p.fork_join.to_bits(), e.fork_join.to_bits());
-        assert_eq!(p.tripathi.to_bits(), e.tripathi.to_bits());
-        assert_eq!(p.aria.to_bits(), e.aria.to_bits());
-        assert_eq!(p.herodotou.to_bits(), e.herodotou.to_bits());
     }
 
     #[test]
@@ -621,40 +537,34 @@ mod tests {
     }
 
     #[test]
-    fn single_class_mix_matches_eval_point_bit_for_bit() {
-        let cfg = SimConfig::paper_testbed(4);
-        let spec = wordcount_1gb(4);
-        let opts = ModelOptions::default();
-        let cal = Calibration::default();
-        let via_point = eval_point(&cfg, &spec, 3, &opts, &cal, None);
-        let via_mix = eval_mix(
-            &cfg,
-            &[MixClass {
-                spec: spec.clone(),
-                count: 3,
-                profile: None,
-            }],
+    fn one_class_estimate_is_the_aggregate_bit_for_bit() {
+        let p = eval_mix(
+            &SimConfig::paper_testbed(4),
+            &wordcount_jobs(3),
             &[],
-            &opts,
-            &cal,
+            &ModelOptions::default(),
+            &Calibration::default(),
         );
-        assert_eq!(via_point, via_mix);
-        assert_eq!(via_point.per_class.len(), 1);
-        assert_eq!(
-            via_point.per_class[0].fork_join.to_bits(),
-            via_point.fork_join.to_bits(),
-            "one class ⇒ class estimate is the aggregate"
-        );
+        assert_eq!(p.per_class.len(), 1);
+        let c = p.per_class[0];
+        for (name, class, aggregate) in [
+            ("fork_join", c.fork_join, p.fork_join),
+            ("tripathi", c.tripathi, p.tripathi),
+            ("aria", c.aria, p.aria),
+            ("herodotou", c.herodotou, p.herodotou),
+        ] {
+            assert_eq!(
+                class.to_bits(),
+                aggregate.to_bits(),
+                "one class ⇒ the {name} class estimate is the aggregate"
+            );
+        }
     }
 
     #[test]
     fn equal_offset_schedules_match_batch_bit_for_bit() {
         let cfg = SimConfig::paper_testbed(4);
-        let classes = [MixClass {
-            spec: wordcount_1gb(4),
-            count: 3,
-            profile: None,
-        }];
+        let classes = wordcount_jobs(3);
         let opts = ModelOptions::default();
         let cal = Calibration::default();
         let batch = eval_mix(&cfg, &classes, &[], &opts, &cal);
@@ -677,15 +587,10 @@ mod tests {
     #[test]
     fn staggered_responses_sit_between_solo_and_saturated() {
         let cfg = SimConfig::paper_testbed(4);
-        let spec = wordcount_1gb(4);
-        let classes = [MixClass {
-            spec: spec.clone(),
-            count: 3,
-            profile: None,
-        }];
+        let classes = wordcount_jobs(3);
         let opts = ModelOptions::default();
         let cal = Calibration::default();
-        let solo = estimate_workload(&cfg, &spec, 1, &opts, &cal, None).fork_join;
+        let solo = eval_mix(&cfg, &wordcount_jobs(1), &[], &opts, &cal).fork_join;
         let batch = eval_mix(&cfg, &classes, &[], &opts, &cal);
 
         // A modest stagger: windows still overlap, so the estimate must
@@ -747,11 +652,7 @@ mod tests {
         // byte-identical record under every arrival shape (batch,
         // staggered schedule, trace-style irregular offsets).
         let cfg = SimConfig::paper_testbed(4);
-        let classes = [MixClass {
-            spec: wordcount_1gb(4),
-            count: 3,
-            profile: None,
-        }];
+        let classes = wordcount_jobs(3);
         let opts = ModelOptions::default();
         let cal = Calibration::default();
         let schedules: [&[f64]; 3] = [&[], &[0.0, 60.0, 120.0], &[3.5, 40.25, 97.0]];
@@ -771,24 +672,16 @@ mod tests {
 
     #[test]
     fn estimates_scale_with_job_count() {
-        let cfg = SimConfig::paper_testbed(4);
-        let spec = wordcount_1gb(4);
-        let one = estimate_workload(
-            &cfg,
-            &spec,
-            1,
-            &ModelOptions::default(),
-            &Calibration::default(),
-            None,
-        );
-        let four = estimate_workload(
-            &cfg,
-            &spec,
-            4,
-            &ModelOptions::default(),
-            &Calibration::default(),
-            None,
-        );
+        let estimate = |count| {
+            estimate_mix(
+                &SimConfig::paper_testbed(4),
+                &wordcount_jobs(count),
+                &[],
+                &ModelOptions::default(),
+                &Calibration::default(),
+            )
+        };
+        let (one, four) = (estimate(1), estimate(4));
         assert!(four.fork_join > one.fork_join);
         assert!(four.tripathi > one.tripathi);
     }

@@ -20,7 +20,8 @@
 //!   second baseline.
 //!
 //! [`calibrate`] derives model inputs from a cluster/job description, and
-//! [`estimate`] bundles everything into one call.
+//! [`estimate`] bundles everything into one call over a mix of concurrent
+//! job classes ([`estimate_mix`]); `N` identical jobs are a one-class mix.
 
 pub mod aria;
 pub mod calibrate;
@@ -31,7 +32,6 @@ pub mod input;
 pub mod memo;
 pub mod open;
 pub mod overlap;
-pub mod resources;
 pub mod solver;
 pub mod timeline;
 pub mod tree;
@@ -41,17 +41,13 @@ pub use calibrate::{
 };
 pub use error::{abs_relative_error, relative_error, ErrorBand};
 pub use estimate::{
-    estimate_mix, estimate_workload, eval_mix, eval_point, ClassPoint, MixEstimate, ModelPoint,
-    OpenMetrics, WorkloadEstimate, MODEL_SCHEMA_VERSION,
+    estimate_mix, eval_mix, ClassPoint, MixEstimate, ModelPoint, OpenMetrics, MODEL_SCHEMA_VERSION,
 };
 pub use input::{
     Center, ClusterInputs, Estimator, JobClassInputs, ModelInput, ModelOptions, TaskClass,
 };
 pub use memo::cached_solve;
 pub use open::{eval_open_mix, DEFAULT_KNEE_UTILIZATION};
-pub use resources::{
-    job_resources, mean_cluster_share, task_resources, JobResources, TaskResources,
-};
 pub use solver::{solve, SolveResult};
 pub use timeline::{build_timeline, Segment, ShuffleSpec, Timeline, TimelineConfig, TimelineJob};
 pub use tree::{build_tree, waves, PrecTree};

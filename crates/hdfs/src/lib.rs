@@ -14,6 +14,6 @@ pub mod topology;
 
 pub use block::{Block, BlockId};
 pub use namespace::{DfsFile, Namespace};
-pub use placement::{DefaultPlacement, PlacementPolicy, RandomPlacement};
+pub use placement::{DefaultPlacement, PlacementPolicy};
 pub use splits::{split_count, splits_for_file, InputSplit};
 pub use topology::{NodeId, RackId, Topology};

@@ -88,27 +88,6 @@ impl PlacementPolicy for DefaultPlacement {
     }
 }
 
-/// Uniform placement ignoring the writer — useful for experiments isolating
-/// locality effects.
-#[derive(Debug, Clone, Default)]
-pub struct RandomPlacement;
-
-impl PlacementPolicy for RandomPlacement {
-    fn place<R: Rng + ?Sized>(
-        &self,
-        topo: &Topology,
-        _writer: Option<NodeId>,
-        replication: usize,
-        rng: &mut R,
-    ) -> Vec<NodeId> {
-        let replication = replication.min(topo.num_nodes()).max(1);
-        let mut all: Vec<NodeId> = topo.nodes().collect();
-        all.shuffle(rng);
-        all.truncate(replication);
-        all
-    }
-}
-
 fn random_excluding<R: Rng + ?Sized>(
     topo: &Topology,
     exclude: &[NodeId],
@@ -161,16 +140,5 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         let r = DefaultPlacement.place(&topo, None, 3, &mut rng);
         assert_eq!(r.len(), 2);
-    }
-
-    #[test]
-    fn random_policy_distinct() {
-        let topo = Topology::single_rack(5);
-        let mut rng = SmallRng::seed_from_u64(4);
-        let r = RandomPlacement.place(&topo, None, 3, &mut rng);
-        let mut d = r.clone();
-        d.sort();
-        d.dedup();
-        assert_eq!(d.len(), 3);
     }
 }

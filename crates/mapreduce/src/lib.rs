@@ -25,4 +25,4 @@ pub use config::{SchedulerPolicy, SimConfig, GB, MB};
 pub use driver::ClusterSim;
 pub use job::{JobId, JobSpec, TaskId};
 pub use metrics::{JobResult, TaskRecord};
-pub use profile::{eval_mix, eval_point, SimPoint, SIM_SCHEMA_VERSION};
+pub use profile::{eval_mix, SimPoint, SIM_SCHEMA_VERSION};

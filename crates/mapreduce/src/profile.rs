@@ -44,13 +44,6 @@ pub struct ClassStats {
 }
 
 impl ClassStats {
-    /// Stats of an empty class.
-    pub const EMPTY: ClassStats = ClassStats {
-        mean: 0.0,
-        cv: 0.0,
-        count: 0,
-    };
-
     fn from_welford(w: &Welford) -> ClassStats {
         ClassStats {
             mean: w.mean(),
@@ -156,58 +149,6 @@ pub fn profile_job(spec: &JobSpec, cfg: &SimConfig) -> (MeasuredProfile, JobResu
     (MeasuredProfile::from_result(&r), r)
 }
 
-/// Measurement of a workload across repeated seeded runs — the paper's
-/// methodology ("Each experiment we repeated 5 times and then took the
-/// median of response time", §5.1).
-#[derive(Debug, Clone)]
-pub struct WorkloadMeasurement {
-    /// Mean job response time of each repetition.
-    pub per_rep_mean: Vec<f64>,
-    /// Median over repetitions of the per-repetition mean response time.
-    pub median_response: f64,
-    /// Every job result of every repetition, flattened.
-    pub all_results: Vec<JobResult>,
-}
-
-/// Run `n_jobs` copies of `spec`, all submitted at t = 0, `reps` times with
-/// seeds `cfg.seed`, `cfg.seed+1`, …; reports the median of the
-/// per-repetition mean job response time.
-pub fn measure_workload(
-    spec: &JobSpec,
-    cfg: &SimConfig,
-    n_jobs: usize,
-    reps: usize,
-) -> WorkloadMeasurement {
-    assert!(reps >= 1 && n_jobs >= 1);
-    let mut medians = Samples::new();
-    let mut per_rep_mean = Vec::with_capacity(reps);
-    let mut all = Vec::new();
-    let mut calendar = Calendar::for_config(cfg, n_jobs);
-    for rep in 0..reps {
-        // One span per repetition: a rep is a full cluster simulation,
-        // so the span makes rep count and per-rep cost visible in
-        // traces and the profiler without measurable overhead.
-        let _rep = mr2_obs::span("sim.rep");
-        let mut c = cfg.clone();
-        c.seed = cfg.seed + rep as u64;
-        let mut sim = ClusterSim::with_calendar(c, calendar);
-        for _ in 0..n_jobs {
-            sim.add_job(spec.clone(), 0.0);
-        }
-        let results = sim.run();
-        calendar = sim.take_calendar();
-        let mean = results.iter().map(|r| r.response_time()).sum::<f64>() / results.len() as f64;
-        per_rep_mean.push(mean);
-        medians.push(mean);
-        all.extend(results);
-    }
-    WorkloadMeasurement {
-        per_rep_mean,
-        median_response: medians.median(),
-        all_results: all,
-    }
-}
-
 /// Ground-truth numbers of one simulated configuration point — the
 /// narrow entry result batch evaluators (crate `mr2-scenario`) consume.
 ///
@@ -277,8 +218,11 @@ impl SimPoint {
 /// Narrow batch-evaluation entry point for a heterogeneous workload
 /// mix with an arrival schedule: simulate every class's jobs (`count`
 /// copies per `(spec, count)` entry, in entry order) on one cluster,
-/// `reps` seeded repetitions, and return aggregate plus per-class
-/// summary statistics.
+/// `reps` seeded repetitions (seeds `cfg.seed`, `cfg.seed + 1`, …), and
+/// return aggregate plus per-class summary statistics — the paper's
+/// methodology ("Each experiment we repeated 5 times and then took the
+/// median of response time", §5.1). `N` identical jobs are the one-entry
+/// mix `&[(spec, N)]`.
 ///
 /// `submits` gives each job's submission time in seconds, one entry per
 /// job in submission order (`submits.len() == Σ count`); an empty slice
@@ -355,15 +299,6 @@ pub fn eval_mix(
     }
 }
 
-/// Narrow batch-evaluation entry point: simulate `n_jobs` copies of
-/// `spec` on `cfg`, `reps` seeded repetitions, and return the summary
-/// statistics. The single-class, batch-arrival convenience over
-/// [`eval_mix`] — a 1-entry mix produces the identical submission
-/// sequence, so the two forms are bit-identical.
-pub fn eval_point(cfg: &SimConfig, spec: &JobSpec, n_jobs: usize, reps: usize) -> SimPoint {
-    eval_mix(cfg, &[(spec.clone(), n_jobs)], &[], reps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,14 +328,15 @@ mod tests {
     }
 
     #[test]
-    fn measure_workload_median() {
+    fn reps_summarize_by_median_and_mean() {
         let spec = wordcount(256 * MB, 1);
-        let m = measure_workload(&spec, &cfg(), 1, 3);
-        assert_eq!(m.per_rep_mean.len(), 3);
-        assert_eq!(m.all_results.len(), 3);
-        let mut sorted = m.per_rep_mean.clone();
+        let p = eval_mix(&cfg(), &[(spec, 2)], &[], 3);
+        assert_eq!(p.per_rep_mean.len(), 3);
+        let mut sorted = p.per_rep_mean.clone();
         sorted.sort_by(|a, b| a.total_cmp(b));
-        assert!((m.median_response - sorted[1]).abs() < 1e-12);
+        assert_eq!(p.median_response.to_bits(), sorted[1].to_bits());
+        let mean = p.per_rep_mean.iter().sum::<f64>() / 3.0;
+        assert_eq!(p.mean_response.to_bits(), mean.to_bits());
     }
 
     #[test]
@@ -474,17 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_point_matches_measure_workload() {
-        let spec = wordcount(256 * MB, 1);
-        let p = eval_point(&cfg(), &spec, 1, 3);
-        let m = measure_workload(&spec, &cfg(), 1, 3);
-        assert_eq!(p.per_rep_mean, m.per_rep_mean);
-        assert!((p.median_response - m.median_response).abs() < 1e-12);
-        let mean = m.per_rep_mean.iter().sum::<f64>() / 3.0;
-        assert!((p.mean_response - mean).abs() < 1e-12);
-    }
-
-    #[test]
     fn eval_mix_reports_per_class_medians_in_submission_order() {
         let light = wordcount(128 * MB, 1);
         let heavy = wordcount(512 * MB, 2);
@@ -502,14 +427,11 @@ mod tests {
         // Batch arrivals: the makespan is the slowest job's response.
         assert!(p.makespan >= p.per_class_median[1]);
 
-        // A 1-entry mix is bit-identical to the single-class entry point.
-        let a = eval_point(&cfg(), &light, 2, 2);
-        let b = eval_mix(&cfg(), &[(light, 2)], &[], 2);
-        assert_eq!(a, b);
-        assert_eq!(a.per_class_median.len(), 1);
+        let one = eval_mix(&cfg(), &[(light, 2)], &[], 2);
+        assert_eq!(one.per_class_median.len(), 1);
         assert_eq!(
-            a.per_class_median[0].to_bits(),
-            a.median_response.to_bits(),
+            one.per_class_median[0].to_bits(),
+            one.median_response.to_bits(),
             "one class ⇒ class median is the aggregate median"
         );
     }
@@ -531,7 +453,7 @@ mod tests {
         let spec = wordcount(512 * MB, 2);
         let classes = [(spec.clone(), 2)];
         let batch = eval_mix(&cfg(), &classes, &[], 1);
-        let solo = eval_point(&cfg(), &spec, 1, 1);
+        let solo = eval_mix(&cfg(), &[(spec.clone(), 1)], &[], 1);
         let gap = solo.median_response * 3.0;
         let staggered = eval_mix(&cfg(), &classes, &[0.0, gap], 1);
         assert!(
@@ -556,10 +478,10 @@ mod tests {
         // 2 nodes, one of them 4× slower: tasks placed on node 0 run
         // slower, extending the measured response.
         let spec = wordcount(GB, 2);
-        let clean = eval_point(&cfg(), &spec, 1, 2);
+        let clean = eval_mix(&cfg(), &[(spec.clone(), 1)], &[], 2);
         let mut slow_cfg = cfg();
         slow_cfg.slow_node_factor = 4.0;
-        let slow = eval_point(&slow_cfg, &spec, 1, 2);
+        let slow = eval_mix(&slow_cfg, &[(spec, 1)], &[], 2);
         assert!(
             slow.median_response > clean.median_response * 1.2,
             "a 4× slow node must straggle the job: {} vs {}",
@@ -604,14 +526,5 @@ mod tests {
         assert_eq!(back.num_maps, profile.num_maps);
         assert_eq!(back.num_reduces, profile.num_reduces);
         assert!(MeasuredProfile::from_record(&rec[..11]).is_none());
-    }
-
-    #[test]
-    fn multi_job_measurement_reports_mean() {
-        let spec = wordcount(256 * MB, 1);
-        let m = measure_workload(&spec, &cfg(), 2, 1);
-        assert_eq!(m.all_results.len(), 2);
-        let mean = m.all_results.iter().map(|r| r.response_time()).sum::<f64>() / 2.0;
-        assert!((m.per_rep_mean[0] - mean).abs() < 1e-12);
     }
 }

@@ -38,14 +38,6 @@ impl Counter {
         }
     }
 
-    /// Overwrite the value — only for mirroring an *externally
-    /// maintained* monotonic counter (e.g. cache statistics kept by
-    /// another subsystem) into the registry at scrape time. Never mix
-    /// with [`Counter::add`] on the same series.
-    pub fn mirror(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn value(&self) -> u64 {
         self.0.load(Ordering::Relaxed)

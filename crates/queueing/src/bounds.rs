@@ -1,7 +1,6 @@
 //! Asymptotic and balanced-system bounds for closed networks — the
-//! classical sanity envelope around any MVA solution, used by the tests
-//! and by capacity-planning callers that want guarantees rather than
-//! point estimates.
+//! classical sanity envelope around any MVA solution, kept as a test
+//! oracle.
 //!
 //! For a single-class closed network with total demand `D = Σ_k D_k`,
 //! bottleneck demand `D_max` and `N` customers (no think time):

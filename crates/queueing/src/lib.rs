@@ -12,22 +12,25 @@
 //!   and maxima of independent phase-type variables, with per-node
 //!   re-fitting by coefficient of variation;
 //! * [`forkjoin`]: the Varki harmonic-number fork/join approximation;
-//! * [`markov`]: a small CTMC solver used as ground truth in tests;
 //! * [`open`]: the open (Poisson-arrival) counterpart — exact
 //!   product-form utilizations and response times over the same
 //!   station/demand definitions, with analytic saturation detection.
+//!
+//! Two test oracles live beside them, compiled only into this crate's
+//! unit tests: `bounds` (asymptotic and balanced-system bounds on any
+//! closed-network solution) and `markov` (a small CTMC solver, the
+//! ground truth for exact MVA on networks tiny enough to enumerate).
 
-pub mod bounds;
+#[cfg(test)]
+mod bounds;
 pub mod distribution;
 pub mod forkjoin;
-pub mod markov;
+#[cfg(test)]
+mod markov;
 pub mod mva;
 pub mod network;
 pub mod open;
 
-pub use bounds::{
-    demand_summary, response_lower_bound, response_upper_bound, throughput_upper_bound,
-};
 pub use distribution::ExpPoly;
 pub use forkjoin::{fork_join_response, harmonic};
 pub use mva::{approximate_mva, exact_mva, overlap_mva, EPSILON, MAX_ITER};

@@ -454,14 +454,6 @@ impl ResultCache {
         }
     }
 
-    /// Reset the hit/miss/coalesced/eviction counters (entries are kept).
-    pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.coalesced.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-    }
-
     /// Persist every ready entry to `path` as `key,v0,v1,...` lines
     /// (floats as hex bit patterns, so round-trips are bit-exact),
     /// headed by the format version and the [`schema_version`] the

@@ -186,6 +186,23 @@ mod tests {
             assert_eq!(pts[i].mix.entries[0].input_bytes, *input);
             assert_eq!(pts[i].total_jobs(), 2);
         }
+
+        // A wire-level zip sweep sends separate `input_bytes` and
+        // `n_jobs` lists of one length. The grid workload's lists zip
+        // independently, position by position: 3 points, not the 9 a
+        // crossed list of 1-entry mixes would give.
+        let s = Scenario::new("zip-lists")
+            .sweep_mode(SweepMode::Zip)
+            .axis_nodes([4usize, 6, 8])
+            .axis_input_bytes([GB, 2 * GB, 5 * GB])
+            .axis_n_jobs([1usize, 2, 3]);
+        let pts = expand(&s);
+        assert_eq!(pts.len(), 3);
+        for (i, (input, n_jobs)) in [(GB, 1), (2 * GB, 2), (5 * GB, 3)].iter().enumerate() {
+            assert_eq!(pts[i].mix.entries.len(), 1);
+            assert_eq!(pts[i].mix.entries[0].input_bytes, *input);
+            assert_eq!(pts[i].total_jobs(), *n_jobs);
+        }
     }
 
     #[test]

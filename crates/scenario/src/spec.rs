@@ -793,12 +793,6 @@ impl Scenario {
         self
     }
 
-    /// Set the base seed.
-    pub fn with_seed(mut self, s: u64) -> Self {
-        self.seed = s;
-        self
-    }
-
     /// Panic with a description if the spec is invalid (see
     /// [`Scenario::check`]).
     pub fn validate(&self) {

@@ -3,14 +3,14 @@
 //! status + headers + body out (plus chunked transfer encoding for
 //! streaming responses).
 //!
-//! The core is the *push-based* [`RequestParser`]: a state machine fed
+//! Input is the *push-based* [`RequestParser`]: a state machine fed
 //! raw bytes ([`RequestParser::feed`]) that yields complete requests
 //! ([`RequestParser::try_next`]) without ever touching a socket — the
 //! shape a readiness-based event loop needs, where bytes arrive
 //! whenever the kernel says so, in whatever fragments the network
-//! produced. The blocking [`Conn`] used by tests and one-shot paths is
-//! a thin pull adapter over the same parser, so both transports parse
-//! identically by construction.
+//! produced. Output is rendered into byte buffers
+//! ([`render_response`], [`render_stream_head`], [`chunk`]) that the
+//! event loop writes when the socket has room.
 //!
 //! Limits are enforced while parsing (header block ≤ 16 KiB, body ≤
 //! 4 MiB) so a misbehaving client can't balloon the buffer, and
@@ -18,8 +18,6 @@
 //! larger bodies. HTTP/1.1 requests keep the connection alive by
 //! default, `Connection: close` (and HTTP/1.0) closes it, and bytes
 //! over-read past one request's body are kept as the start of the next.
-
-use std::io::{Read, Write};
 
 /// Header block size limit.
 const MAX_HEAD: usize = 16 * 1024;
@@ -74,12 +72,6 @@ impl HttpError {
             status,
             message: message.into(),
         }
-    }
-}
-
-impl From<std::io::Error> for HttpError {
-    fn from(e: std::io::Error) -> HttpError {
-        HttpError::new(400, format!("read failed: {e}"))
     }
 }
 
@@ -287,106 +279,6 @@ impl RequestParser {
     }
 }
 
-/// A blocking connection serving a sequence of requests: pulls bytes
-/// from the stream and runs them through a [`RequestParser`]. Used by
-/// tests, doc examples, and one-shot paths; the server's event loop
-/// drives the parser directly.
-#[derive(Debug)]
-pub struct Conn<S> {
-    stream: S,
-    parser: RequestParser,
-}
-
-impl<S> Conn<S> {
-    /// Wrap a fresh stream.
-    pub fn new(stream: S) -> Conn<S> {
-        Conn {
-            stream,
-            parser: RequestParser::new(),
-        }
-    }
-
-    /// The underlying stream (e.g. to adjust socket timeouts).
-    pub fn get_ref(&self) -> &S {
-        &self.stream
-    }
-
-    /// Mutable access to the underlying stream (e.g. to write the
-    /// response).
-    pub fn stream_mut(&mut self) -> &mut S {
-        &mut self.stream
-    }
-}
-
-impl<S: Read + Write> Conn<S> {
-    /// Block until the next request's first bytes are available (or
-    /// already buffered), up to the stream's *current* read timeout;
-    /// `false` means EOF, idle timeout, or a read error — the
-    /// connection is done. This separates the *idle* wait from the
-    /// reads *within* a request: a server sets a short idle timeout,
-    /// awaits, then restores its longer per-request timeout before
-    /// calling [`Conn::read_request`].
-    pub fn await_request(&mut self) -> bool {
-        if self.parser.has_buffered() {
-            return true;
-        }
-        let mut byte = [0u8; 1];
-        match self.stream.read(&mut byte) {
-            Ok(n) if n > 0 => {
-                self.parser.feed(&byte[..n]);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Read the next request from the connection. `Ok(None)` means the
-    /// client closed (or went idle past the socket's read timeout)
-    /// between requests — a clean end of the connection, not an error.
-    ///
-    /// Needs `Write` access too so it can acknowledge
-    /// `Expect: 100-continue` before the client sends the body.
-    pub fn read_request(&mut self) -> Result<Option<Request>, HttpError> {
-        let mut chunk = [0u8; 1024];
-        loop {
-            if let Some(req) = self.parser.try_next()? {
-                return Ok(Some(req));
-            }
-            if self.parser.take_continue() {
-                self.stream
-                    .write_all(b"HTTP/1.1 100 Continue\r\n\r\n")
-                    .map_err(|e| HttpError::new(400, format!("write failed: {e}")))?;
-                self.stream.flush().ok();
-            }
-            match self.stream.read(&mut chunk) {
-                Ok(0) if !self.parser.mid_request() => return Ok(None),
-                Ok(0) => return Err(HttpError::new(400, "connection closed mid-request")),
-                Ok(n) => self.parser.feed(&chunk[..n]),
-                // Idle timeout while waiting for the next request is a
-                // clean close; mid-request it is an error.
-                Err(e)
-                    if !self.parser.mid_request()
-                        && matches!(
-                            e.kind(),
-                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                        ) =>
-                {
-                    return Ok(None)
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-}
-
-/// Read one request from a stream that serves a single request (test
-/// helper and one-shot paths); see [`Conn::read_request`].
-pub fn read_request<S: Read + Write>(stream: &mut S) -> Result<Request, HttpError> {
-    Conn::new(stream)
-        .read_request()?
-        .ok_or_else(|| HttpError::new(400, "connection closed mid-request"))
-}
-
 /// Canonical reason phrase for the statuses the service emits.
 pub fn reason(status: u16) -> &'static str {
     match status {
@@ -419,39 +311,6 @@ pub const CONTENT_TYPE_TEXT: &str = "text/plain; charset=utf-8";
 
 /// `Content-Type` of streaming NDJSON sweep responses.
 pub const CONTENT_TYPE_NDJSON: &str = "application/x-ndjson";
-
-/// Write a complete response and flush. `close` selects the
-/// `Connection` header: `close` ends the connection after this
-/// response, `keep-alive` invites the next request.
-pub fn write_response<S: Write>(
-    stream: &mut S,
-    status: u16,
-    body: &str,
-    content_type: &str,
-    close: bool,
-) -> std::io::Result<()> {
-    write_response_with(stream, status, body, content_type, close, &[])
-}
-
-/// [`write_response`] with extra headers (name, value) — e.g. the
-/// `Retry-After` a 503 backpressure rejection carries.
-pub fn write_response_with<S: Write>(
-    stream: &mut S,
-    status: u16,
-    body: &str,
-    content_type: &str,
-    close: bool,
-    extra_headers: &[(&str, &str)],
-) -> std::io::Result<()> {
-    stream.write_all(&render_response(
-        status,
-        body,
-        content_type,
-        close,
-        extra_headers,
-    ))?;
-    stream.flush()
-}
 
 /// Render a complete response into one contiguous buffer — the event
 /// loop writes responses as single buffers (one `write` syscall when
@@ -507,60 +366,29 @@ pub const CHUNKED_END: &[u8] = b"0\r\n\r\n";
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
 
-    /// A test stream: canned input (one segment per `read` call, the
-    /// way a socket delivers data in arbitrary packets), captured
-    /// output.
-    struct Pipe {
-        segments: std::collections::VecDeque<Vec<u8>>,
-        current: Cursor<Vec<u8>>,
-        output: Vec<u8>,
-    }
-
-    impl Pipe {
-        fn new(input: &str) -> Pipe {
-            Pipe::segmented(&[input])
-        }
-
-        fn segmented(inputs: &[&str]) -> Pipe {
-            Pipe {
-                segments: inputs.iter().map(|s| s.as_bytes().to_vec()).collect(),
-                current: Cursor::new(Vec::new()),
-                output: Vec::new(),
+    /// Feed `segments` to a fresh parser one at a time — the way a
+    /// socket delivers data, in arbitrary packets — and return the
+    /// parser with the first request it completes.
+    fn parse(segments: &[&str]) -> Result<(Request, RequestParser), HttpError> {
+        let mut p = RequestParser::new();
+        for segment in segments {
+            p.feed(segment.as_bytes());
+            if let Some(r) = p.try_next()? {
+                return Ok((r, p));
             }
         }
+        panic!("no complete request in {segments:?}");
     }
 
-    impl Read for Pipe {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            loop {
-                let n = self.current.read(buf)?;
-                if n > 0 {
-                    return Ok(n);
-                }
-                match self.segments.pop_front() {
-                    Some(next) => self.current = Cursor::new(next),
-                    None => return Ok(0),
-                }
-            }
-        }
-    }
-
-    impl Write for Pipe {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.output.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
+    /// The request in `wire`, delivered as one segment.
+    fn parse_one(wire: &str) -> Result<Request, HttpError> {
+        parse(&[wire]).map(|(r, _)| r)
     }
 
     #[test]
     fn parses_get_without_body() {
-        let mut s = Pipe::new("GET /healthz?probe=1 HTTP/1.1\r\nHost: x\r\n\r\n");
-        let r = read_request(&mut s).unwrap();
+        let r = parse_one("GET /healthz?probe=1 HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
         assert_eq!(r.method, "GET");
         assert_eq!(r.path, "/healthz", "query string stripped");
         assert_eq!(r.query, "probe=1", "query string kept separately");
@@ -573,30 +401,30 @@ mod tests {
 
     #[test]
     fn parses_post_with_content_length() {
-        let mut s = Pipe::new(
+        let r = parse_one(
             "POST /v1/estimate HTTP/1.1\r\nContent-Type: application/json\r\ncontent-length: 7\r\n\r\n{\"a\":1}",
-        );
-        let r = read_request(&mut s).unwrap();
+        )
+        .unwrap();
         assert_eq!(r.method, "POST");
         assert_eq!(r.body, b"{\"a\":1}");
     }
 
     #[test]
     fn captures_the_authorization_header() {
-        let mut s =
-            Pipe::new("GET /v1/cache/stats HTTP/1.1\r\nAuthorization: Bearer s3cr3t\r\n\r\n");
-        let r = read_request(&mut s).unwrap();
+        let r = parse_one("GET /v1/cache/stats HTTP/1.1\r\nAuthorization: Bearer s3cr3t\r\n\r\n")
+            .unwrap();
         assert_eq!(r.authorization.as_deref(), Some("Bearer s3cr3t"));
     }
 
     #[test]
     fn connection_header_and_version_control_keep_alive() {
-        let mut s = Pipe::new("GET / HTTP/1.1\r\nConnection: close\r\n\r\n");
-        assert!(!read_request(&mut s).unwrap().keep_alive);
-        let mut s = Pipe::new("GET / HTTP/1.0\r\n\r\n");
-        assert!(!read_request(&mut s).unwrap().keep_alive, "1.0 default");
-        let mut s = Pipe::new("GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n");
-        assert!(read_request(&mut s).unwrap().keep_alive, "explicit wins");
+        let keep_alive = |wire| parse_one(wire).unwrap().keep_alive;
+        assert!(!keep_alive("GET / HTTP/1.1\r\nConnection: close\r\n\r\n"));
+        assert!(!keep_alive("GET / HTTP/1.0\r\n\r\n"), "1.0 default");
+        assert!(
+            keep_alive("GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"),
+            "explicit wins"
+        );
     }
 
     #[test]
@@ -638,89 +466,89 @@ mod tests {
         // Both requests (and the second's body) arrive in one packet:
         // the bytes past the first body must carry over, not be
         // dropped.
-        let mut conn = Conn::new(Pipe::new(
+        let (a, mut p) = parse(&[
             "POST /a HTTP/1.1\r\nContent-Length: 3\r\n\r\nonePOST /b HTTP/1.1\r\nContent-Length: 3\r\n\r\ntwo",
-        ));
-        let a = conn.read_request().unwrap().unwrap();
+        ])
+        .unwrap();
         assert_eq!(
             (a.path.as_str(), a.body.as_slice()),
             ("/a", b"one".as_slice())
         );
-        let b = conn.read_request().unwrap().unwrap();
+        let b = p.try_next().unwrap().expect("second request buffered");
         assert_eq!(
             (b.path.as_str(), b.body.as_slice()),
             ("/b", b"two".as_slice())
         );
-        assert!(conn.read_request().unwrap().is_none(), "clean EOF after");
+        assert!(p.try_next().unwrap().is_none());
     }
 
     #[test]
-    fn clean_eof_between_requests_is_none() {
-        let mut conn = Conn::new(Pipe::new("GET / HTTP/1.1\r\n\r\n"));
-        assert!(conn.read_request().unwrap().is_some());
-        assert!(conn.read_request().unwrap().is_none());
+    fn parser_is_idle_between_requests() {
+        // After a complete request nothing is buffered, so a hangup here
+        // is a clean end of the connection, not a truncated request.
+        let (_, mut p) = parse(&["GET / HTTP/1.1\r\n\r\n"]).unwrap();
+        assert!(p.try_next().unwrap().is_none());
+        assert!(!p.has_buffered() && !p.mid_request());
     }
 
     #[test]
-    fn await_request_consumes_nothing_a_read_would_miss() {
-        // Buffered bytes count as a pending request without touching
-        // the stream; a fresh byte from the stream lands in the parser
-        // so the subsequent read_request sees the whole request.
-        let mut conn = Conn::new(Pipe::new("GET /next HTTP/1.1\r\n\r\n"));
-        assert!(conn.await_request(), "first byte arrived");
-        assert!(conn.parser.has_buffered(), "byte is buffered, not dropped");
-        assert!(conn.await_request(), "buffered byte alone is enough");
-        let r = conn.read_request().unwrap().unwrap();
-        assert_eq!(r.path, "/next");
-        // EOF while idle is a clean end of the connection.
-        assert!(!conn.await_request());
-    }
-
-    #[test]
-    fn acknowledges_expect_continue() {
+    fn expect_continue_is_signalled_once_while_the_body_is_outstanding() {
         // A real Expect client holds the body back until the interim
-        // response arrives, so headers and body come in separate reads.
-        let mut s = Pipe::segmented(&[
-            "POST /v1/scenario HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 2\r\n\r\n",
-            "{}",
-        ]);
-        let r = read_request(&mut s).unwrap();
+        // response arrives, so head and body come in separate segments.
+        let mut p = RequestParser::new();
+        p.feed(b"POST /v1/scenario HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 2\r\n\r\n");
+        assert!(p.try_next().unwrap().is_none());
+        assert!(p.take_continue(), "head parsed, body outstanding");
+        assert!(!p.take_continue(), "signalled exactly once");
+        p.feed(b"{}");
+        assert_eq!(p.try_next().unwrap().expect("body arrived").body, b"{}");
+        assert!(!p.take_continue());
+
+        // A client that sends the body along with the head needs no
+        // interim response.
+        let (r, mut p) = parse(&[
+            "POST /v1/scenario HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 2\r\n\r\n{}",
+        ])
+        .unwrap();
         assert_eq!(r.body, b"{}");
-        assert!(String::from_utf8_lossy(&s.output).starts_with("HTTP/1.1 100 Continue"));
+        assert!(!p.take_continue(), "no spurious 100 Continue");
     }
 
     #[test]
-    fn body_split_across_reads_and_overread_both_work() {
-        // Body delivered byte-meal after the header chunk.
-        let mut s = Pipe::segmented(&[
+    fn body_split_across_segments_and_overread_both_work() {
+        // Body delivered byte-meal after the header segment.
+        let (r, _) = parse(&[
             "POST /x HTTP/1.1\r\nContent-Length: 7\r\n\r\n",
             "{\"a\"",
             ":1}",
-        ]);
-        assert_eq!(read_request(&mut s).unwrap().body, b"{\"a\":1}");
-        // Body over-read together with the headers (no Expect); the
-        // trailing bytes past Content-Length stay buffered.
-        let mut conn = Conn::new(Pipe::new(
-            "POST /x HTTP/1.1\r\nContent-Length: 7\r\n\r\n{\"a\":1}junk",
-        ));
-        let r = conn.read_request().unwrap().unwrap();
+        ])
+        .unwrap();
         assert_eq!(r.body, b"{\"a\":1}");
-        assert!(conn.get_ref().output.is_empty(), "no spurious 100 Continue");
-        assert!(conn.parser.has_buffered(), "trailing bytes kept");
+        // Body over-read together with the headers; the trailing bytes
+        // past Content-Length stay buffered.
+        let (r, p) =
+            parse(&["POST /x HTTP/1.1\r\nContent-Length: 7\r\n\r\n{\"a\":1}junk"]).unwrap();
+        assert_eq!(r.body, b"{\"a\":1}");
+        assert!(p.has_buffered(), "trailing bytes kept");
     }
 
     #[test]
     fn rejects_oversized_and_malformed() {
-        let mut s = Pipe::new("POST / HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n");
-        assert_eq!(read_request(&mut s).unwrap_err().status, 413);
-        let mut s = Pipe::new("POST / HTTP/1.1\r\nContent-Length: nope\r\n\r\n");
-        assert_eq!(read_request(&mut s).unwrap_err().status, 400);
-        let mut s = Pipe::new("GARBAGE\r\n\r\n");
-        assert_eq!(read_request(&mut s).unwrap_err().status, 400);
-        let mut s = Pipe::new("GET / SPDY/9\r\n\r\n");
-        assert_eq!(read_request(&mut s).unwrap_err().status, 505);
-        let mut s = Pipe::new("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n");
-        assert_eq!(read_request(&mut s).unwrap_err().status, 501);
+        let status = |wire| parse_one(wire).unwrap_err().status;
+        assert_eq!(
+            status("POST / HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n"),
+            413
+        );
+        assert_eq!(
+            status("POST / HTTP/1.1\r\nContent-Length: nope\r\n\r\n"),
+            400
+        );
+        assert_eq!(status("GARBAGE\r\n\r\n"), 400);
+        assert_eq!(status("GET / SPDY/9\r\n\r\n"), 505);
+        assert_eq!(
+            status("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"),
+            501
+        );
     }
 
     #[test]
@@ -735,21 +563,25 @@ mod tests {
     }
 
     #[test]
-    fn response_carries_length_and_connection_header() {
-        let mut out = Vec::new();
-        write_response(&mut out, 200, "{\"ok\":true}", CONTENT_TYPE_JSON, true).unwrap();
-        let text = String::from_utf8(out).unwrap();
+    fn response_carries_length_connection_and_extra_headers() {
+        let render = |status, body, content_type, close, extra: &[(&str, &str)]| {
+            String::from_utf8(render_response(status, body, content_type, close, extra)).unwrap()
+        };
+        let text = render(200, "{\"ok\":true}", CONTENT_TYPE_JSON, true, &[]);
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Type: application/json\r\n"));
         assert!(text.contains("Content-Length: 11\r\n"));
         assert!(text.contains("Connection: close\r\n"));
-        assert!(text.ends_with("{\"ok\":true}"));
+        assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
 
-        let mut out = Vec::new();
-        write_response(&mut out, 200, "{}", CONTENT_TYPE_METRICS, false).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = render(200, "{}", CONTENT_TYPE_METRICS, false, &[]);
         assert!(text.contains("Connection: keep-alive\r\n"));
         assert!(text.contains("Content-Type: text/plain; version=0.0.4\r\n"));
+
+        // Extra headers (a 503's Retry-After) close out the head.
+        let text = render(503, "{}", CONTENT_TYPE_JSON, true, &[("Retry-After", "1")]);
+        assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
+        assert!(text.ends_with("Retry-After: 1\r\n\r\n{}"));
     }
 
     #[test]

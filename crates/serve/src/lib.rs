@@ -16,7 +16,8 @@
 //!   solved by bisection over cached point evaluations),
 //!   `GET /v1/cache/stats`, `GET /healthz`;
 //! * [`json`]: minimal RFC 8259 encode/decode;
-//! * [`http`]: just-enough HTTP/1.1 over blocking streams;
+//! * [`http`]: just-enough HTTP/1.1: a push-based request parser and
+//!   response rendering for the event loop;
 //! * [`api`]: the wire types — strict request decoding into
 //!   [`mr2_scenario::Scenario`] / [`mr2_scenario::EvalPoint`] /
 //!   [`mr2_scenario::PlanRequest`], response encoding of sweeps, error

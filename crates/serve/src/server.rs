@@ -1252,8 +1252,7 @@ fn serve_job(job: Job, state: &State, done: &CompletionTx) {
 
     // `"stream": true` scenarios take the chunked NDJSON path; every
     // other request — including scenario parse errors, which re-parse
-    // below — is a single rendered response, byte-identical to the
-    // blocking server's.
+    // below — is a single rendered response.
     if job.endpoint == Endpoint::Scenario {
         if let Ok(r) = std::str::from_utf8(&job.req.body)
             .map_err(|_| "body is not UTF-8".to_string())

@@ -14,92 +14,8 @@ use std::time::{Duration, Instant};
 use mr2_scenario::RunnerConfig;
 use mr2_serve::{serve, Json, ServeConfig};
 
-/// Send one request on an open connection without closing it.
-fn send_request(conn: &mut TcpStream, method: &str, path: &str, body: &str, close: bool) {
-    let connection = if close { "close" } else { "keep-alive" };
-    write!(
-        conn,
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nConnection: {connection}\r\n\
-         Content-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send");
-}
-
-/// Read exactly one response off the connection (framed by
-/// `Content-Length`, so the socket can stay open); returns
-/// (status, body, connection-header value).
-fn read_response(reader: &mut BufReader<TcpStream>) -> (u16, String, String) {
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).expect("status line");
-    let status: u16 = status_line
-        .strip_prefix("HTTP/1.1 ")
-        .and_then(|r| r.get(..3))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("malformed reply: {status_line:?}"));
-    let mut content_length = 0usize;
-    let mut connection = String::new();
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("header line");
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().expect("content length");
-            } else if name.eq_ignore_ascii_case("connection") {
-                connection = value.trim().to_string();
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).expect("body");
-    (
-        status,
-        String::from_utf8(body).expect("utf-8 body"),
-        connection,
-    )
-}
-
-/// One HTTP/1.1 request over a fresh connection (`Connection: close`);
-/// returns (status, body).
-fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut conn = TcpStream::connect(addr).expect("connect");
-    send_request(&mut conn, method, path, body, true);
-    let mut reader = BufReader::new(conn);
-    let (status, payload, connection) = read_response(&mut reader);
-    assert_eq!(connection, "close", "the service honors Connection: close");
-    // And the server actually closes: the stream drains to EOF.
-    let mut rest = Vec::new();
-    reader.read_to_end(&mut rest).expect("drain");
-    assert!(rest.is_empty(), "no bytes past the framed response");
-    (status, payload)
-}
-
-fn test_config() -> ServeConfig {
-    ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        threads: 6,
-        access_log: false,
-        ..ServeConfig::default()
-    }
-}
-
-/// Value of the first sample line starting with `series` (family name
-/// plus any labels, exactly as rendered) in a `/metrics` body; 0 when
-/// the series is absent.
-fn metric_value(metrics: &str, series: &str) -> f64 {
-    metrics
-        .lines()
-        .filter(|l| !l.starts_with('#'))
-        .find_map(|l| {
-            l.strip_prefix(series)
-                .and_then(|rest| rest.trim().parse::<f64>().ok())
-        })
-        .unwrap_or(0.0)
-}
+mod common;
+use common::{metric_value, read_response, request, send_request, test_config};
 
 #[test]
 fn healthz_and_stats_round_trip() {
@@ -1133,43 +1049,38 @@ fn slow_loris_partial_header_times_out_without_pinning_a_worker() {
 }
 
 #[test]
-fn mid_body_disconnect_frees_the_connection_slot() {
+fn expect_continue_gets_the_interim_reply_before_the_body() {
     let handle = serve(test_config()).unwrap();
-    let scrape = |label: &str| {
-        let (status, body) = request(handle.addr, "GET", "/metrics", "");
-        assert_eq!(status, 200, "{label}");
-        metric_value(&body, "mr2_serve_open_connections")
-    };
-    let baseline = scrape("baseline");
-    assert!(baseline >= 1.0, "the scrape's own connection is counted");
-
-    let mut doomed = TcpStream::connect(handle.addr).expect("connect");
-    doomed
-        .write_all(
-            b"POST /v1/estimate HTTP/1.1\r\nHost: test\r\nContent-Length: 100\r\n\r\n{\"nodes\"",
-        )
-        .expect("partial body");
-    // Observe it registered, then vanish mid-body.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while scrape("while open") < baseline + 1.0 {
-        assert!(Instant::now() < deadline, "connection never registered");
-        std::thread::sleep(Duration::from_millis(20));
+    let body = r#"{"nodes":2,"input_bytes":268435456}"#;
+    let mut conn = TcpStream::connect(handle.addr).expect("connect");
+    // A missing interim reply must fail the test, not hang it.
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    // Like curl, send the head alone and hold the body back until the
+    // server invites it.
+    write!(
+        conn,
+        "POST /v1/estimate HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\
+         Expect: 100-continue\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    )
+    .expect("send head");
+    let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+    let mut interim = String::new();
+    for _ in 0..2 {
+        reader
+            .read_line(&mut interim)
+            .expect("interim reply before the read timeout");
     }
-    drop(doomed);
+    assert_eq!(interim, "HTTP/1.1 100 Continue\r\n\r\n");
 
-    // The loop notices the hangup and releases the slot without waiting
-    // for any timeout.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        if scrape("after disconnect") <= baseline {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "mid-body disconnect leaked a connection slot"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    conn.write_all(body.as_bytes()).expect("send body");
+    let (status, reply, connection) = read_response(&mut reader);
+    assert_eq!(status, 200, "{reply}");
+    assert!(
+        Json::parse(&reply).unwrap().get("estimate").is_some(),
+        "the final reply is the estimate: {reply}"
+    );
+    assert_eq!(connection, "close");
     handle.shutdown();
 }
 

@@ -2,9 +2,9 @@
 //!
 //! The substrate beneath the Hadoop 2.x cluster simulator: simulated time
 //! ([`SimTime`]), a deterministic event calendar ([`EventQueue`]) and loop
-//! driver ([`Engine`]), fair-share and FCFS resource models
-//! ([`FairShare`], [`Fcfs`]), two-moment random variates ([`Rv`]) and
-//! online statistics ([`Welford`], [`Samples`], [`TimeWeighted`]).
+//! driver ([`Engine`]), the fair-share resource model ([`FairShare`]),
+//! two-moment random variates ([`Rv`]) and online statistics
+//! ([`Welford`], [`Samples`]).
 //!
 //! Design rules:
 //! * deterministic given a seed — ties in the calendar break FIFO;
@@ -22,6 +22,6 @@ pub mod time;
 pub use engine::Engine;
 pub use event::EventQueue;
 pub use random::Rv;
-pub use resource::{FairShare, Fcfs};
-pub use stats::{Samples, TimeWeighted, Welford};
+pub use resource::FairShare;
+pub use stats::{Samples, Welford};
 pub use time::SimTime;

@@ -1,20 +1,17 @@
-//! Shared-resource models used by the cluster simulator.
+//! Shared-resource model used by the cluster simulator.
 //!
-//! Two service disciplines cover every physical resource in the Hadoop
-//! cluster model:
+//! One service discipline covers every physical resource in the Hadoop
+//! cluster model: [`FairShare`] — generalized processor sharing with a
+//! per-customer rate cap. A node CPU is `FairShare` with capacity =
+//! #cores (each task caps at 1 core); a disk or NIC is `FairShare` with
+//! capacity = bandwidth in bytes/s (flows split the bandwidth max–min
+//! fairly).
 //!
-//! * [`FairShare`] — generalized processor sharing with a per-customer rate
-//!   cap. A node CPU is `FairShare` with capacity = #cores (each task caps
-//!   at 1 core); a disk or NIC is `FairShare` with capacity = bandwidth in
-//!   bytes/s (flows split the bandwidth max–min fairly).
-//! * [`Fcfs`] — a multi-server first-come-first-served queue, used for
-//!   serialized devices and as a textbook M/M/c ground truth in tests.
-//!
-//! Both are *passive* state machines: they never schedule events themselves.
-//! After every mutation the owner asks [`FairShare::next_completion`] (or
-//! [`Fcfs::next_completion`]) and schedules a tick in its own event queue,
-//! carrying the resource's `generation()`; stale ticks (generation mismatch)
-//! are dropped. This keeps the resource reusable under any event loop.
+//! It is a *passive* state machine: it never schedules events itself.
+//! After every mutation the owner asks [`FairShare::next_completion`] and
+//! schedules a tick in its own event queue, carrying the resource's
+//! `generation()`; stale ticks (generation mismatch) are dropped. This
+//! keeps the resource reusable under any event loop.
 
 use crate::time::SimTime;
 
@@ -204,140 +201,6 @@ impl<K: Clone + PartialEq> FairShare<K> {
     }
 }
 
-/// One waiting or in-service customer of an [`Fcfs`] queue.
-#[derive(Debug, Clone)]
-struct FcfsJob<K> {
-    key: K,
-    service: f64,
-    /// Set when the job enters service.
-    completes_at: Option<SimTime>,
-}
-
-/// A multi-server FCFS queue with deterministic per-job service times
-/// decided at arrival.
-#[derive(Debug, Clone)]
-pub struct Fcfs<K> {
-    servers: usize,
-    jobs: Vec<FcfsJob<K>>,
-    generation: u64,
-    /// Completed-but-uncollected jobs.
-    finished: Vec<K>,
-    busy_area: f64,
-    last_update: SimTime,
-}
-
-impl<K: Clone + PartialEq> Fcfs<K> {
-    /// An FCFS station with `servers` identical servers.
-    pub fn new(servers: usize) -> Self {
-        assert!(servers >= 1, "need at least one server");
-        Fcfs {
-            servers,
-            jobs: Vec::new(),
-            generation: 0,
-            finished: Vec::new(),
-            busy_area: 0.0,
-            last_update: SimTime::ZERO,
-        }
-    }
-
-    fn integrate_to(&mut self, now: SimTime) {
-        let dt = now - self.last_update;
-        if dt > 0.0 {
-            let busy = self
-                .jobs
-                .iter()
-                .filter(|j| j.completes_at.is_some())
-                .count();
-            self.busy_area += busy as f64 * dt;
-        }
-        self.last_update = self.last_update.max(now);
-    }
-
-    /// Start any queued jobs for which a server is free.
-    fn dispatch(&mut self, now: SimTime) {
-        let in_service = self
-            .jobs
-            .iter()
-            .filter(|j| j.completes_at.is_some())
-            .count();
-        let mut free = self.servers.saturating_sub(in_service);
-        for job in self.jobs.iter_mut() {
-            if free == 0 {
-                break;
-            }
-            if job.completes_at.is_none() {
-                job.completes_at = Some(now + job.service);
-                free -= 1;
-            }
-        }
-    }
-
-    /// Enqueue a job with the given service demand (seconds).
-    pub fn arrive(&mut self, now: SimTime, key: K, service: f64) {
-        self.integrate_to(now);
-        self.jobs.push(FcfsJob {
-            key,
-            service: service.max(0.0),
-            completes_at: None,
-        });
-        self.dispatch(now);
-        self.generation += 1;
-    }
-
-    /// Advance to `now`; move jobs whose service finished into the finished
-    /// set and return them in completion order.
-    pub fn collect_finished(&mut self, now: SimTime) -> Vec<K> {
-        self.integrate_to(now);
-        let mut i = 0;
-        let mut newly = false;
-        while i < self.jobs.len() {
-            match self.jobs[i].completes_at {
-                Some(t) if t <= now + 1e-12 => {
-                    let job = self.jobs.remove(i);
-                    self.finished.push(job.key);
-                    newly = true;
-                }
-                _ => i += 1,
-            }
-        }
-        if newly {
-            self.dispatch(now);
-            self.generation += 1;
-        }
-        std::mem::take(&mut self.finished)
-    }
-
-    /// Time of the next completion, if any job is in service.
-    pub fn next_completion(&self) -> Option<SimTime> {
-        self.jobs.iter().filter_map(|j| j.completes_at).min()
-    }
-
-    /// Jobs currently waiting or in service.
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Whether the station is empty.
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
-    }
-
-    /// Monotone state-change counter (see [`FairShare::generation`]).
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Mean number of busy servers over `[0, now]`.
-    pub fn mean_busy(&mut self, now: SimTime) -> f64 {
-        self.integrate_to(now);
-        if now.as_secs() <= 0.0 {
-            0.0
-        } else {
-            self.busy_area / now.as_secs()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,24 +285,6 @@ mod tests {
         let u = r.utilization(SimTime::from_secs(1.0));
         assert!((u - 0.5).abs() < 1e-9, "u={u}");
         assert!((r.mean_active(SimTime::from_secs(1.0)) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fcfs_two_servers() {
-        let mut q = Fcfs::new(2);
-        q.arrive(SimTime::ZERO, 1, 4.0);
-        q.arrive(SimTime::ZERO, 2, 2.0);
-        q.arrive(SimTime::ZERO, 3, 1.0); // waits for a server
-        assert_eq!(q.next_completion(), Some(SimTime::from_secs(2.0)));
-        let done = q.collect_finished(SimTime::from_secs(2.0));
-        assert_eq!(done, vec![2]);
-        // Job 3 starts at t=2, finishes at t=3.
-        assert_eq!(q.next_completion(), Some(SimTime::from_secs(3.0)));
-        let done = q.collect_finished(SimTime::from_secs(3.0));
-        assert_eq!(done, vec![3]);
-        let done = q.collect_finished(SimTime::from_secs(4.0));
-        assert_eq!(done, vec![1]);
-        assert!(q.is_empty());
     }
 
     #[test]

@@ -165,51 +165,6 @@ impl Samples {
     }
 }
 
-/// Time-weighted average of a piecewise-constant signal, e.g. queue length
-/// or utilization over simulated time.
-#[derive(Debug, Clone)]
-pub struct TimeWeighted {
-    last_t: f64,
-    last_v: f64,
-    area: f64,
-    start: f64,
-}
-
-impl TimeWeighted {
-    /// Start tracking at time `t0` with initial value `v0`.
-    pub fn new(t0: f64, v0: f64) -> Self {
-        TimeWeighted {
-            last_t: t0,
-            last_v: v0,
-            area: 0.0,
-            start: t0,
-        }
-    }
-
-    /// Record that the signal changed to `v` at time `t` (t must not go
-    /// backwards).
-    pub fn record(&mut self, t: f64, v: f64) {
-        debug_assert!(t >= self.last_t - 1e-9, "time went backwards");
-        self.area += self.last_v * (t - self.last_t).max(0.0);
-        self.last_t = self.last_t.max(t);
-        self.last_v = v;
-    }
-
-    /// Time-weighted mean over `[t0, t]`.
-    pub fn mean_until(&self, t: f64) -> f64 {
-        let span = t - self.start;
-        if span <= 0.0 {
-            return self.last_v;
-        }
-        (self.area + self.last_v * (t - self.last_t).max(0.0)) / span
-    }
-
-    /// Current value of the signal.
-    pub fn current(&self) -> f64 {
-        self.last_v
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,15 +217,5 @@ mod tests {
         assert_eq!(s.median(), 4.0); // interpolated between 3 and 5
         assert_eq!(s.quantile(0.0), 1.0);
         assert_eq!(s.quantile(1.0), 7.0);
-    }
-
-    #[test]
-    fn time_weighted_mean() {
-        let mut tw = TimeWeighted::new(0.0, 0.0);
-        tw.record(1.0, 2.0); // value 0 on [0,1)
-        tw.record(3.0, 4.0); // value 2 on [1,3)
-                             // value 4 on [3,5): mean = (0*1 + 2*2 + 4*2)/5 = 12/5
-        assert!((tw.mean_until(5.0) - 2.4).abs() < 1e-12);
-        assert_eq!(tw.current(), 4.0);
     }
 }

@@ -201,11 +201,6 @@ impl CapacityScheduler {
         CapacityScheduler { queues }
     }
 
-    /// Number of queues.
-    pub fn num_queues(&self) -> usize {
-        self.queues.len()
-    }
-
     /// Queue configuration by index.
     pub fn queue(&self, idx: usize) -> &QueueConfig {
         &self.queues[idx]

@@ -10,7 +10,7 @@
 //! cargo run --release --example capacity_planning
 //! ```
 
-use hadoop2_perf::model::{estimate_workload, Calibration, ModelOptions};
+use hadoop2_perf::model::{estimate_mix, Calibration, MixClass, ModelOptions};
 use hadoop2_perf::sim::workload::wordcount_5gb;
 use hadoop2_perf::sim::SimConfig;
 use std::time::Instant;
@@ -26,13 +26,16 @@ fn main() {
     for nodes in 2..=16usize {
         let cfg = SimConfig::paper_testbed(nodes);
         let job = wordcount_5gb(nodes as u32);
-        let est = estimate_workload(
+        let est = estimate_mix(
             &cfg,
-            &job,
-            1,
+            &[MixClass {
+                spec: job,
+                count: 1,
+                profile: None,
+            }],
+            &[],
             &ModelOptions::default(),
             &Calibration::default(),
-            None,
         );
         let ok = est.fork_join <= deadline;
         println!(

@@ -5,10 +5,10 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use hadoop2_perf::model::{estimate_workload, relative_error, Calibration, ModelOptions};
-use hadoop2_perf::sim::profile::{measure_workload, profile_job};
+use hadoop2_perf::model::{estimate_mix, relative_error, Calibration, MixClass, ModelOptions};
+use hadoop2_perf::sim::profile::profile_job;
 use hadoop2_perf::sim::workload::wordcount_1gb;
-use hadoop2_perf::sim::SimConfig;
+use hadoop2_perf::sim::{eval_mix, SimConfig};
 
 fn main() {
     // A cluster like the paper's testbed: 4 nodes, 1 SATA disk and GbE
@@ -20,18 +20,23 @@ fn main() {
 
     // "Measured": the DES cluster simulator, median of 5 seeded runs —
     // the stand-in for a physical Hadoop deployment.
-    let measured = measure_workload(&job, &cfg, 1, 5).median_response;
+    let measured = eval_mix(&cfg, &[(job.clone(), 1)], &[], 5).median_response;
 
     // Profile one run to refine task-duration CVs (the paper's job
     // profile history), then query the analytic model.
     let (profile, _) = profile_job(&job, &cfg);
-    let est = estimate_workload(
+    // A workload is a mix of concurrent job classes; here, one class
+    // of one job.
+    let est = estimate_mix(
         &cfg,
-        &job,
-        1,
+        &[MixClass {
+            spec: job,
+            count: 1,
+            profile: Some(profile),
+        }],
+        &[],
         &ModelOptions::default(),
         &Calibration::default(),
-        Some(&profile),
     );
 
     println!("WordCount 1 GB on 4 nodes, 1 job:");

@@ -8,13 +8,13 @@
 //! every layer reports into.
 //!
 //! ```
-//! use hadoop2_perf::model::{estimate_workload, Calibration, ModelOptions};
+//! use hadoop2_perf::model::{estimate_mix, Calibration, MixClass, ModelOptions};
 //! use hadoop2_perf::sim::{workload::wordcount_1gb, SimConfig};
 //!
 //! let cfg = SimConfig::paper_testbed(4);
-//! let job = wordcount_1gb(4);
-//! let est = estimate_workload(
-//!     &cfg, &job, 1, &ModelOptions::default(), &Calibration::default(), None,
+//! let job = MixClass { spec: wordcount_1gb(4), count: 1, profile: None };
+//! let est = estimate_mix(
+//!     &cfg, &[job], &[], &ModelOptions::default(), &Calibration::default(),
 //! );
 //! assert!(est.fork_join > 0.0 && est.tripathi > est.fork_join * 0.5);
 //! ```

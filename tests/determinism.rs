@@ -1,7 +1,7 @@
 //! Reproducibility: identical seeds produce identical simulations, and
 //! the analytic model is seed-free.
 
-use hadoop2_perf::model::{estimate_workload, Calibration, ModelOptions};
+use hadoop2_perf::model::{estimate_mix, Calibration, MixClass, ModelOptions};
 use hadoop2_perf::sim::workload::wordcount;
 use hadoop2_perf::sim::{ClusterSim, SimConfig, MB};
 
@@ -42,13 +42,16 @@ fn model_is_deterministic() {
     let est = || {
         let cfg = SimConfig::paper_testbed(4);
         let spec = wordcount(MB * 1024, 4);
-        let e = estimate_workload(
+        let e = estimate_mix(
             &cfg,
-            &spec,
-            2,
+            &[MixClass {
+                spec,
+                count: 2,
+                profile: None,
+            }],
+            &[],
             &ModelOptions::default(),
             &Calibration::default(),
-            None,
         );
         (e.fork_join, e.tripathi, e.aria, e.herodotou)
     };

@@ -1,23 +1,26 @@
 //! End-to-end validation: the analytic model against the simulated
 //! cluster, on configurations small enough for CI.
 
-use hadoop2_perf::model::{estimate_workload, relative_error, Calibration, ModelOptions};
-use hadoop2_perf::sim::profile::{measure_workload, profile_job};
+use hadoop2_perf::model::{estimate_mix, relative_error, Calibration, MixClass, ModelOptions};
+use hadoop2_perf::sim::profile::profile_job;
 use hadoop2_perf::sim::workload::wordcount;
-use hadoop2_perf::sim::{SimConfig, GB, MB};
+use hadoop2_perf::sim::{eval_mix, SimConfig, GB, MB};
 
 fn point(nodes: usize, input: u64, jobs: usize) -> (f64, f64, f64) {
     let cfg = SimConfig::paper_testbed(nodes);
     let spec = wordcount(input, nodes as u32);
-    let measured = measure_workload(&spec, &cfg, jobs, 3).median_response;
+    let measured = eval_mix(&cfg, &[(spec.clone(), jobs)], &[], 3).median_response;
     let (profile, _) = profile_job(&spec, &cfg);
-    let est = estimate_workload(
+    let est = estimate_mix(
         &cfg,
-        &spec,
-        jobs,
+        &[MixClass {
+            spec,
+            count: jobs,
+            profile: Some(profile),
+        }],
+        &[],
         &ModelOptions::default(),
         &Calibration::default(),
-        Some(&profile),
     );
     (measured, est.fork_join, est.tripathi)
 }
@@ -76,15 +79,18 @@ fn more_maps_do_not_break_the_model() {
         c
     };
     let spec = wordcount(GB, 4); // 16 maps at 64 MB
-    let measured = measure_workload(&spec, &cfg, 1, 3).median_response;
+    let measured = eval_mix(&cfg, &[(spec.clone(), 1)], &[], 3).median_response;
     let (profile, _) = profile_job(&spec, &cfg);
-    let est = estimate_workload(
+    let est = estimate_mix(
         &cfg,
-        &spec,
-        1,
+        &[MixClass {
+            spec,
+            count: 1,
+            profile: Some(profile),
+        }],
+        &[],
         &ModelOptions::default(),
         &Calibration::default(),
-        Some(&profile),
     );
     assert!(est.fork_join_detail.converged);
     let err = relative_error(est.fork_join, measured);
@@ -100,14 +106,17 @@ fn baselines_are_worse_than_the_model_on_average() {
     for (nodes, input) in [(4usize, GB), (8, GB), (4, 5 * GB)] {
         let cfg = SimConfig::paper_testbed(nodes);
         let spec = wordcount(input, nodes as u32);
-        let measured = measure_workload(&spec, &cfg, 1, 3).median_response;
-        let est = estimate_workload(
+        let measured = eval_mix(&cfg, &[(spec.clone(), 1)], &[], 3).median_response;
+        let est = estimate_mix(
             &cfg,
-            &spec,
-            1,
+            &[MixClass {
+                spec,
+                count: 1,
+                profile: None,
+            }],
+            &[],
             &ModelOptions::default(),
             &Calibration::default(),
-            None,
         );
         fj_total += relative_error(est.fork_join, measured).abs();
         hero_total += relative_error(est.herodotou, measured).abs();
