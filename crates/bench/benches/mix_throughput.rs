@@ -1,8 +1,7 @@
 //! End-to-end mix throughput: a heterogeneous workload mix under
-//! staggered arrivals, evaluated across simulator repetitions — the
-//! composite hot path this PR's three optimization layers feed
-//! (calendar reuse across reps, memoized endpoint solves, batched
-//! cache keys).
+//! staggered arrivals, evaluated by the simulator across seeded
+//! repetitions (each rep a fresh `ClusterSim`) and by the analytic
+//! model across a sweep of schedules (memoized endpoint solves).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mapreduce_sim::workload::{grep, terasort, wordcount};
@@ -36,8 +35,8 @@ fn schedules() -> Vec<[f64; 4]> {
 fn bench_mix_throughput(c: &mut Criterion) {
     let mut g = c.benchmark_group("mix_throughput");
 
-    // Simulator ground truth: the mix under staggered arrivals, the
-    // rep loop reusing one calendar.
+    // Simulator ground truth: the mix under staggered arrivals, one
+    // fresh simulator per repetition.
     for (name, nodes, reps) in [("sim_4n_3reps", 4usize, 3usize), ("sim_8n_5reps", 8, 5)] {
         let cfg = SimConfig::paper_testbed(nodes);
         let classes = mix(nodes as u32);

@@ -89,14 +89,6 @@ pub fn aria_bounds(p: &AriaProfile, map_slots: u32, reduce_slots: u32) -> AriaBo
     }
 }
 
-/// Smallest slot count that meets `deadline` according to `T_avg`, holding
-/// map and reduce slots equal — ARIA's resource-inference question
-/// ("for a given job completion deadline, allocate the appropriate amount
-/// of resources"). Returns `None` if even `max_slots` misses the deadline.
-pub fn slots_for_deadline(p: &AriaProfile, deadline: f64, max_slots: u32) -> Option<u32> {
-    (1..=max_slots).find(|&k| aria_bounds(p, k, k).avg() <= deadline)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,17 +139,5 @@ mod tests {
             assert!(avg <= prev + 1e-9, "k={k}: {avg} > {prev}");
             prev = avg;
         }
-    }
-
-    #[test]
-    fn deadline_inference() {
-        let p = profile();
-        let t8 = aria_bounds(&p, 8, 8).avg();
-        let k = slots_for_deadline(&p, t8, 32).unwrap();
-        assert!(k <= 8, "8 slots meet their own deadline");
-        assert!(
-            slots_for_deadline(&p, 1.0, 32).is_none(),
-            "impossible deadline"
-        );
     }
 }

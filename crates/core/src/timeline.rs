@@ -125,11 +125,6 @@ impl Timeline {
             .map(|s| s.start)
             .fold(f64::INFINITY, f64::min)
     }
-
-    /// Last end time of a job's tasks.
-    pub fn job_end(&self, job: u32) -> f64 {
-        self.job_segments(job).map(|s| s.end).fold(0.0, f64::max)
-    }
 }
 
 /// One node's container pool: a min-heap of container-free times.
@@ -383,7 +378,6 @@ mod tests {
         let tl = build_timeline(&cfg, &[job.clone(), job]);
         assert_eq!(tl.job_start(0), 0.0);
         assert_eq!(tl.job_start(1), 10.0);
-        assert_eq!(tl.job_end(1), 20.0);
     }
 
     #[test]

@@ -66,11 +66,6 @@ impl Topology {
         self.node_rack.len()
     }
 
-    /// Number of racks.
-    pub fn num_racks(&self) -> usize {
-        self.rack_nodes.len()
-    }
-
     /// All node ids, in order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.node_rack.len() as u32).map(NodeId)
@@ -112,7 +107,6 @@ mod tests {
     fn single_rack_layout() {
         let t = Topology::single_rack(4);
         assert_eq!(t.num_nodes(), 4);
-        assert_eq!(t.num_racks(), 1);
         assert!(t.nodes().all(|n| t.rack_of(n) == RackId(0)));
         assert_eq!(t.distance(NodeId(0), NodeId(0)), 0);
         assert_eq!(t.distance(NodeId(0), NodeId(3)), 2);
@@ -122,7 +116,6 @@ mod tests {
     fn multi_rack_distances() {
         let t = Topology::with_racks(&[2, 3]);
         assert_eq!(t.num_nodes(), 5);
-        assert_eq!(t.num_racks(), 2);
         assert_eq!(t.rack_of(NodeId(1)), RackId(0));
         assert_eq!(t.rack_of(NodeId(2)), RackId(1));
         assert_eq!(t.distance(NodeId(0), NodeId(1)), 2);

@@ -122,14 +122,6 @@ impl SimConfig {
         self.containers_per_node() * self.nodes as u32
     }
 
-    /// A sizing hint for the event calendar: roughly how many events
-    /// can be pending at once with `jobs` concurrent jobs — one submit
-    /// and one heartbeat per job, one tick per fair-share resource
-    /// (three per node), and one start event per in-flight container.
-    pub fn event_capacity_hint(&self, jobs: usize) -> usize {
-        2 * jobs + 3 * self.nodes + self.total_containers() as usize
-    }
-
     /// Sanity-check invariants; panics with a description on nonsense.
     pub fn validate(&self) {
         assert!(self.nodes > 0, "need at least one node");

@@ -25,7 +25,7 @@ use crate::metrics::JobResult;
 use hdfs_sim::{splits_for_file, DefaultPlacement, Namespace, Topology};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use simcore::{Engine, FairShare, Rv, SimTime};
+use simcore::{Engine, FairShare, LogNormal, SimTime};
 use yarn_sim::{
     AnyScheduler, CapacityScheduler, ClusterState, ContainerId, FairScheduler, ResourceManager,
 };
@@ -108,31 +108,6 @@ impl NodeRes {
     }
 }
 
-/// An opaque, reusable event calendar for [`ClusterSim`] runs.
-///
-/// The event type of the simulator's calendar is private, so callers
-/// that run many simulations (profiling reps, sweeps) hold one of
-/// these and thread it through [`ClusterSim::with_calendar`] /
-/// [`ClusterSim::take_calendar`] — each run then reuses the previous
-/// run's heap and slab allocations instead of growing from empty.
-#[derive(Default)]
-pub struct Calendar(simcore::EventQueue<Ev>);
-
-impl Calendar {
-    /// An empty calendar.
-    pub fn new() -> Calendar {
-        Calendar::default()
-    }
-
-    /// An empty calendar pre-sized for `cfg` running `jobs` concurrent
-    /// jobs (see [`SimConfig::event_capacity_hint`]).
-    pub fn for_config(cfg: &SimConfig, jobs: usize) -> Calendar {
-        Calendar(simcore::EventQueue::with_capacity(
-            cfg.event_capacity_hint(jobs),
-        ))
-    }
-}
-
 /// Per-reduce shuffle bookkeeping.
 #[derive(Debug, Clone, Default)]
 struct ReduceShuffle {
@@ -157,7 +132,7 @@ pub struct ClusterSim {
     map_out: Vec<Vec<u64>>,
     submit_at: Vec<f64>,
     rng: SmallRng,
-    jitter: Option<Rv>,
+    jitter: Option<LogNormal>,
     /// Map attempts doomed to fail partway through their map-function
     /// CPU phase: (job, map, fraction of CPU work done before dying).
     failing: Vec<(u32, u32, f64)>,
@@ -166,14 +141,6 @@ pub struct ClusterSim {
 impl ClusterSim {
     /// Build an empty cluster from `cfg`.
     pub fn new(cfg: SimConfig) -> Self {
-        Self::with_calendar(cfg, Calendar::new())
-    }
-
-    /// Build an empty cluster from `cfg` reusing a finished run's event
-    /// calendar (see [`Calendar`]). The calendar starts cleared, so the
-    /// simulation is bit-identical to one built with
-    /// [`ClusterSim::new`]; only the allocations are recycled.
-    pub fn with_calendar(cfg: SimConfig, calendar: Calendar) -> Self {
         cfg.validate();
         let topo = Topology::single_rack(cfg.nodes);
         let cluster = ClusterState::homogeneous(topo.clone(), cfg.node_capacity);
@@ -198,7 +165,7 @@ impl ClusterSim {
             })
             .collect();
         let jitter = if cfg.jitter_cv > 0.0 {
-            Some(Rv::LogNormal {
+            Some(LogNormal {
                 mean: 1.0,
                 cv: cfg.jitter_cv,
             })
@@ -210,7 +177,7 @@ impl ClusterSim {
             cfg,
             topo,
             ns: Namespace::new(3),
-            engine: Engine::with_queue(calendar.0),
+            engine: Engine::new(),
             rm,
             nodes,
             ams: Vec::new(),
@@ -294,11 +261,6 @@ impl ClusterSim {
         self.engine.processed()
     }
 
-    /// Extract the event calendar for reuse by a later simulation.
-    pub fn take_calendar(&mut self) -> Calendar {
-        Calendar(self.engine.take_queue())
-    }
-
     /// Failed task attempts of one job (populated after `run`).
     pub fn ams_failed_attempts(&self, job: usize) -> u32 {
         self.ams[job].failed_attempts
@@ -355,8 +317,30 @@ impl ClusterSim {
                 }
             }
         }
+        assert!(
+            !self.ams_hold_the_cluster(),
+            "application masters hold every container and no task container fits \
+             — scheduling deadlock"
+        );
         self.engine
             .schedule_in(self.cfg.heartbeat, Ev::Heartbeat(j));
+    }
+
+    /// Whether every live container belongs to a running AM while no
+    /// task-sized container fits on any node — e.g. batch arrivals of at
+    /// least [`SimConfig::total_containers`] jobs. The state is
+    /// permanent: an AM frees its container only when its job finishes,
+    /// and no job finishes without a task container, so heartbeats
+    /// would re-arm forever. (Nothing fitting implies some container is
+    /// live, hence some job unfinished.)
+    fn ams_hold_the_cluster(&self) -> bool {
+        let size = &self.cfg.container_size;
+        let live_ams = self
+            .ams
+            .iter()
+            .filter(|am| am.am_container.is_some() && !am.done);
+        !self.rm.cluster().nodes().iter().any(|n| n.can_fit(size))
+            && self.rm.live_containers() == live_ams.count()
     }
 
     fn on_container_started(&mut self, now: f64, j: u32, container: ContainerId) {
@@ -851,7 +835,6 @@ mod tests {
 
     #[test]
     fn fair_scheduler_interleaves_jobs() {
-        use crate::config::SchedulerPolicy;
         // Under FIFO the first job finishes far earlier than the second;
         // under fair sharing they finish close together.
         let run = |policy: SchedulerPolicy| {
@@ -875,6 +858,39 @@ mod tests {
         );
         // Fair sharing delays the first job relative to FIFO.
         assert!(fair_a > fifo_a);
+    }
+
+    /// `jobs` batch-submitted small jobs on one node of four containers.
+    fn one_node_batch(jobs: usize, scheduler: SchedulerPolicy) -> Vec<JobResult> {
+        let mut sim = ClusterSim::new(SimConfig {
+            scheduler,
+            ..quiet_cfg(1)
+        });
+        for _ in 0..jobs {
+            sim.add_job(wordcount(256 * MB, 1), 0.0);
+        }
+        sim.run()
+    }
+
+    #[test]
+    fn three_jobs_share_the_last_free_container() {
+        for policy in [SchedulerPolicy::CapacityFifo, SchedulerPolicy::Fair] {
+            let results = one_node_batch(3, policy);
+            assert!(results.iter().all(|r| r.response_time() > 0.0));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduling deadlock")]
+    fn ams_filling_the_cluster_panic_under_capacity_fifo() {
+        // Four AMs take all four containers: no task can ever start.
+        one_node_batch(4, SchedulerPolicy::CapacityFifo);
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduling deadlock")]
+    fn ams_filling_the_cluster_panic_under_fair() {
+        one_node_batch(4, SchedulerPolicy::Fair);
     }
 
     #[test]

@@ -56,15 +56,6 @@ impl JobSpec {
         (self.input_bytes as f64 * self.map_output_ratio).round() as u64
     }
 
-    /// Mean reduce-input bytes per reduce task.
-    pub fn reduce_input_bytes(&self) -> u64 {
-        if self.reduces == 0 {
-            0
-        } else {
-            self.total_shuffle_bytes() / self.reduces as u64
-        }
-    }
-
     /// Validate ranges; panics with a description on nonsense.
     pub fn validate(&self) {
         assert!(self.input_bytes > 0, "empty input");
@@ -106,15 +97,7 @@ mod tests {
         assert_eq!(s.num_maps(64 * MB), 16);
         assert_eq!(s.map_output_bytes(128 * MB), 64 * MB);
         assert_eq!(s.total_shuffle_bytes(), GB / 2);
-        assert_eq!(s.reduce_input_bytes(), GB / 8);
         s.validate();
-    }
-
-    #[test]
-    fn map_only_job() {
-        let mut s = spec();
-        s.reduces = 0;
-        assert_eq!(s.reduce_input_bytes(), 0);
     }
 
     #[test]

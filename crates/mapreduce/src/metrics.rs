@@ -34,11 +34,6 @@ impl TaskRecord {
         self.finished_at - self.started_at
     }
 
-    /// Container queueing delay: from ask to assignment.
-    pub fn container_wait(&self) -> f64 {
-        self.assigned_at - self.scheduled_at
-    }
-
     /// For reduce tasks: the shuffle-sort subtask duration in the paper's
     /// decomposition (launch → shuffle complete). For maps: read phase.
     pub fn io_phase(&self) -> f64 {
@@ -85,30 +80,6 @@ impl JobResult {
             .iter()
             .filter(|t| matches!(t.task, TaskId::Reduce(_)))
     }
-
-    /// Mean map duration.
-    pub fn mean_map_duration(&self) -> f64 {
-        mean(self.map_records().map(|t| t.duration()))
-    }
-
-    /// Mean reduce duration.
-    pub fn mean_reduce_duration(&self) -> f64 {
-        mean(self.reduce_records().map(|t| t.duration()))
-    }
-}
-
-fn mean(it: impl Iterator<Item = f64>) -> f64 {
-    let mut n = 0usize;
-    let mut s = 0.0;
-    for x in it {
-        n += 1;
-        s += x;
-    }
-    if n == 0 {
-        0.0
-    } else {
-        s / n as f64
-    }
 }
 
 #[cfg(test)]
@@ -143,10 +114,7 @@ mod tests {
         };
         assert_eq!(r.response_time(), 30.0);
         assert_eq!(r.map_records().count(), 2);
-        assert!((r.mean_map_duration() - 15.0).abs() < 1e-12);
-        assert!((r.mean_reduce_duration() - 14.0).abs() < 1e-12);
         let t = &r.tasks[0];
-        assert!((t.container_wait() - 0.5).abs() < 1e-12);
         assert!((t.io_phase() - 1.0).abs() < 1e-12);
     }
 }

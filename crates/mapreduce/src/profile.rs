@@ -8,10 +8,10 @@
 //! reduce function + write).
 
 use crate::config::SimConfig;
-use crate::driver::{Calendar, ClusterSim};
+use crate::driver::ClusterSim;
 use crate::job::JobSpec;
 use crate::metrics::JobResult;
-use simcore::{Samples, Welford};
+use simcore::{median, Welford};
 
 /// Schema version of the simulator's configuration and measurement
 /// outputs.
@@ -118,12 +118,12 @@ impl MeasuredProfile {
 
     /// Extract the profile from one job's result.
     pub fn from_result(r: &JobResult) -> MeasuredProfile {
-        let mut map = Welford::new();
+        let mut map = Welford::default();
         for t in r.map_records() {
             map.push(t.duration());
         }
-        let mut shuffle = Welford::new();
-        let mut merge = Welford::new();
+        let mut shuffle = Welford::default();
+        let mut merge = Welford::default();
         for t in r.reduce_records() {
             shuffle.push(t.io_phase());
             merge.push(t.tail_phase());
@@ -251,19 +251,14 @@ pub fn eval_mix(
         "submit offsets must be finite and non-negative"
     );
     let submit_at = |j: usize| submits.get(j).copied().unwrap_or(0.0);
-    let mut medians = Samples::new();
-    let mut makespans = Samples::new();
-    let mut class_medians: Vec<Samples> = classes.iter().map(|_| Samples::new()).collect();
     let mut per_rep_mean = Vec::with_capacity(reps);
-    // One calendar threaded through all repetitions: each rep reuses
-    // the previous rep's heap and slab allocations. Clearing between
-    // runs keeps the event sequence bit-identical to fresh calendars.
-    let mut calendar = Calendar::for_config(cfg, total);
+    let mut makespans = Vec::with_capacity(reps);
+    let mut class_means: Vec<Vec<f64>> = classes.iter().map(|_| Vec::with_capacity(reps)).collect();
     for rep in 0..reps {
         let _rep = mr2_obs::span("sim.rep");
         let mut c = cfg.clone();
         c.seed = cfg.seed + rep as u64;
-        let mut sim = ClusterSim::with_calendar(c, calendar);
+        let mut sim = ClusterSim::new(c);
         let mut j = 0;
         for (spec, n) in classes {
             for _ in 0..*n {
@@ -272,10 +267,8 @@ pub fn eval_mix(
             }
         }
         let results = sim.run();
-        calendar = sim.take_calendar();
         let mean = results.iter().map(|r| r.response_time()).sum::<f64>() / total as f64;
         per_rep_mean.push(mean);
-        medians.push(mean);
         let first_submit = results
             .iter()
             .map(|r| r.submitted_at)
@@ -285,16 +278,16 @@ pub fn eval_mix(
         let mut offset = 0;
         for (ci, &(_, n)) in classes.iter().enumerate() {
             let class = &results[offset..offset + n];
-            class_medians[ci].push(class.iter().map(|r| r.response_time()).sum::<f64>() / n as f64);
+            class_means[ci].push(class.iter().map(|r| r.response_time()).sum::<f64>() / n as f64);
             offset += n;
         }
     }
     let mean_response = per_rep_mean.iter().sum::<f64>() / reps as f64;
     SimPoint {
-        median_response: medians.median(),
+        median_response: median(&per_rep_mean),
         mean_response,
-        makespan: makespans.median(),
-        per_class_median: class_medians.iter().map(|s| s.median()).collect(),
+        makespan: median(&makespans),
+        per_class_median: class_means.iter().map(|m| median(m)).collect(),
         per_rep_mean,
     }
 }
@@ -340,11 +333,11 @@ mod tests {
     }
 
     #[test]
-    fn reused_calendars_match_fresh_sims_bit_for_bit() {
-        // `eval_mix` threads one calendar through all repetitions. Under
+    fn reps_match_fresh_sims_seeded_per_rep() {
+        // Rep `r` of `eval_mix` is a fresh simulator seeded
+        // `cfg.seed + r` with the jobs submitted in entry order, under
         // every arrival shape — batch, staggered schedule, irregular
-        // trace offsets — each rep must be bit-identical to a fresh
-        // simulator: clearing the calendar resets the event sequence.
+        // trace offsets.
         let base = cfg();
         let classes = [
             (wordcount(128 * MB, 1), 2usize),
@@ -376,36 +369,6 @@ mod tests {
                     "rep {rep} under {submits:?} diverged from a fresh simulator"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn dirty_calendar_reuse_matches_a_fresh_run() {
-        // A calendar taken from a *different* completed workload must
-        // behave exactly like a fresh one: `with_calendar` clears it.
-        let spec = wordcount(256 * MB, 1);
-        let mut fresh = ClusterSim::new(cfg());
-        fresh.add_job(spec.clone(), 0.0);
-        fresh.add_job(spec.clone(), 45.0);
-        let expect = fresh.run();
-
-        let mut other = ClusterSim::new(SimConfig {
-            nodes: 3,
-            seed: 99,
-            ..SimConfig::default()
-        });
-        other.add_job(wordcount(GB, 2), 0.0);
-        other.run();
-        let dirty = other.take_calendar();
-
-        let mut reused = ClusterSim::with_calendar(cfg(), dirty);
-        reused.add_job(spec.clone(), 0.0);
-        reused.add_job(spec, 45.0);
-        let got = reused.run();
-        assert_eq!(expect.len(), got.len());
-        for (e, g) in expect.iter().zip(&got) {
-            assert_eq!(e.submitted_at.to_bits(), g.submitted_at.to_bits());
-            assert_eq!(e.finished_at.to_bits(), g.finished_at.to_bits());
         }
     }
 

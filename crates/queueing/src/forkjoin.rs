@@ -27,13 +27,6 @@ pub fn fork_join_response(children: &[f64]) -> f64 {
     harmonic(children.len() as u32) * max
 }
 
-/// The exact mean of the maximum of `s` iid exponentials with mean `m` is
-/// `m · H_s` — the motivation behind the approximation. Exposed for tests
-/// and documentation.
-pub fn iid_exponential_max_mean(s: u32, mean: f64) -> f64 {
-    mean * harmonic(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,13 +48,6 @@ mod tests {
     fn empty_and_single() {
         assert_eq!(fork_join_response(&[]), 0.0);
         assert!((fork_join_response(&[7.0]) - 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn exponential_max_identity() {
-        // For iid exponentials the approximation is exact when the max is
-        // the same child the harmonic factor scales.
-        assert!((iid_exponential_max_mean(2, 2.0) - 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1250,27 +1250,30 @@ fn serve_job(job: Job, state: &State, done: &CompletionTx) {
     let request_id = obs::next_request_id();
     let started = Instant::now();
 
-    // `"stream": true` scenarios take the chunked NDJSON path; every
-    // other request — including scenario parse errors, which re-parse
-    // below — is a single rendered response.
-    if job.endpoint == Endpoint::Scenario {
-        if let Ok(r) = std::str::from_utf8(&job.req.body)
-            .map_err(|_| "body is not UTF-8".to_string())
-            .and_then(api::parse_scenario_request)
-        {
-            if r.stream {
+    // A scenario body is decoded once, here: `"stream": true` takes the
+    // chunked NDJSON path; every other request — a non-streaming or
+    // undecodable scenario included — is a single rendered response.
+    let scenario = match job.endpoint {
+        Endpoint::Scenario => match decode_scenario(&job.req) {
+            Ok(r) if r.stream => {
                 return stream_scenario(job, r, state, done, request_id, started);
             }
-        }
-    }
+            decoded => Some(decoded),
+        },
+        _ => None,
+    };
 
-    let resp = std::panic::catch_unwind(AssertUnwindSafe(|| route(&job.req, state, request_id)))
-        .unwrap_or_else(|_| {
-            // A panicked debug request may strand its thread-local
-            // trace; clear it so later requests start clean.
-            let _ = obs::end_trace();
-            Response::error(ApiError::internal("internal error: evaluation panicked"))
-        });
+    let resp = std::panic::catch_unwind(AssertUnwindSafe(|| match scenario {
+        Some(Ok(r)) => scenario_response(&r, state, request_id),
+        Some(Err(e)) => Response::error(e),
+        None => route(&job.req, state, request_id),
+    }))
+    .unwrap_or_else(|_| {
+        // A panicked debug request may strand its thread-local
+        // trace; clear it so later requests start clean.
+        let _ = obs::end_trace();
+        Response::error(ApiError::internal("internal error: evaluation panicked"))
+    });
     finish_request(&job.req, &resp, request_id, started, state);
     let bytes = render_response(resp.status, &resp.body, resp.content_type, job.close, &[]);
     done.send(Completion::Done {
@@ -1502,7 +1505,7 @@ fn route(req: &Request, state: &State, request_id: u64) -> Response {
         Endpoint::JobsList => Response::ok(api::jobs_json(&state.jobs.snapshot()), &[]),
         Endpoint::Profile => profile_response(req),
         Endpoint::Estimate => estimate_response(req, state, request_id),
-        Endpoint::Scenario => scenario_response(req, state, request_id),
+        Endpoint::Scenario => unreachable!("/v1/scenario is decoded and served by serve_job"),
         Endpoint::Plan => plan_response(req, state, request_id),
     }
 }
@@ -1621,49 +1624,50 @@ fn estimate_response(req: &Request, state: &State, request_id: u64) -> Response 
     }
 }
 
-fn scenario_response(req: &Request, state: &State, request_id: u64) -> Response {
-    match std::str::from_utf8(&req.body)
+/// Decode a `/v1/scenario` body; failures map to the 400/422 envelope.
+fn decode_scenario(req: &Request) -> Result<api::ScenarioRequest, ApiError> {
+    std::str::from_utf8(&req.body)
         .map_err(|_| "body is not UTF-8".to_string())
         .and_then(api::parse_scenario_request)
-    {
-        Ok(r) => {
-            let scenario = &r.scenario;
-            if let Some(resp) = scenario_bounds_error(scenario, state) {
-                return resp;
-            }
-            // The sweep's own point spans run on the runner's pool
-            // threads, which deliberately don't inherit the trace; the
-            // breakdown shows the sequential phases this thread saw.
-            // The sweep also registers with the jobs registry so
-            // GET /v1/jobs can watch its progress mid-flight.
-            let traced = obs::begin_trace(request_id, "/v1/scenario");
-            let mut body = {
-                let _root = obs::span("serve.request");
-                let progress = state.jobs.register(
-                    request_id,
-                    scenario.name.clone(),
-                    scenario.num_points(),
-                    false,
-                );
-                let sweep = {
-                    let _run = obs::span("scenario.run");
-                    run_scenario_streaming(scenario, &state.cache, &state.cfg.runner, &|pr| {
-                        progress.point_done(&pr)
-                    })
-                };
-                drop(progress);
-                let _enc = obs::span("response.encode");
-                api::sweep_json(&sweep)
-            };
-            if let Some(trace) = traced.then(obs::finish_trace).flatten() {
-                if r.debug {
-                    attach_debug(&mut body, &trace);
-                }
-            }
-            Response::ok(body, &[])
-        }
-        Err(e) => Response::error(ApiError::from_parse(e)),
+        .map_err(ApiError::from_parse)
+}
+
+/// Run a decoded non-streaming scenario and render the whole sweep.
+fn scenario_response(r: &api::ScenarioRequest, state: &State, request_id: u64) -> Response {
+    let scenario = &r.scenario;
+    if let Some(resp) = scenario_bounds_error(scenario, state) {
+        return resp;
     }
+    // The sweep's own point spans run on the runner's pool
+    // threads, which deliberately don't inherit the trace; the
+    // breakdown shows the sequential phases this thread saw.
+    // The sweep also registers with the jobs registry so
+    // GET /v1/jobs can watch its progress mid-flight.
+    let traced = obs::begin_trace(request_id, "/v1/scenario");
+    let mut body = {
+        let _root = obs::span("serve.request");
+        let progress = state.jobs.register(
+            request_id,
+            scenario.name.clone(),
+            scenario.num_points(),
+            false,
+        );
+        let sweep = {
+            let _run = obs::span("scenario.run");
+            run_scenario_streaming(scenario, &state.cache, &state.cfg.runner, &|pr| {
+                progress.point_done(&pr)
+            })
+        };
+        drop(progress);
+        let _enc = obs::span("response.encode");
+        api::sweep_json(&sweep)
+    };
+    if let Some(trace) = traced.then(obs::finish_trace).flatten() {
+        if r.debug {
+            attach_debug(&mut body, &trace);
+        }
+    }
+    Response::ok(body, &[])
 }
 
 fn plan_response(req: &Request, state: &State, request_id: u64) -> Response {

@@ -112,6 +112,41 @@ fn scenario_round_trip_reports_points_and_bands() {
 }
 
 #[test]
+fn am_deadlocked_simulation_answers_an_error_and_the_service_recovers() {
+    let handle = serve(test_config()).unwrap();
+    // Four batch jobs on one node of four containers: every container
+    // goes to an application master, so no task can ever start. The
+    // simulator detects it instead of re-arming heartbeats forever.
+    let wedged = r#"{"nodes":1,"n_jobs":4,"input_bytes":268435456,
+        "backends":{"analytic":false,"simulator":1}}"#;
+    // Twice: the identical second request must not wait on a flight
+    // the first one abandoned.
+    for attempt in 0..2 {
+        let mut conn = TcpStream::connect(handle.addr).expect("connect");
+        // A hang must fail the test, not stall it.
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        send_request(&mut conn, "POST", "/v1/estimate", wedged, true);
+        let (status, reply, _) = read_response(&mut BufReader::new(conn));
+        assert_eq!(status, 500, "attempt {attempt}: {reply}");
+        let v = Json::parse(&reply).unwrap();
+        assert_eq!(
+            v.get("error").unwrap().get("code").unwrap().as_str(),
+            Some("internal"),
+            "attempt {attempt}: {reply}"
+        );
+    }
+    let (status, body) = request(
+        handle.addr,
+        "POST",
+        "/v1/estimate",
+        r#"{"nodes":4,"input_bytes":268435456,"n_jobs":2}"#,
+    );
+    assert_eq!(status, 200, "{body}");
+    handle.shutdown();
+}
+
+#[test]
 fn arrivals_round_trip_reports_makespans_while_old_requests_decode_unchanged() {
     let handle = serve(test_config()).unwrap();
     // An arrivals-bearing estimate: two staggered jobs, both backends.

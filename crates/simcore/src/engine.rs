@@ -1,16 +1,20 @@
-//! A minimal event-loop driver tying a clock to an [`EventQueue`].
+//! The event-loop driver: a clock plus a deterministic event calendar.
 //!
 //! Domain simulators (YARN, MapReduce) own an `Engine<E>` with their own
 //! event enum `E` and drain it with [`Engine::next`], dispatching on the
-//! event payload. The engine enforces that simulated time never moves
-//! backwards and counts processed events for benchmark reporting. On
-//! drop each engine publishes its lifetime totals — events processed
+//! event payload. The calendar is a `std` binary heap that delivers the
+//! earliest event first and events at equal timestamps in FIFO
+//! (insertion) order, so a tie never depends on heap internals and runs
+//! stay deterministic. The engine enforces that simulated time never
+//! moves backwards and counts processed events for benchmark reporting.
+//! On drop each engine publishes its lifetime totals — events processed
 //! and peak calendar depth — into the `mr2-obs` registry, so the cost
 //! is two atomic operations per *engine*, not per event.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::sync::OnceLock;
 
-use crate::event::EventQueue;
 use crate::time::SimTime;
 
 /// Events processed across all engines in this process.
@@ -36,10 +40,41 @@ fn sim_heap_depth() -> &'static mr2_obs::Histogram {
     })
 }
 
+/// A calendar entry: an event, its timestamp, and its insertion
+/// sequence number.
+struct Scheduled<E> {
+    time: SimTime,
+    seq: u64,
+    event: E,
+}
+
+impl<E> Ord for Scheduled<E> {
+    /// Reversed `(time, seq)` order, so the max-heap pops the earliest
+    /// time first and, among equal times, the earliest scheduled.
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.time, other.seq).cmp(&(self.time, self.seq))
+    }
+}
+
+impl<E> PartialOrd for Scheduled<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> PartialEq for Scheduled<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<E> Eq for Scheduled<E> {}
+
 /// Clock + calendar. See the module docs.
 pub struct Engine<E> {
     now: SimTime,
-    queue: EventQueue<E>,
+    calendar: BinaryHeap<Scheduled<E>>,
+    seq: u64,
     processed: u64,
     peak_pending: usize,
 }
@@ -51,35 +86,15 @@ impl<E> Default for Engine<E> {
 }
 
 impl<E> Engine<E> {
-    /// A fresh engine at time zero.
+    /// A fresh engine at time zero with an empty calendar.
     pub fn new() -> Self {
-        Self::with_queue(EventQueue::new())
-    }
-
-    /// A fresh engine at time zero reusing `queue`'s allocations.
-    ///
-    /// The queue is cleared first, so a calendar handed from a finished
-    /// run starts the next one empty but warm — no re-growing the heap
-    /// and slab every repetition. Pair with [`Engine::take_queue`].
-    pub fn with_queue(mut queue: EventQueue<E>) -> Self {
-        queue.clear();
         Engine {
             now: SimTime::ZERO,
-            queue,
+            calendar: BinaryHeap::new(),
+            seq: 0,
             processed: 0,
             peak_pending: 0,
         }
-    }
-
-    /// Extract the calendar for reuse by a later engine, leaving this
-    /// one empty. Drop still publishes the engine's lifetime totals.
-    pub fn take_queue(&mut self) -> EventQueue<E> {
-        std::mem::take(&mut self.queue)
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
     }
 
     /// Schedule an event at absolute time `t`. Panics if `t` is in the past.
@@ -90,8 +105,13 @@ impl<E> Engine<E> {
             self.now,
             t
         );
-        self.queue.schedule(t, event);
-        self.peak_pending = self.peak_pending.max(self.queue.len());
+        self.calendar.push(Scheduled {
+            time: t,
+            seq: self.seq,
+            event,
+        });
+        self.seq += 1;
+        self.peak_pending = self.peak_pending.max(self.calendar.len());
     }
 
     /// Schedule an event `delay` seconds from now.
@@ -103,26 +123,16 @@ impl<E> Engine<E> {
     /// Pop the next event, advancing the clock to its timestamp.
     #[allow(clippy::should_implement_trait)] // not an Iterator: &mut self semantics with side effects on the clock
     pub fn next(&mut self) -> Option<(SimTime, E)> {
-        let (t, e) = self.queue.pop()?;
-        debug_assert!(t >= self.now);
-        self.now = t;
+        let Scheduled { time, event, .. } = self.calendar.pop()?;
+        debug_assert!(time >= self.now);
+        self.now = time;
         self.processed += 1;
-        Some((t, e))
-    }
-
-    /// Number of pending events.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
+        Some((time, event))
     }
 
     /// Number of events processed so far.
     pub fn processed(&self) -> u64 {
         self.processed
-    }
-
-    /// Largest number of simultaneously pending events seen so far.
-    pub fn peak_pending(&self) -> usize {
-        self.peak_pending
     }
 }
 
@@ -153,7 +163,7 @@ mod tests {
         eng.schedule_in(1.0, Ev::Tick(1));
         let (t1, e1) = eng.next().unwrap();
         assert_eq!((t1, e1), (SimTime::from_secs(1.0), Ev::Tick(1)));
-        assert_eq!(eng.now(), SimTime::from_secs(1.0));
+        assert_eq!(eng.now, SimTime::from_secs(1.0));
         // Scheduling relative to the new now.
         eng.schedule_in(0.5, Ev::Tick(3));
         let (t2, e2) = eng.next().unwrap();
@@ -162,7 +172,33 @@ mod tests {
         assert_eq!(t3, SimTime::from_secs(2.0));
         assert!(eng.next().is_none());
         assert_eq!(eng.processed(), 3);
-        assert_eq!(eng.peak_pending(), 2);
+        assert_eq!(eng.peak_pending, 2);
+    }
+
+    #[test]
+    fn ties_pop_in_insertion_order() {
+        // Equal timestamps interleaved with earlier and later events,
+        // scheduled both before and after pops: every tie still comes
+        // out in the order it went in.
+        let mut eng = Engine::new();
+        let t = SimTime::from_secs(5.0);
+        for i in 0..50 {
+            eng.schedule_at(t, Ev::Tick(i));
+            eng.schedule_at(SimTime::from_secs(9.0 - (i % 3) as f64), Ev::Tick(1000 + i));
+        }
+        eng.schedule_at(SimTime::from_secs(1.0), Ev::Tick(999));
+        assert_eq!(eng.next(), Some((SimTime::from_secs(1.0), Ev::Tick(999))));
+        for i in 50..100 {
+            eng.schedule_at(t, Ev::Tick(i));
+        }
+        for i in 0..100 {
+            assert_eq!(eng.next(), Some((t, Ev::Tick(i))));
+        }
+        let mut last = t;
+        while let Some((at, _)) = eng.next() {
+            assert!(at >= last);
+            last = at;
+        }
     }
 
     #[test]
@@ -172,26 +208,6 @@ mod tests {
         eng.schedule_in(5.0, Ev::Tick(1));
         eng.next();
         eng.schedule_at(SimTime::from_secs(1.0), Ev::Tick(2));
-    }
-
-    #[test]
-    fn queue_reuse_across_engines_preserves_behaviour() {
-        let mut first = Engine::new();
-        first.schedule_in(1.0, Ev::Tick(1));
-        first.schedule_in(1.0, Ev::Tick(2));
-        first.next();
-        let queue = first.take_queue();
-        assert_eq!(first.pending(), 0, "calendar moved out");
-
-        // The reused calendar starts the next run empty at time zero,
-        // with FIFO tie order re-established from scratch.
-        let mut second = Engine::with_queue(queue);
-        assert_eq!(second.now(), SimTime::ZERO);
-        assert_eq!(second.pending(), 0);
-        second.schedule_in(3.0, Ev::Tick(10));
-        second.schedule_in(3.0, Ev::Tick(20));
-        assert_eq!(second.next(), Some((SimTime::from_secs(3.0), Ev::Tick(10))));
-        assert_eq!(second.next(), Some((SimTime::from_secs(3.0), Ev::Tick(20))));
     }
 
     #[test]

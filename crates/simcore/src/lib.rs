@@ -1,10 +1,11 @@
 //! # simcore — discrete-event simulation engine
 //!
-//! The substrate beneath the Hadoop 2.x cluster simulator: simulated time
-//! ([`SimTime`]), a deterministic event calendar ([`EventQueue`]) and loop
-//! driver ([`Engine`]), the fair-share resource model ([`FairShare`]),
-//! two-moment random variates ([`Rv`]) and online statistics
-//! ([`Welford`], [`Samples`]).
+//! The substrate beneath the Hadoop 2.x cluster simulator, carrying only
+//! what that simulator runs: simulated time ([`SimTime`]), the event loop
+//! ([`Engine`]: a clock over a binary-heap calendar), the fair-share
+//! resource model ([`FairShare`]), lognormal work jitter ([`LogNormal`])
+//! and the statistics its profiles and repetition summaries use
+//! ([`Welford`], [`median`]).
 //!
 //! Design rules:
 //! * deterministic given a seed — ties in the calendar break FIFO;
@@ -13,15 +14,13 @@
 //! * everything is measured in seconds and bytes.
 
 pub mod engine;
-pub mod event;
 pub mod random;
 pub mod resource;
 pub mod stats;
 pub mod time;
 
 pub use engine::Engine;
-pub use event::EventQueue;
-pub use random::Rv;
+pub use random::LogNormal;
 pub use resource::FairShare;
-pub use stats::{Samples, Welford};
+pub use stats::{median, Welford};
 pub use time::SimTime;

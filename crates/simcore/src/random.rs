@@ -1,190 +1,34 @@
 //! Random variates for the simulator.
 //!
-//! Everything is parameterized by *mean* and *coefficient of variation*
-//! (CV = σ/μ), the two moments the paper's model and job profiles carry.
-//! [`Rv::from_mean_cv`] picks the textbook family for a CV, mirroring the
-//! Erlang/hyperexponential split the paper uses on the analytic side
-//! (§4.2.4): Erlang for CV ≤ 1, two-phase hyperexponential (balanced means)
-//! for CV > 1.
+//! The simulator's only variate is multiplicative work jitter: a
+//! lognormal with mean 1 and the configured coefficient of variation
+//! (CV = σ/μ). It matches both moments exactly and stays positive.
 
 use rand::Rng;
 
-/// A random variate generator with known first two moments.
+/// Lognormal variate with the given mean and CV of the *value* (not of
+/// its log).
 #[derive(Debug, Clone, PartialEq)]
-pub enum Rv {
-    /// Constant value.
-    Det(f64),
-    /// Exponential with the given mean.
-    Exp { mean: f64 },
-    /// Erlang-`k`: sum of `k` iid exponentials, total mean `mean`.
-    Erlang { k: u32, mean: f64 },
-    /// Two-phase hyperexponential: with prob. `p` exponential of mean
-    /// `mean1`, else exponential of mean `mean2`.
-    HyperExp2 { p: f64, mean1: f64, mean2: f64 },
-    /// Uniform on `[lo, hi]`.
-    Uniform { lo: f64, hi: f64 },
-    /// Lognormal with the given mean and CV of the *value* (not of log).
-    LogNormal { mean: f64, cv: f64 },
-}
-
-impl Rv {
-    /// Choose a family matching `mean` and `cv` exactly:
-    /// `cv == 0` → deterministic; `cv < 1` → Erlang-k with an exact
-    /// two-moment match via a mixture is avoided — we use lognormal when an
-    /// exact Erlang match is impossible; `cv == 1` → exponential;
-    /// `cv > 1` → balanced-means H2.
-    ///
-    /// Erlang-k only realizes CVs of `1/sqrt(k)`; for intermediate CVs this
-    /// constructor returns a lognormal, which matches both moments exactly
-    /// and stays positive. The analytic side (crate `queueing`) makes the
-    /// corresponding Erlang approximation, as the paper prescribes.
-    pub fn from_mean_cv(mean: f64, cv: f64) -> Rv {
-        assert!(mean >= 0.0 && cv >= 0.0, "mean/cv must be non-negative");
-        if mean == 0.0 || cv == 0.0 {
-            return Rv::Det(mean);
-        }
-        if (cv - 1.0).abs() < 1e-12 {
-            return Rv::Exp { mean };
-        }
-        if cv > 1.0 {
-            return Rv::hyperexp_balanced(mean, cv);
-        }
-        let k = (1.0 / (cv * cv)).round().max(1.0) as u32;
-        let erlang_cv = 1.0 / (k as f64).sqrt();
-        if (erlang_cv - cv).abs() < 1e-9 {
-            Rv::Erlang { k, mean }
-        } else {
-            Rv::LogNormal { mean, cv }
-        }
-    }
-
-    /// Balanced-means two-phase hyperexponential matching (mean, cv > 1).
-    ///
-    /// Balanced means: `p/μ1 = (1-p)/μ2`. Standard construction:
-    /// `p = (1 + sqrt((c²-1)/(c²+1)))/2`, rates `λ1 = 2p/mean`,
-    /// `λ2 = 2(1-p)/mean`.
-    pub fn hyperexp_balanced(mean: f64, cv: f64) -> Rv {
-        assert!(cv > 1.0, "H2 needs cv > 1");
-        let c2 = cv * cv;
-        let p = 0.5 * (1.0 + ((c2 - 1.0) / (c2 + 1.0)).sqrt());
-        Rv::HyperExp2 {
-            p,
-            mean1: mean / (2.0 * p),
-            mean2: mean / (2.0 * (1.0 - p)),
-        }
-    }
-
+pub struct LogNormal {
     /// Expected value.
-    pub fn mean(&self) -> f64 {
-        match *self {
-            Rv::Det(v) => v,
-            Rv::Exp { mean } => mean,
-            Rv::Erlang { mean, .. } => mean,
-            Rv::HyperExp2 { p, mean1, mean2 } => p * mean1 + (1.0 - p) * mean2,
-            Rv::Uniform { lo, hi } => 0.5 * (lo + hi),
-            Rv::LogNormal { mean, .. } => mean,
-        }
-    }
+    pub mean: f64,
+    /// Coefficient of variation σ/μ.
+    pub cv: f64,
+}
 
-    /// Variance.
-    pub fn variance(&self) -> f64 {
-        match *self {
-            Rv::Det(_) => 0.0,
-            Rv::Exp { mean } => mean * mean,
-            Rv::Erlang { k, mean } => mean * mean / k as f64,
-            Rv::HyperExp2 { p, mean1, mean2 } => {
-                let m1 = p * mean1 + (1.0 - p) * mean2;
-                let m2 = 2.0 * (p * mean1 * mean1 + (1.0 - p) * mean2 * mean2);
-                m2 - m1 * m1
-            }
-            Rv::Uniform { lo, hi } => (hi - lo) * (hi - lo) / 12.0,
-            Rv::LogNormal { mean, cv } => (mean * cv) * (mean * cv),
-        }
-    }
-
-    /// Coefficient of variation σ/μ (0 when the mean is 0).
-    pub fn cv(&self) -> f64 {
-        let m = self.mean();
-        if m == 0.0 {
-            0.0
-        } else {
-            self.variance().sqrt() / m
-        }
-    }
-
-    /// Draw one sample.
+impl LogNormal {
+    /// Draw one sample (two uniform draws, Box–Muller).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        match *self {
-            Rv::Det(v) => v,
-            Rv::Exp { mean } => sample_exp(rng, mean),
-            Rv::Erlang { k, mean } => {
-                let per = mean / k as f64;
-                (0..k).map(|_| sample_exp(rng, per)).sum()
-            }
-            Rv::HyperExp2 { p, mean1, mean2 } => {
-                if rng.gen::<f64>() < p {
-                    sample_exp(rng, mean1)
-                } else {
-                    sample_exp(rng, mean2)
-                }
-            }
-            Rv::Uniform { lo, hi } => rng.gen_range(lo..=hi),
-            Rv::LogNormal { mean, cv } => {
-                // Match moments of the lognormal: if X = exp(μ + σZ),
-                // E[X] = exp(μ + σ²/2), CV² = exp(σ²) − 1.
-                let sigma2 = (1.0 + cv * cv).ln();
-                let mu = mean.ln() - 0.5 * sigma2;
-                let z = sample_std_normal(rng);
-                (mu + sigma2.sqrt() * z).exp()
-            }
-        }
+        // Match moments of the lognormal: if X = exp(μ + σZ),
+        // E[X] = exp(μ + σ²/2), CV² = exp(σ²) − 1.
+        let sigma2 = (1.0 + self.cv * self.cv).ln();
+        let mu = self.mean.ln() - 0.5 * sigma2;
+        // Box–Muller standard normal Z.
+        let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
+        let u2: f64 = rng.gen::<f64>();
+        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+        (mu + sigma2.sqrt() * z).exp()
     }
-
-    /// Multiply the variate by a positive constant (scales mean and σ,
-    /// preserves CV).
-    pub fn scaled(&self, factor: f64) -> Rv {
-        assert!(factor >= 0.0);
-        match *self {
-            Rv::Det(v) => Rv::Det(v * factor),
-            Rv::Exp { mean } => Rv::Exp {
-                mean: mean * factor,
-            },
-            Rv::Erlang { k, mean } => Rv::Erlang {
-                k,
-                mean: mean * factor,
-            },
-            Rv::HyperExp2 { p, mean1, mean2 } => Rv::HyperExp2 {
-                p,
-                mean1: mean1 * factor,
-                mean2: mean2 * factor,
-            },
-            Rv::Uniform { lo, hi } => Rv::Uniform {
-                lo: lo * factor,
-                hi: hi * factor,
-            },
-            Rv::LogNormal { mean, cv } => Rv::LogNormal {
-                mean: mean * factor,
-                cv,
-            },
-        }
-    }
-}
-
-#[inline]
-fn sample_exp<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> f64 {
-    if mean <= 0.0 {
-        return 0.0;
-    }
-    let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-    -mean * u.ln()
-}
-
-/// Box–Muller standard normal.
-#[inline]
-fn sample_std_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-    let u2: f64 = rng.gen::<f64>();
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
 #[cfg(test)]
@@ -193,75 +37,17 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    fn empirical(rv: &Rv, n: usize, seed: u64) -> (f64, f64) {
-        let mut rng = SmallRng::seed_from_u64(seed);
+    #[test]
+    fn moments_match() {
+        let rv = LogNormal { mean: 2.0, cv: 0.7 };
+        let n = 200_000;
+        let mut rng = SmallRng::seed_from_u64(47);
         let samples: Vec<f64> = (0..n).map(|_| rv.sample(&mut rng)).collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1) as f64;
-        (mean, var)
-    }
-
-    #[test]
-    fn moments_match_for_all_families() {
-        let cases = [
-            Rv::Det(3.0),
-            Rv::Exp { mean: 2.0 },
-            Rv::Erlang { k: 4, mean: 2.0 },
-            Rv::hyperexp_balanced(2.0, 2.0),
-            Rv::Uniform { lo: 1.0, hi: 3.0 },
-            Rv::LogNormal { mean: 2.0, cv: 0.7 },
-        ];
-        let cases = &cases;
-        for (i, rv) in cases.iter().enumerate() {
-            let (m, v) = empirical(rv, 200_000, 42 + i as u64);
-            assert!(
-                (m - rv.mean()).abs() / rv.mean().max(1e-9) < 0.03,
-                "{rv:?}: empirical mean {m} vs {}",
-                rv.mean()
-            );
-            if rv.variance() > 0.0 {
-                assert!(
-                    (v - rv.variance()).abs() / rv.variance() < 0.08,
-                    "{rv:?}: empirical var {v} vs {}",
-                    rv.variance()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn from_mean_cv_families() {
-        assert_eq!(Rv::from_mean_cv(5.0, 0.0), Rv::Det(5.0));
-        assert_eq!(Rv::from_mean_cv(5.0, 1.0), Rv::Exp { mean: 5.0 });
-        assert_eq!(Rv::from_mean_cv(5.0, 0.5), Rv::Erlang { k: 4, mean: 5.0 });
-        match Rv::from_mean_cv(5.0, 2.0) {
-            Rv::HyperExp2 { .. } => {}
-            other => panic!("expected H2, got {other:?}"),
-        }
-        // CV that no Erlang can match exactly → lognormal.
-        match Rv::from_mean_cv(5.0, 0.6) {
-            Rv::LogNormal { .. } => {}
-            other => panic!("expected lognormal, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn constructed_moments_are_exact() {
-        for cv in [0.0, 0.3, 0.5, 0.6, 1.0, 1.5, 3.0] {
-            let rv = Rv::from_mean_cv(7.0, cv);
-            assert!(
-                (rv.mean() - 7.0).abs() < 1e-9,
-                "cv={cv}: mean {}",
-                rv.mean()
-            );
-            assert!((rv.cv() - cv).abs() < 1e-9, "cv={cv}: got {}", rv.cv());
-        }
-    }
-
-    #[test]
-    fn scaling_preserves_cv() {
-        let rv = Rv::from_mean_cv(4.0, 1.7).scaled(2.5);
-        assert!((rv.mean() - 10.0).abs() < 1e-9);
-        assert!((rv.cv() - 1.7).abs() < 1e-9);
+        let want_var = (rv.mean * rv.cv) * (rv.mean * rv.cv);
+        assert!((mean - rv.mean).abs() / rv.mean < 0.03, "mean {mean}");
+        assert!((var - want_var).abs() / want_var < 0.08, "var {var}");
+        assert!(samples.iter().all(|&x| x > 0.0));
     }
 }

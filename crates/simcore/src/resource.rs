@@ -39,13 +39,9 @@ pub struct FairShare<K> {
     active: Vec<Share<K>>,
     last_update: SimTime,
     generation: u64,
-    /// Time-integral of the number of active customers (for utilization).
-    busy_area: f64,
-    /// Time-integral of delivered service rate.
-    service_area: f64,
 }
 
-impl<K: Clone + PartialEq> FairShare<K> {
+impl<K> FairShare<K> {
     /// A resource delivering `capacity` work-units/second in aggregate, at
     /// most `per_customer_cap` work-units/second to any single customer.
     pub fn new(capacity: f64, per_customer_cap: f64) -> Self {
@@ -57,29 +53,18 @@ impl<K: Clone + PartialEq> FairShare<K> {
             active: Vec::new(),
             last_update: SimTime::ZERO,
             generation: 0,
-            busy_area: 0.0,
-            service_area: 0.0,
         }
     }
 
-    /// The per-customer service rate with `n` active customers.
+    /// The current per-customer service rate.
     #[inline]
-    fn rate(&self, n: usize) -> f64 {
+    fn rate(&self) -> f64 {
+        let n = self.active.len();
         if n == 0 {
             0.0
         } else {
             (self.capacity / n as f64).min(self.per_customer_cap)
         }
-    }
-
-    /// Current per-customer rate.
-    pub fn current_rate(&self) -> f64 {
-        self.rate(self.active.len())
-    }
-
-    /// Number of in-flight customers.
-    pub fn active_count(&self) -> usize {
-        self.active.len()
     }
 
     /// Monotone counter bumped on every state change; owners stamp scheduled
@@ -93,13 +78,10 @@ impl<K: Clone + PartialEq> FairShare<K> {
         let dt = now - self.last_update;
         debug_assert!(dt >= -1e-9, "time went backwards: {dt}");
         if dt > 0.0 {
-            let n = self.active.len();
-            let rate = self.rate(n);
+            let rate = self.rate();
             for s in &mut self.active {
                 s.remaining -= rate * dt;
             }
-            self.busy_area += n as f64 * dt;
-            self.service_area += rate * n as f64 * dt;
         }
         self.last_update = self.last_update.max(now);
     }
@@ -116,16 +98,6 @@ impl<K: Clone + PartialEq> FairShare<K> {
             total: work.max(0.0),
         });
         self.generation += 1;
-    }
-
-    /// Remove a customer before completion (e.g. a killed task). Returns the
-    /// remaining work, or `None` if the key is not active.
-    pub fn cancel(&mut self, now: SimTime, key: &K) -> Option<f64> {
-        self.integrate_to(now);
-        let idx = self.active.iter().position(|s| &s.key == key)?;
-        let share = self.active.swap_remove(idx);
-        self.generation += 1;
-        Some(share.remaining.max(0.0))
     }
 
     /// Advance to `now` and return all customers whose work is exhausted,
@@ -163,7 +135,7 @@ impl<K: Clone + PartialEq> FairShare<K> {
     /// underflowed. Residuals within the completion tolerance keep the
     /// exact `last_update` time — they are collectable as-is.
     pub fn next_completion(&self) -> Option<SimTime> {
-        let rate = self.current_rate();
+        let rate = self.rate();
         if rate <= 0.0 {
             return None;
         }
@@ -177,26 +149,6 @@ impl<K: Clone + PartialEq> FairShare<K> {
             Some(t)
         } else {
             Some(SimTime(f64::from_bits(self.last_update.0.to_bits() + 1)))
-        }
-    }
-
-    /// Average number of active customers over `[0, now]`.
-    pub fn mean_active(&mut self, now: SimTime) -> f64 {
-        self.integrate_to(now);
-        if now.as_secs() <= 0.0 {
-            0.0
-        } else {
-            self.busy_area / now.as_secs()
-        }
-    }
-
-    /// Fraction of aggregate capacity used over `[0, now]`.
-    pub fn utilization(&mut self, now: SimTime) -> f64 {
-        self.integrate_to(now);
-        if now.as_secs() <= 0.0 {
-            0.0
-        } else {
-            self.service_area / (self.capacity * now.as_secs())
         }
     }
 }
@@ -213,7 +165,7 @@ mod tests {
         assert_eq!(cpu.next_completion(), Some(SimTime::from_secs(5.0)));
         let done = cpu.collect_finished(SimTime::from_secs(5.0));
         assert_eq!(done, vec!["t1"]);
-        assert_eq!(cpu.active_count(), 0);
+        assert_eq!(cpu.next_completion(), None, "idle");
     }
 
     #[test]
@@ -264,30 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_customer() {
-        let mut r = FairShare::new(1.0, 1.0);
-        r.admit(SimTime::ZERO, 'a', 10.0);
-        r.admit(SimTime::ZERO, 'b', 10.0);
-        let left = r.cancel(SimTime::from_secs(2.0), &'a').unwrap();
-        // 2 seconds at rate 0.5 → 9 units remain.
-        assert!((left - 9.0).abs() < 1e-9);
-        assert_eq!(r.active_count(), 1);
-        assert!(r.cancel(SimTime::from_secs(2.0), &'z').is_none());
-    }
-
-    #[test]
-    fn utilization_accounting() {
-        let mut r = FairShare::new(2.0, 1.0);
-        r.admit(SimTime::ZERO, 'a', 1.0);
-        let t = r.next_completion().unwrap();
-        r.collect_finished(t);
-        // One task at rate 1 for 1s on capacity 2 → utilization 0.5 over [0,1].
-        let u = r.utilization(SimTime::from_secs(1.0));
-        assert!((u - 0.5).abs() < 1e-9, "u={u}");
-        assert!((r.mean_active(SimTime::from_secs(1.0)) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn zero_work_completes_immediately() {
         let mut r = FairShare::new(1.0, 1.0);
         r.admit(SimTime::ZERO, 'a', 0.0);
@@ -308,6 +236,6 @@ mod tests {
         let next = disk.next_completion().unwrap();
         assert!(next > t0, "no representable progress: {next} vs {t0}");
         assert_eq!(disk.collect_finished(next), vec!["tail"]);
-        assert_eq!(disk.active_count(), 0);
+        assert_eq!(disk.next_completion(), None, "idle");
     }
 }

@@ -1,4 +1,4 @@
-//! Online statistics collectors for simulation output analysis.
+//! Statistics for simulation output analysis.
 
 /// Welford's online mean/variance accumulator.
 #[derive(Debug, Clone, Default)]
@@ -6,30 +6,15 @@ pub struct Welford {
     n: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl Welford {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Welford {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
     /// Add an observation.
     pub fn push(&mut self, x: f64) {
         self.n += 1;
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
         self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
     }
 
     /// Number of observations.
@@ -39,11 +24,7 @@ impl Welford {
 
     /// Sample mean (0 if empty).
     pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
+        self.mean
     }
 
     /// Unbiased sample variance (0 with < 2 observations).
@@ -55,113 +36,33 @@ impl Welford {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Coefficient of variation σ/μ (0 for zero mean).
     pub fn cv(&self) -> f64 {
         let m = self.mean();
         if m.abs() < f64::MIN_POSITIVE {
             0.0
         } else {
-            self.std_dev() / m
+            self.variance().sqrt() / m
         }
-    }
-
-    /// Smallest observation.
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merge another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = (self.n + other.n) as f64;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.n as f64 / n;
-        self.m2 += other.m2 + delta * delta * self.n as f64 * other.n as f64 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
-/// A collector that keeps all samples, for medians and quantiles (the paper
+/// Median of `xs`, interpolated for even counts; 0 if empty (the paper
 /// reports the *median of 5 runs* per configuration).
-#[derive(Debug, Clone, Default)]
-pub struct Samples {
-    data: Vec<f64>,
-}
-
-impl Samples {
-    /// Empty collector.
-    pub fn new() -> Self {
-        Samples { data: Vec::new() }
+pub fn median(xs: &[f64]) -> f64 {
+    if xs.is_empty() {
+        return 0.0;
     }
-
-    /// Add an observation.
-    pub fn push(&mut self, x: f64) {
-        self.data.push(x);
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether no observations were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Sample mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.data.iter().sum::<f64>() / self.data.len() as f64
-        }
-    }
-
-    /// Median (interpolated for even counts; 0 if empty).
-    pub fn median(&self) -> f64 {
-        self.quantile(0.5)
-    }
-
-    /// Linear-interpolated quantile, `q ∈ \[0, 1\]`.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.data.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.data.clone();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        let pos = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        if lo == hi {
-            sorted[lo]
-        } else {
-            let frac = pos - lo as f64;
-            sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-        }
-    }
-
-    /// Borrow the raw observations.
-    pub fn raw(&self) -> &[f64] {
-        &self.data
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(|a, b| a.total_cmp(b));
+    let pos = 0.5 * (sorted.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    if lo == hi {
+        sorted[lo]
+    } else {
+        let frac = pos - lo as f64;
+        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
     }
 }
 
@@ -172,7 +73,7 @@ mod tests {
     #[test]
     fn welford_matches_direct_computation() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut w = Welford::new();
+        let mut w = Welford::default();
         for &x in &xs {
             w.push(x);
         }
@@ -180,42 +81,12 @@ mod tests {
         assert!((w.mean() - 5.0).abs() < 1e-12);
         // Unbiased variance of this classic data set is 32/7.
         assert!((w.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(w.min(), 2.0);
-        assert_eq!(w.max(), 9.0);
     }
 
     #[test]
-    fn welford_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0 + 20.0).collect();
-        let mut all = Welford::new();
-        for &x in &xs {
-            all.push(x);
-        }
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        for (i, &x) in xs.iter().enumerate() {
-            if i % 3 == 0 {
-                a.push(x)
-            } else {
-                b.push(x)
-            }
-        }
-        a.merge(&b);
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(a.count(), all.count());
-    }
-
-    #[test]
-    fn samples_median_odd_even() {
-        let mut s = Samples::new();
-        for x in [5.0, 1.0, 3.0] {
-            s.push(x);
-        }
-        assert_eq!(s.median(), 3.0);
-        s.push(7.0);
-        assert_eq!(s.median(), 4.0); // interpolated between 3 and 5
-        assert_eq!(s.quantile(0.0), 1.0);
-        assert_eq!(s.quantile(1.0), 7.0);
+    fn median_odd_even() {
+        assert_eq!(median(&[5.0, 1.0, 3.0]), 3.0);
+        assert_eq!(median(&[5.0, 1.0, 3.0, 7.0]), 4.0); // interpolated between 3 and 5
+        assert_eq!(median(&[]), 0.0);
     }
 }

@@ -6,7 +6,7 @@
 //! key the event calendar.
 
 use std::fmt;
-use std::ops::{Add, AddAssign, Sub};
+use std::ops::{Add, Sub};
 
 /// A point in simulated time, in seconds since simulation start.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,9 +23,6 @@ impl SimTime {
     /// Time zero: the start of the simulation.
     pub const ZERO: SimTime = SimTime(0.0);
 
-    /// A time later than any event the simulator will produce.
-    pub const FAR_FUTURE: SimTime = SimTime(f64::INFINITY);
-
     /// Construct from seconds. Panics on NaN or negative input in debug builds.
     #[inline]
     pub fn from_secs(s: f64) -> Self {
@@ -37,32 +34,6 @@ impl SimTime {
     #[inline]
     pub fn as_secs(self) -> f64 {
         self.0
-    }
-
-    /// `max(self, other)`.
-    #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
-        if self >= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// `min(self, other)`.
-    #[inline]
-    pub fn min(self, other: SimTime) -> SimTime {
-        if self <= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Whether this time is finite (i.e. not `FAR_FUTURE`).
-    #[inline]
-    pub fn is_finite(self) -> bool {
-        self.0.is_finite()
     }
 }
 
@@ -89,13 +60,6 @@ impl Add<f64> for SimTime {
     }
 }
 
-impl AddAssign<f64> for SimTime {
-    #[inline]
-    fn add_assign(&mut self, rhs: f64) {
-        self.0 += rhs;
-    }
-}
-
 impl Sub<SimTime> for SimTime {
     type Output = f64;
     /// Elapsed seconds between two instants.
@@ -115,10 +79,7 @@ mod tests {
         let b = SimTime::from_secs(2.0);
         assert!(a < b);
         assert_eq!(a.max(b), b);
-        assert_eq!(a.min(b), a);
-        assert!(SimTime::FAR_FUTURE > b);
-        assert!(!SimTime::FAR_FUTURE.is_finite());
-        assert!(a.is_finite());
+        assert_eq!(b.max(a), b);
     }
 
     #[test]
@@ -127,9 +88,6 @@ mod tests {
         let b = a + 2.5;
         assert_eq!(b.as_secs(), 4.0);
         assert!((b - a - 2.5).abs() < 1e-12);
-        let mut c = a;
-        c += 0.5;
-        assert_eq!(c.as_secs(), 2.0);
     }
 
     #[test]
