@@ -15,6 +15,7 @@
 //! read. The simulator pins read no counter.
 
 use mapreduce_sim::workload::{grep, terasort, wordcount};
+use mapreduce_sim::SchedulerPolicy::{self, CapacityFifo, Fair};
 use mapreduce_sim::{ClusterSim, SimConfig, GB, MB};
 use mr2_model::input::Estimator;
 use mr2_model::{model_input, solve, Calibration, ModelOptions};
@@ -77,13 +78,17 @@ fn solver_bench_inputs_do_pinned_work() {
     );
 }
 
-/// `(bench case, nodes, input, jobs, events processed, bits of the last
-/// job's finish time)` for the `simulator` bench inputs
-/// (benches/simulator.rs): `wordcount`, batch arrivals.
-const SIM_PINNED: [(&str, usize, u64, usize, u64, u64); 3] = [
-    ("1gb_1job_4n", 4, GB, 1, 197, 0x40579f261373dbc0),
-    ("5gb_1job_4n", 4, 5 * GB, 1, 664, 0x406e331b700c8b01),
-    ("5gb_4jobs_8n", 8, 5 * GB, 4, 3615, 0x40791a56f64c4270),
+/// `(bench case, scheduler, nodes, input, jobs, events processed, bits
+/// of the last job's finish time)` for the `simulator` bench inputs
+/// (benches/simulator.rs): `wordcount`, batch arrivals. The 4-job input
+/// also runs under the Fair policy, where the jobs' grants interleave;
+/// the 1-job inputs give the same bits under both policies.
+#[rustfmt::skip]
+const SIM_PINNED: [(&str, SchedulerPolicy, usize, u64, usize, u64, u64); 4] = [
+    ("1gb_1job_4n", CapacityFifo, 4, GB, 1, 197, 0x40579f261373dbc0),
+    ("5gb_1job_4n", CapacityFifo, 4, 5 * GB, 1, 664, 0x406e331b700c8b01),
+    ("5gb_4jobs_8n", CapacityFifo, 8, 5 * GB, 4, 3615, 0x40791a56f64c4270),
+    ("5gb_4jobs_8n", Fair, 8, 5 * GB, 4, 3727, 0x407688a253fb7b11),
 ];
 
 /// Bits of the `mix_throughput` bench's `sim_4n_3reps` per-rep mean
@@ -93,8 +98,11 @@ const MIX_PINNED: [u64; 3] = [0x40511e61c8bc5772, 0x40519f0ae3dbe306, 0x404f064d
 #[test]
 fn simulator_bench_inputs_are_pinned() {
     let mut failures = Vec::new();
-    for (case, nodes, input, jobs, events, last_finish) in SIM_PINNED {
-        let mut sim = ClusterSim::new(SimConfig::paper_testbed(nodes));
+    for (case, scheduler, nodes, input, jobs, events, last_finish) in SIM_PINNED {
+        let mut sim = ClusterSim::new(SimConfig {
+            scheduler,
+            ..SimConfig::paper_testbed(nodes)
+        });
         for _ in 0..jobs {
             sim.add_job(wordcount(input, nodes as u32), 0.0);
         }
@@ -104,12 +112,12 @@ fn simulator_bench_inputs_are_pinned() {
             results.last().unwrap().finished_at.to_bits(),
         );
         println!(
-            "simulator {case}: (events, last finish bits) = ({}, {:#x})",
+            "simulator {case} {scheduler:?}: (events, last finish bits) = ({}, {:#x})",
             got.0, got.1
         );
         if got != (events, last_finish) {
             failures.push(format!(
-                "simulator {case}: got ({}, {:#x}), pinned ({events}, {last_finish:#x})",
+                "simulator {case} {scheduler:?}: got ({}, {:#x}), pinned ({events}, {last_finish:#x})",
                 got.0, got.1
             ));
         }

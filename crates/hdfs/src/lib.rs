@@ -2,9 +2,9 @@
 //!
 //! Models the parts of HDFS that the MapReduce performance model and the
 //! cluster simulator depend on: cluster [`Topology`] (nodes, racks,
-//! distances), replicated [`Block`]s, the [`Namespace`] of files, replica
-//! [`placement`] policies, and [`InputSplit`] generation (one split per
-//! block, with replica hosts for locality-aware scheduling).
+//! distances), replicated [`Block`]s, the [`Namespace`] of files, HDFS's
+//! default replica [`placement`], and [`InputSplit`] generation (one split
+//! per block, with replica hosts for locality-aware scheduling).
 
 pub mod block;
 pub mod namespace;
@@ -14,6 +14,6 @@ pub mod topology;
 
 pub use block::{Block, BlockId};
 pub use namespace::{DfsFile, Namespace};
-pub use placement::{DefaultPlacement, PlacementPolicy};
+pub use placement::place_replicas;
 pub use splits::{split_count, splits_for_file, InputSplit};
 pub use topology::{NodeId, RackId, Topology};

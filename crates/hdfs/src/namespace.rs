@@ -1,7 +1,7 @@
 //! The filesystem namespace: files made of replicated blocks.
 
 use crate::block::{Block, BlockId};
-use crate::placement::PlacementPolicy;
+use crate::placement::place_replicas;
 use crate::topology::{NodeId, Topology};
 use rand::Rng;
 use std::collections::HashMap;
@@ -38,19 +38,12 @@ impl Namespace {
         }
     }
 
-    /// Configured replication factor.
-    pub fn replication(&self) -> usize {
-        self.replication
-    }
-
     /// Write a file of `len` bytes in blocks of `block_size`, choosing
-    /// replica locations with `policy`. Returns a reference to the created
-    /// file. Panics if the name already exists.
-    #[allow(clippy::too_many_arguments)] // mirrors the HDFS create-file call
-    pub fn create_file<P: PlacementPolicy, R: Rng + ?Sized>(
+    /// replica locations with [`place_replicas`]. Returns a reference to
+    /// the created file. Panics if the name already exists.
+    pub fn create_file<R: Rng + ?Sized>(
         &mut self,
         topo: &Topology,
-        policy: &P,
         name: &str,
         len: u64,
         block_size: u64,
@@ -68,7 +61,7 @@ impl Namespace {
             let this = remaining.min(block_size);
             let id = BlockId(self.next_block);
             self.next_block += 1;
-            let replicas = policy.place(topo, writer, self.replication, rng);
+            let replicas = place_replicas(topo, writer, self.replication, rng);
             blocks.push(Block {
                 id,
                 len: this,
@@ -89,11 +82,6 @@ impl Namespace {
         &self.files[name]
     }
 
-    /// Look up a file.
-    pub fn get(&self, name: &str) -> Option<&DfsFile> {
-        self.files.get(name)
-    }
-
     /// Number of files.
     pub fn num_files(&self) -> usize {
         self.files.len()
@@ -112,7 +100,6 @@ impl Namespace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::DefaultPlacement;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -121,15 +108,7 @@ mod tests {
         let topo = Topology::single_rack(4);
         let mut ns = Namespace::new(3);
         let mut rng = SmallRng::seed_from_u64(7);
-        let f = ns.create_file(
-            &topo,
-            &DefaultPlacement,
-            "/data/in",
-            1000,
-            300,
-            None,
-            &mut rng,
-        );
+        let f = ns.create_file(&topo, "/data/in", 1000, 300, None, &mut rng);
         assert_eq!(f.blocks.len(), 4); // 300+300+300+100
         assert_eq!(f.blocks.iter().map(|b| b.len).sum::<u64>(), 1000);
         assert_eq!(f.blocks.last().unwrap().len, 100);
@@ -143,7 +122,7 @@ mod tests {
         let topo = Topology::single_rack(3);
         let mut ns = Namespace::new(1);
         let mut rng = SmallRng::seed_from_u64(8);
-        let f = ns.create_file(&topo, &DefaultPlacement, "/x", 600, 300, None, &mut rng);
+        let f = ns.create_file(&topo, "/x", 600, 300, None, &mut rng);
         assert_eq!(f.blocks.len(), 2);
         assert!(f.blocks.iter().all(|b| b.len == 300));
     }
@@ -153,7 +132,7 @@ mod tests {
         let topo = Topology::single_rack(2);
         let mut ns = Namespace::new(1);
         let mut rng = SmallRng::seed_from_u64(9);
-        let f = ns.create_file(&topo, &DefaultPlacement, "/empty", 0, 128, None, &mut rng);
+        let f = ns.create_file(&topo, "/empty", 0, 128, None, &mut rng);
         assert!(f.blocks.is_empty());
         assert_eq!(ns.num_files(), 1);
     }
@@ -163,7 +142,7 @@ mod tests {
         let topo = Topology::single_rack(3);
         let mut ns = Namespace::new(3);
         let mut rng = SmallRng::seed_from_u64(10);
-        ns.create_file(&topo, &DefaultPlacement, "/a", 900, 300, None, &mut rng);
+        ns.create_file(&topo, "/a", 900, 300, None, &mut rng);
         // Replication 3 on 3 nodes: every node holds every block.
         for n in topo.nodes() {
             assert_eq!(ns.replicas_on(n), 3);
@@ -176,7 +155,7 @@ mod tests {
         let topo = Topology::single_rack(2);
         let mut ns = Namespace::new(1);
         let mut rng = SmallRng::seed_from_u64(11);
-        ns.create_file(&topo, &DefaultPlacement, "/a", 10, 10, None, &mut rng);
-        ns.create_file(&topo, &DefaultPlacement, "/a", 10, 10, None, &mut rng);
+        ns.create_file(&topo, "/a", 10, 10, None, &mut rng);
+        ns.create_file(&topo, "/a", 10, 10, None, &mut rng);
     }
 }

@@ -43,7 +43,6 @@ pub fn split_count(len: u64, block_size: u64) -> usize {
 mod tests {
     use super::*;
     use crate::namespace::Namespace;
-    use crate::placement::DefaultPlacement;
     use crate::topology::Topology;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -53,7 +52,7 @@ mod tests {
         let topo = Topology::single_rack(4);
         let mut ns = Namespace::new(2);
         let mut rng = SmallRng::seed_from_u64(5);
-        let f = ns.create_file(&topo, &DefaultPlacement, "/in", 1024, 300, None, &mut rng);
+        let f = ns.create_file(&topo, "/in", 1024, 300, None, &mut rng);
         let splits = splits_for_file(f);
         assert_eq!(splits.len(), 4);
         assert_eq!(splits.iter().map(|s| s.len).sum::<u64>(), 1024);

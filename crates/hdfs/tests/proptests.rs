@@ -1,6 +1,6 @@
 //! Property-based tests of block placement and split generation.
 
-use hdfs_sim::{splits_for_file, DefaultPlacement, Namespace, PlacementPolicy, Topology};
+use hdfs_sim::{place_replicas, splits_for_file, Namespace, Topology};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -17,7 +17,7 @@ proptest! {
         let topo = Topology::with_racks(&rack_sizes);
         let mut rng = SmallRng::seed_from_u64(seed);
         let w = writer.then_some(hdfs_sim::NodeId(0));
-        let replicas = DefaultPlacement.place(&topo, w, replication, &mut rng);
+        let replicas = place_replicas(&topo, w, replication, &mut rng);
         prop_assert_eq!(replicas.len(), replication.min(topo.num_nodes()));
         let mut d = replicas.clone();
         d.sort();
@@ -40,7 +40,7 @@ proptest! {
         let topo = Topology::single_rack(nodes);
         let mut ns = Namespace::new(3);
         let mut rng = SmallRng::seed_from_u64(seed);
-        let f = ns.create_file(&topo, &DefaultPlacement, "/f", len, block, None, &mut rng);
+        let f = ns.create_file(&topo, "/f", len, block, None, &mut rng);
         let splits = splits_for_file(f);
         prop_assert_eq!(splits.len() as u64, len.div_ceil(block));
         prop_assert_eq!(splits.iter().map(|s| s.len).sum::<u64>(), len);

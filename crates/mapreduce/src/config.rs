@@ -6,17 +6,7 @@
 //! 5% reduce slow start, 1 s AM heartbeat).
 
 use yarn_sim::ResourceVector;
-
-/// Which RM scheduler the simulated cluster runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerPolicy {
-    /// Capacity scheduler with a single root queue — FIFO across
-    /// applications; the paper's assumed configuration.
-    #[default]
-    CapacityFifo,
-    /// Max–min fair sharing across applications.
-    Fair,
-}
+pub use yarn_sim::SchedulerPolicy;
 
 /// Everything the simulator needs to know about the cluster and Hadoop
 /// configuration.

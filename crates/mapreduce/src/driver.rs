@@ -19,16 +19,14 @@
 //! down exactly the way the paper's queueing network is meant to capture.
 
 use crate::appmaster::{GrantAction, MrAppMaster, PhaseMark};
-use crate::config::{SchedulerPolicy, SimConfig};
+use crate::config::SimConfig;
 use crate::job::{cpu_seconds, JobId, JobSpec, TaskId};
 use crate::metrics::JobResult;
-use hdfs_sim::{splits_for_file, DefaultPlacement, Namespace, Topology};
+use hdfs_sim::{splits_for_file, Namespace, Topology};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use simcore::{Engine, FairShare, LogNormal, SimTime};
-use yarn_sim::{
-    AnyScheduler, CapacityScheduler, ClusterState, ContainerId, FairScheduler, ResourceManager,
-};
+use yarn_sim::{ClusterState, ContainerId, ResourceManager};
 
 /// Which fair-share resource on a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,7 +122,7 @@ pub struct ClusterSim {
     topo: Topology,
     ns: Namespace,
     engine: Engine<Ev>,
-    rm: ResourceManager<AnyScheduler>,
+    rm: ResourceManager,
     nodes: Vec<NodeRes>,
     ams: Vec<MrAppMaster>,
     shuffles: Vec<Vec<ReduceShuffle>>,
@@ -144,13 +142,7 @@ impl ClusterSim {
         cfg.validate();
         let topo = Topology::single_rack(cfg.nodes);
         let cluster = ClusterState::homogeneous(topo.clone(), cfg.node_capacity);
-        let scheduler = match cfg.scheduler {
-            SchedulerPolicy::CapacityFifo => {
-                AnyScheduler::Capacity(CapacityScheduler::single_queue())
-            }
-            SchedulerPolicy::Fair => AnyScheduler::Fair(FairScheduler),
-        };
-        let rm = ResourceManager::new(cluster, scheduler);
+        let rm = ResourceManager::new(cluster, cfg.scheduler);
         let nodes = (0..cfg.nodes)
             .map(|i| {
                 // Straggler injection: node 0 runs `slow_node_factor`×
@@ -197,7 +189,6 @@ impl ClusterSim {
         let idx = self.ams.len() as u32;
         let file = self.ns.create_file(
             &self.topo,
-            &DefaultPlacement,
             &format!("/job{idx}/input"),
             spec.input_bytes,
             self.cfg.block_size,
@@ -205,7 +196,7 @@ impl ClusterSim {
             &mut self.rng,
         );
         let splits = splits_for_file(file);
-        let app = self.rm.submit_application(0);
+        let app = self.rm.submit_application();
         let reduces = spec.reduces as usize;
         self.ams
             .push(MrAppMaster::new(JobId(idx), spec, app, splits));
@@ -290,8 +281,7 @@ impl ClusterSim {
                 am.app,
             )
         };
-        let resp = self.rm.allocate(app, &asks, &releases);
-        for (container, _level) in resp.allocated {
+        for container in self.rm.allocate(app, &asks, &releases) {
             let action = self.ams[j as usize].on_grant(now, &container);
             match action {
                 GrantAction::StartAm => {
@@ -678,7 +668,7 @@ impl ClusterSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{GB, MB};
+    use crate::config::{SchedulerPolicy, GB, MB};
     use crate::workload::{grep, wordcount};
 
     fn quiet_cfg(nodes: usize) -> SimConfig {

@@ -416,53 +416,25 @@ impl ServerHandle {
 struct Job {
     slot: usize,
     generation: u64,
-    endpoint: Endpoint,
+    eval: Eval,
     req: Request,
     /// Close the connection after this response (request or cap said so).
     close: bool,
     queued_at: Instant,
 }
 
-/// What a worker hands back to the event loop. Bytes are complete wire
-/// fragments; the loop only appends them to the connection's output
+/// What a worker hands back to the event loop: one complete wire
+/// fragment, which the loop only appends to the connection's output
 /// buffer (stale generations are dropped — the slot was reused).
-enum Completion {
-    /// A whole rendered response; the request is done.
-    Done {
-        slot: usize,
-        generation: u64,
-        bytes: Vec<u8>,
-        close: bool,
-    },
-    /// A fragment of a streaming response (head or chunk); more follow.
-    Chunk {
-        slot: usize,
-        generation: u64,
-        bytes: Vec<u8>,
-    },
-    /// The final fragment of a streaming response.
-    End {
-        slot: usize,
-        generation: u64,
-        bytes: Vec<u8>,
-        close: bool,
-    },
-}
-
-impl Completion {
-    fn ids(&self) -> (usize, u64) {
-        match self {
-            Completion::Done {
-                slot, generation, ..
-            }
-            | Completion::Chunk {
-                slot, generation, ..
-            }
-            | Completion::End {
-                slot, generation, ..
-            } => (*slot, *generation),
-        }
-    }
+struct Completion {
+    slot: usize,
+    generation: u64,
+    bytes: Vec<u8>,
+    /// `Some(close)` on the request's last fragment — a whole response,
+    /// or a stream's tail — with whether the connection closes after
+    /// it; `None` on a stream's head and point chunks, which more
+    /// fragments follow.
+    last: Option<bool>,
 }
 
 /// The workers' side of the completion path: send a fragment, wake the
@@ -474,7 +446,13 @@ struct CompletionTx {
 }
 
 impl CompletionTx {
-    fn send(&self, c: Completion) {
+    fn send(&self, job: &Job, bytes: Vec<u8>, last: Option<bool>) {
+        let c = Completion {
+            slot: job.slot,
+            generation: job.generation,
+            bytes,
+            last,
+        };
         if self.tx.send(c).is_ok() {
             self.wakeup.notify();
         }
@@ -981,55 +959,46 @@ impl EventLoop {
             return;
         }
 
-        let endpoint = ROUTES
-            .iter()
-            .find(|(m, p, _)| *m == req.method && *p == req.path)
-            .map(|&(_, _, e)| e);
-        match endpoint {
-            Some(endpoint @ (Endpoint::Estimate | Endpoint::Scenario | Endpoint::Plan)) => {
-                if self.state.queued.load(Ordering::SeqCst) >= self.state.cfg.max_queue {
-                    metrics::shed().inc();
-                    let resp = Response::error(ApiError::backpressure());
-                    self.respond_inline(slot, &req, resp, close, &[("Retry-After", "1")]);
-                    return;
-                }
-                self.state.queued.fetch_add(1, Ordering::SeqCst);
-                metrics::queue_depth().inc();
-                let job = Job {
-                    slot,
-                    generation,
-                    endpoint,
-                    req,
-                    close,
-                    queued_at: Instant::now(),
-                };
-                if self.job_tx.send(job).is_err() {
-                    // Workers gone (shutdown underway).
-                    self.state.queued.fetch_sub(1, Ordering::SeqCst);
-                    metrics::queue_depth().dec();
-                    if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
-                        conn.close_after_write = true;
-                    }
-                    return;
-                }
-                self.enter(slot, ConnState::Waiting);
-            }
+        let eval = match resolve(&req) {
+            Ok(Endpoint::Worker(eval)) => eval,
             // Cheap GET routes, 404s, and 405s are answered inline on
             // the loop — no queue round-trip.
-            _ => {
+            Ok(Endpoint::Inline(handler)) => {
                 let request_id = obs::next_request_id();
                 let started = Instant::now();
-                let resp = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    route(&req, &self.state, request_id)
-                }))
-                .unwrap_or_else(|_| {
-                    let _ = obs::end_trace();
-                    Response::error(ApiError::internal("internal error: evaluation panicked"))
-                });
+                let resp = guarded(|| handler(&req, &self.state));
                 finish_request(&req, &resp, request_id, started, &self.state);
                 self.append_response(slot, resp, close, &[]);
+                return;
             }
+            Err(e) => return self.respond_inline(slot, &req, Response::error(e), close, &[]),
+        };
+        if self.state.queued.load(Ordering::SeqCst) >= self.state.cfg.max_queue {
+            metrics::shed().inc();
+            let resp = Response::error(ApiError::backpressure());
+            self.respond_inline(slot, &req, resp, close, &[("Retry-After", "1")]);
+            return;
         }
+        self.state.queued.fetch_add(1, Ordering::SeqCst);
+        metrics::queue_depth().inc();
+        let job = Job {
+            slot,
+            generation,
+            eval,
+            req,
+            close,
+            queued_at: Instant::now(),
+        };
+        if self.job_tx.send(job).is_err() {
+            // Workers gone (shutdown underway).
+            self.state.queued.fetch_sub(1, Ordering::SeqCst);
+            metrics::queue_depth().dec();
+            if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
+                conn.close_after_write = true;
+            }
+            return;
+        }
+        self.enter(slot, ConnState::Waiting);
     }
 
     /// Instrument and buffer an inline (non-worker) response.
@@ -1156,25 +1125,22 @@ impl EventLoop {
     fn drain_completions(&mut self) {
         self.completion_fd.drain();
         while let Ok(c) = self.completions.try_recv() {
-            let (slot, generation) = c.ids();
+            let slot = c.slot;
             let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
                 continue; // connection closed while the worker ran
             };
-            if conn.generation != generation {
+            if conn.generation != c.generation {
                 continue; // slot reused; response belongs to a dead conn
             }
-            match c {
-                Completion::Done { bytes, close, .. } | Completion::End { bytes, close, .. } => {
-                    conn.out.extend_from_slice(&bytes);
+            conn.out.extend_from_slice(&c.bytes);
+            match c.last {
+                Some(close) => {
                     if close {
                         conn.close_after_write = true;
                     }
                     self.enter(slot, ConnState::Writing);
                 }
-                Completion::Chunk { bytes, .. } => {
-                    conn.out.extend_from_slice(&bytes);
-                    self.enter(slot, ConnState::Streaming);
-                }
+                None => self.enter(slot, ConnState::Streaming),
             }
             // `Writing` re-opens the parser: pipelined requests queued
             // behind the finished one are answered now, in order.
@@ -1249,39 +1215,33 @@ fn finish_request(
 fn serve_job(job: Job, state: &State, done: &CompletionTx) {
     let request_id = obs::next_request_id();
     let started = Instant::now();
-
-    // A scenario body is decoded once, here: `"stream": true` takes the
-    // chunked NDJSON path; every other request — a non-streaming or
-    // undecodable scenario included — is a single rendered response.
-    let scenario = match job.endpoint {
-        Endpoint::Scenario => match decode_scenario(&job.req) {
+    let resp = match job.eval {
+        Eval::Estimate => guarded(|| estimate_response(&job.req, state, request_id)),
+        Eval::Plan => guarded(|| plan_response(&job.req, state, request_id)),
+        // A scenario body is decoded once, here: `"stream": true` takes
+        // the chunked NDJSON path; a non-streaming or undecodable
+        // scenario is a single rendered response.
+        Eval::Scenario => match decode_scenario(&job.req) {
             Ok(r) if r.stream => {
                 return stream_scenario(job, r, state, done, request_id, started);
             }
-            decoded => Some(decoded),
+            Ok(r) => guarded(|| scenario_response(&r, state, request_id)),
+            Err(e) => Response::error(e),
         },
-        _ => None,
     };
-
-    let resp = std::panic::catch_unwind(AssertUnwindSafe(|| match scenario {
-        Some(Ok(r)) => scenario_response(&r, state, request_id),
-        Some(Err(e)) => Response::error(e),
-        None => route(&job.req, state, request_id),
-    }))
-    .unwrap_or_else(|_| {
-        // A panicked debug request may strand its thread-local
-        // trace; clear it so later requests start clean.
-        let _ = obs::end_trace();
-        Response::error(ApiError::internal("internal error: evaluation panicked"))
-    });
     finish_request(&job.req, &resp, request_id, started, state);
     let bytes = render_response(resp.status, &resp.body, resp.content_type, job.close, &[]);
-    done.send(Completion::Done {
-        slot: job.slot,
-        generation: job.generation,
-        bytes,
-        close: job.close,
-    });
+    done.send(&job, bytes, Some(job.close));
+}
+
+/// Run a request handler, answering a panic with a 500. A panicked
+/// debug request may strand its thread-local trace; clear it so later
+/// requests start clean.
+fn guarded(handler: impl FnOnce() -> Response) -> Response {
+    std::panic::catch_unwind(AssertUnwindSafe(handler)).unwrap_or_else(|_| {
+        let _ = obs::end_trace();
+        Response::error(ApiError::internal("internal error: evaluation panicked"))
+    })
 }
 
 /// Run a `"stream": true` scenario: validation errors are ordinary
@@ -1302,20 +1262,12 @@ fn stream_scenario(
     if let Some(resp) = scenario_bounds_error(scenario, state) {
         finish_request(&job.req, &resp, request_id, started, state);
         let bytes = render_response(resp.status, &resp.body, resp.content_type, job.close, &[]);
-        done.send(Completion::Done {
-            slot: job.slot,
-            generation: job.generation,
-            bytes,
-            close: job.close,
-        });
+        done.send(&job, bytes, Some(job.close));
         return;
     }
 
-    done.send(Completion::Chunk {
-        slot: job.slot,
-        generation: job.generation,
-        bytes: render_stream_head(200, CONTENT_TYPE_NDJSON, job.close),
-    });
+    let head = render_stream_head(200, CONTENT_TYPE_NDJSON, job.close);
+    done.send(&job, head, None);
     // The stream traces like any other request (visible in
     // /v1/trace/recent when retained) and registers with the jobs
     // registry so /v1/jobs shows its progress while chunks flow.
@@ -1337,11 +1289,7 @@ fn stream_scenario(
                 progress.point_done(&pr);
                 let mut line = api::point_json(&pr).render();
                 line.push('\n');
-                done.send(Completion::Chunk {
-                    slot: job.slot,
-                    generation: job.generation,
-                    bytes: chunk(line.as_bytes()),
-                });
+                done.send(&job, chunk(line.as_bytes()), None);
             },
         )
     }));
@@ -1368,12 +1316,7 @@ fn stream_scenario(
         content_type: CONTENT_TYPE_NDJSON,
     };
     finish_request(&job.req, &resp, request_id, started, state);
-    done.send(Completion::End {
-        slot: job.slot,
-        generation: job.generation,
-        bytes,
-        close,
-    });
+    done.send(&job, bytes, Some(close));
 }
 
 /// A routed response: status, body, and the body's content type
@@ -1434,34 +1377,43 @@ fn scenario_bounds_error(scenario: &mr2_scenario::Scenario, state: &State) -> Op
         .map(|jobs| Response::error(jobs_bound_error(jobs, state)))
 }
 
-/// The service's endpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Where a route is answered.
+#[derive(Clone, Copy)]
 enum Endpoint {
-    Healthz,
-    Metrics,
-    CacheStats,
-    TraceRecent,
-    JobsList,
-    Profile,
+    /// A cheap read, answered inline on the event loop.
+    Inline(fn(&Request, &State) -> Response),
+    /// An evaluation, dispatched to the worker pool.
+    Worker(Eval),
+}
+
+/// The evaluations the worker pool serves.
+#[derive(Clone, Copy)]
+enum Eval {
     Estimate,
     Scenario,
     Plan,
 }
 
 /// The route table: dispatch, the 405 fallback, and the metric path
-/// labels all read these rows, so adding an endpoint is one new row
-/// (replacing the hand-maintained 405 path list that had to be kept in
-/// sync with the dispatch match).
+/// labels all read these rows, so adding an endpoint is one new row.
 const ROUTES: &[(&str, &str, Endpoint)] = &[
-    ("GET", "/healthz", Endpoint::Healthz),
-    ("GET", "/metrics", Endpoint::Metrics),
-    ("GET", "/v1/cache/stats", Endpoint::CacheStats),
-    ("GET", "/v1/trace/recent", Endpoint::TraceRecent),
-    ("GET", "/v1/jobs", Endpoint::JobsList),
-    ("GET", "/debug/profile", Endpoint::Profile),
-    ("POST", "/v1/estimate", Endpoint::Estimate),
-    ("POST", "/v1/scenario", Endpoint::Scenario),
-    ("POST", "/v1/plan", Endpoint::Plan),
+    ("GET", "/healthz", Endpoint::Inline(healthz_response)),
+    ("GET", "/metrics", Endpoint::Inline(metrics_response)),
+    (
+        "GET",
+        "/v1/cache/stats",
+        Endpoint::Inline(cache_stats_response),
+    ),
+    (
+        "GET",
+        "/v1/trace/recent",
+        Endpoint::Inline(trace_recent_response),
+    ),
+    ("GET", "/v1/jobs", Endpoint::Inline(jobs_response)),
+    ("GET", "/debug/profile", Endpoint::Inline(profile_response)),
+    ("POST", "/v1/estimate", Endpoint::Worker(Eval::Estimate)),
+    ("POST", "/v1/scenario", Endpoint::Worker(Eval::Scenario)),
+    ("POST", "/v1/plan", Endpoint::Worker(Eval::Plan)),
 ];
 
 /// The canonical route path used as the metric label — known paths
@@ -1475,45 +1427,47 @@ fn canonical_path(path: &str) -> &'static str {
         .unwrap_or("other")
 }
 
-fn route(req: &Request, state: &State, request_id: u64) -> Response {
-    let hit = ROUTES
+/// The request's endpoint, or the routing error it earns: the same path
+/// under another method is a 405, an unknown path a 404.
+fn resolve(req: &Request) -> Result<Endpoint, ApiError> {
+    match ROUTES
         .iter()
-        .find(|(m, p, _)| *m == req.method && *p == req.path);
-    let Some(&(_, _, endpoint)) = hit else {
-        // Same path under another method is a 405, unknown path a 404.
-        return if ROUTES.iter().any(|(_, p, _)| *p == req.path) {
-            Response::error(ApiError::method_not_allowed())
-        } else {
-            Response::error(ApiError::not_found())
-        };
-    };
-    match endpoint {
-        Endpoint::Healthz => Response::ok(
-            Json::obj([
-                ("status", Json::str("ok")),
-                (
-                    "uptime_secs",
-                    Json::num(state.started.elapsed().as_secs_f64()),
-                ),
-                ("requests_total", metrics::requests_served().value().into()),
-            ]),
-            &[],
-        ),
-        Endpoint::Metrics => metrics_response(state),
-        Endpoint::CacheStats => Response::ok(api::cache_stats_json(&state.cache.stats()), &[]),
-        Endpoint::TraceRecent => trace_recent_response(req),
-        Endpoint::JobsList => Response::ok(api::jobs_json(&state.jobs.snapshot()), &[]),
-        Endpoint::Profile => profile_response(req),
-        Endpoint::Estimate => estimate_response(req, state, request_id),
-        Endpoint::Scenario => unreachable!("/v1/scenario is decoded and served by serve_job"),
-        Endpoint::Plan => plan_response(req, state, request_id),
+        .find(|(m, p, _)| *m == req.method && *p == req.path)
+    {
+        Some(&(_, _, endpoint)) => Ok(endpoint),
+        None if ROUTES.iter().any(|(_, p, _)| *p == req.path) => {
+            Err(ApiError::method_not_allowed())
+        }
+        None => Err(ApiError::not_found()),
     }
+}
+
+fn healthz_response(_: &Request, state: &State) -> Response {
+    Response::ok(
+        Json::obj([
+            ("status", Json::str("ok")),
+            (
+                "uptime_secs",
+                Json::num(state.started.elapsed().as_secs_f64()),
+            ),
+            ("requests_total", metrics::requests_served().value().into()),
+        ]),
+        &[],
+    )
+}
+
+fn cache_stats_response(_: &Request, state: &State) -> Response {
+    Response::ok(api::cache_stats_json(&state.cache.stats()), &[])
+}
+
+fn jobs_response(_: &Request, state: &State) -> Response {
+    Response::ok(api::jobs_json(&state.jobs.snapshot()), &[])
 }
 
 /// Render the process registry, refreshing the scrape-time gauges
 /// (uptime, cache entries, hit ratio) first. The cache's monotonic
 /// counters are incremented live by the cache itself.
-fn metrics_response(state: &State) -> Response {
+fn metrics_response(_: &Request, state: &State) -> Response {
     metrics::uptime().set(state.started.elapsed().as_secs_f64());
     let stats = state.cache.stats();
     metrics::cache_entries().set(stats.entries as f64);
@@ -1530,7 +1484,7 @@ fn metrics_response(state: &State) -> Response {
 /// list when it wasn't retained — still a 200, absence is an answer);
 /// without it, the sampling knobs, the newest retained traces, and the
 /// all-time slowest.
-fn trace_recent_response(req: &Request) -> Response {
+fn trace_recent_response(req: &Request, _: &State) -> Response {
     if let Some(id) = req.query_param("id") {
         let Ok(id) = id.parse::<u64>() else {
             return Response::error(ApiError::validation("`id` must be an unsigned integer"));
@@ -1565,7 +1519,7 @@ fn trace_recent_response(req: &Request) -> Response {
 /// default render is collapsed-stack lines (`a;b;c <self_micros>`)
 /// that pipe straight into `flamegraph.pl`; `?format=json` renders the
 /// merged call tree instead, and `?reset=1` clears the aggregate.
-fn profile_response(req: &Request) -> Response {
+fn profile_response(req: &Request, _: &State) -> Response {
     if req.query_param("reset") == Some("1") {
         obs::profile::reset();
         return Response {

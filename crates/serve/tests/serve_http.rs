@@ -491,6 +491,8 @@ fn error_statuses_are_mapped_through_the_unified_envelope() {
     let cases = [
         ("GET", "/nope", "", 404, "not_found"),
         ("DELETE", "/healthz", "", 405, "method_not_allowed"),
+        ("POST", "/healthz", "", 405, "method_not_allowed"),
+        ("GET", "/v1/estimate", "", 405, "method_not_allowed"),
         ("POST", "/v1/estimate", "{not json", 400, "malformed"),
         ("POST", "/v1/estimate", r#"{"nodes":0}"#, 422, "validation"),
         ("POST", "/v1/scenario", r#"{"nodes":[]}"#, 422, "validation"),
@@ -499,6 +501,15 @@ fn error_statuses_are_mapped_through_the_unified_envelope() {
             "POST",
             "/v1/scenario",
             r#"{"nodes":[2,3,4],"n_jobs":[1,2,3]}"#,
+            422,
+            "validation",
+        ),
+        // A streamed sweep is refused the same way, before its chunked
+        // head: a plain (Content-Length framed) reply.
+        (
+            "POST",
+            "/v1/scenario",
+            r#"{"nodes":[2,3,4],"n_jobs":[1,2,3],"stream":true}"#,
             422,
             "validation",
         ),

@@ -4,10 +4,11 @@
 //! paper: a global [`ResourceManager`] arbitrating cluster capacity, per-
 //! node bookkeeping ([`node::NodeState`]), the AM↔RM
 //! [`request::ResourceRequest`] protocol with priorities and locality
-//! (paper Table 1), container lifecycles, and two schedulers —
-//! [`scheduler::FifoScheduler`] and the [`scheduler::CapacityScheduler`]
-//! (the Hadoop default; with a single root queue it serves applications in
-//! FIFO order, the configuration the paper's model assumes).
+//! (paper Table 1), container lifecycles, and one scheduling pass,
+//! [`scheduler::assign`], under two policies: the Capacity scheduler with
+//! a single root queue, which serves applications in FIFO order (the
+//! Hadoop default and the configuration the paper's model assumes), and
+//! max–min fair sharing.
 //!
 //! The crate is deliberately *time-free*: it is a deterministic state
 //! machine driven by `mapreduce-sim`'s event loop, which makes every
@@ -24,8 +25,5 @@ pub use container::{Container, ContainerId, ContainerState};
 pub use node::{ClusterState, NodeState};
 pub use request::{render_table1, AskTable, Location, MatchLevel, Priority, ResourceRequest};
 pub use resources::ResourceVector;
-pub use rm::{AllocateResponse, AppId, ResourceManager};
-pub use scheduler::{
-    Allocation, AnyScheduler, AppSchedulingState, CapacityScheduler, ContainerIdGen, FairScheduler,
-    FifoScheduler, QueueConfig, Scheduler,
-};
+pub use rm::{AppId, ResourceManager};
+pub use scheduler::SchedulerPolicy;

@@ -87,16 +87,6 @@ impl ClusterState {
         ClusterState { topology, nodes }
     }
 
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Immutable node state.
-    pub fn node(&self, id: NodeId) -> &NodeState {
-        &self.nodes[id.0 as usize]
-    }
-
     /// Mutable node state.
     pub fn node_mut(&mut self, id: NodeId) -> &mut NodeState {
         &mut self.nodes[id.0 as usize]

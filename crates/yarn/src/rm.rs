@@ -9,9 +9,9 @@
 
 use crate::container::{Container, ContainerId, ContainerState};
 use crate::node::ClusterState;
-use crate::request::{AskTable, MatchLevel, ResourceRequest};
+use crate::request::{AskTable, ResourceRequest};
 use crate::resources::ResourceVector;
-use crate::scheduler::{AppSchedulingState, ContainerIdGen, Scheduler};
+use crate::scheduler::{assign, AppSchedulingState, ContainerIdGen, SchedulerPolicy};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -25,50 +25,36 @@ impl fmt::Display for AppId {
     }
 }
 
-/// What an AM gets back from an allocate heartbeat.
-#[derive(Debug, Default)]
-pub struct AllocateResponse {
-    /// Freshly granted containers (now `Acquired`), with match levels.
-    pub allocated: Vec<(Container, MatchLevel)>,
-    /// Containers that completed since the last heartbeat.
-    pub completed: Vec<ContainerId>,
-}
-
 /// The global ResourceManager (one per cluster).
-pub struct ResourceManager<S: Scheduler> {
+pub struct ResourceManager {
     cluster: ClusterState,
-    scheduler: S,
+    policy: SchedulerPolicy,
     apps: Vec<AppSchedulingState>,
     /// Granted but not yet picked up, per app.
-    pending_pickup: HashMap<AppId, Vec<(Container, MatchLevel)>>,
-    /// Completed since last heartbeat, per app.
-    completed_since: HashMap<AppId, Vec<ContainerId>>,
+    pending_pickup: HashMap<AppId, Vec<Container>>,
     /// Live containers: id → (owner, node, size).
     live: HashMap<ContainerId, (AppId, hdfs_sim::NodeId, ResourceVector)>,
     ids: ContainerIdGen,
 }
 
-impl<S: Scheduler> ResourceManager<S> {
-    /// A fresh RM over `cluster` using `scheduler`.
-    pub fn new(cluster: ClusterState, scheduler: S) -> Self {
+impl ResourceManager {
+    /// A fresh RM over `cluster` scheduling under `policy`.
+    pub fn new(cluster: ClusterState, policy: SchedulerPolicy) -> Self {
         ResourceManager {
             cluster,
-            scheduler,
+            policy,
             apps: Vec::new(),
             pending_pickup: HashMap::new(),
-            completed_since: HashMap::new(),
             live: HashMap::new(),
             ids: ContainerIdGen::default(),
         }
     }
 
-    /// Register a new application in `queue` (index into the scheduler's
-    /// queue list; 0 for the single root queue).
-    pub fn submit_application(&mut self, queue: usize) -> AppId {
+    /// Register a new application.
+    pub fn submit_application(&mut self) -> AppId {
         let id = AppId(self.apps.len() as u32);
         self.apps.push(AppSchedulingState {
             app: id,
-            queue,
             ask: AskTable::new(),
             used: ResourceVector::ZERO,
             finished: false,
@@ -77,13 +63,14 @@ impl<S: Scheduler> ResourceManager<S> {
     }
 
     /// The AM heartbeat: apply ask updates and releases, run a scheduling
-    /// pass, and hand back grants and completions.
+    /// pass, and hand back the containers granted to `app` (now
+    /// `Acquired`).
     pub fn allocate(
         &mut self,
         app: AppId,
         requests: &[ResourceRequest],
         releases: &[ContainerId],
-    ) -> AllocateResponse {
+    ) -> Vec<Container> {
         {
             let state = self.app_mut(app);
             for r in requests {
@@ -94,19 +81,18 @@ impl<S: Scheduler> ResourceManager<S> {
             self.finish_container(cid);
         }
         self.schedule();
-        AllocateResponse {
-            allocated: self.pending_pickup.remove(&app).unwrap_or_default(),
-            completed: self.completed_since.remove(&app).unwrap_or_default(),
-        }
+        self.pending_pickup.remove(&app).unwrap_or_default()
     }
 
     /// Run one scheduling pass; grants become pickable on the next
-    /// heartbeat of each AM. Returns the number of granted containers.
-    pub fn schedule(&mut self) -> usize {
-        let allocs = self
-            .scheduler
-            .assign(&mut self.cluster, &mut self.apps, &mut self.ids);
-        let n = allocs.len();
+    /// heartbeat of each AM.
+    pub fn schedule(&mut self) {
+        let allocs = assign(
+            self.policy,
+            &mut self.cluster,
+            &mut self.apps,
+            &mut self.ids,
+        );
         for mut a in allocs {
             a.container.transition(ContainerState::Acquired);
             self.live.insert(
@@ -116,18 +102,16 @@ impl<S: Scheduler> ResourceManager<S> {
             self.pending_pickup
                 .entry(a.app)
                 .or_default()
-                .push((a.container, a.level));
+                .push(a.container);
         }
-        n
     }
 
     /// NodeManager reports a container finished (or the AM killed it):
-    /// release its resources and queue the completion notice for its AM.
+    /// release its resources.
     pub fn finish_container(&mut self, id: ContainerId) {
         if let Some((app, node, size)) = self.live.remove(&id) {
             self.cluster.node_mut(node).release(id, size);
             self.app_mut(app).used = self.app_mut(app).used.saturating_sub(&size);
-            self.completed_since.entry(app).or_default().push(id);
         }
     }
 
@@ -159,11 +143,6 @@ impl<S: Scheduler> ResourceManager<S> {
         self.live.len()
     }
 
-    /// Current outstanding ask of an application (for tests/inspection).
-    pub fn ask_of(&self, app: AppId) -> &AskTable {
-        &self.apps[app.0 as usize].ask
-    }
-
     fn app_mut(&mut self, app: AppId) -> &mut AppSchedulingState {
         &mut self.apps[app.0 as usize]
     }
@@ -173,15 +152,14 @@ impl<S: Scheduler> ResourceManager<S> {
 mod tests {
     use super::*;
     use crate::request::{Location, Priority};
-    use crate::scheduler::FifoScheduler;
     use hdfs_sim::Topology;
 
-    fn rm(nodes: usize, containers_per_node: u32) -> ResourceManager<FifoScheduler> {
+    fn rm(nodes: usize, containers_per_node: u32) -> ResourceManager {
         let cluster = ClusterState::homogeneous(
             Topology::single_rack(nodes),
             ResourceVector::new(1024 * containers_per_node as u64, containers_per_node),
         );
-        ResourceManager::new(cluster, FifoScheduler)
+        ResourceManager::new(cluster, SchedulerPolicy::CapacityFifo)
     }
 
     fn any_req(p: Priority, n: u32) -> ResourceRequest {
@@ -197,51 +175,50 @@ mod tests {
     #[test]
     fn allocate_heartbeat_roundtrip() {
         let mut rm = rm(2, 2);
-        let app = rm.submit_application(0);
-        let resp = rm.allocate(app, &[any_req(Priority::MAP, 3)], &[]);
-        assert_eq!(resp.allocated.len(), 3);
-        assert!(resp.completed.is_empty());
+        let app = rm.submit_application();
+        let granted = rm.allocate(app, &[any_req(Priority::MAP, 3)], &[]);
+        assert_eq!(granted.len(), 3);
+        assert!(granted.iter().all(|c| c.state == ContainerState::Acquired));
         assert_eq!(rm.live_containers(), 3);
-        // Remaining ask: 0 (all granted).
-        assert_eq!(rm.ask_of(app).outstanding(Priority::MAP), 0);
+        // Nothing left outstanding: the next heartbeat grants nothing.
+        assert!(rm.allocate(app, &[], &[]).is_empty());
     }
 
     #[test]
     fn deferred_grant_on_capacity() {
         let mut rm = rm(1, 2);
-        let app = rm.submit_application(0);
-        let resp = rm.allocate(app, &[any_req(Priority::MAP, 3)], &[]);
-        assert_eq!(resp.allocated.len(), 2, "only 2 fit");
-        let ids: Vec<ContainerId> = resp.allocated.iter().map(|(c, _)| c.id).collect();
+        let app = rm.submit_application();
+        let granted = rm.allocate(app, &[any_req(Priority::MAP, 3)], &[]);
+        assert_eq!(granted.len(), 2, "only 2 fit");
         // Finish one container; the pending request is served on the next
         // scheduling opportunity, picked up at the next heartbeat.
-        rm.finish_container(ids[0]);
-        let resp2 = rm.allocate(app, &[], &[]);
-        assert_eq!(resp2.allocated.len(), 1);
-        assert_eq!(resp2.completed, vec![ids[0]]);
+        rm.finish_container(granted[0].id);
+        let granted2 = rm.allocate(app, &[], &[]);
+        assert_eq!(granted2.len(), 1);
+        assert_eq!(rm.live_containers(), 2);
     }
 
     #[test]
     fn fifo_across_applications() {
         let mut rm = rm(1, 2);
-        let app0 = rm.submit_application(0);
-        let app1 = rm.submit_application(0);
+        let app0 = rm.submit_application();
+        let app1 = rm.submit_application();
         // Both ask before any scheduling runs: update asks without
         // triggering allocation for app1 first.
         let r0 = rm.allocate(app0, &[any_req(Priority::MAP, 2)], &[]);
-        assert_eq!(r0.allocated.len(), 2);
+        assert_eq!(r0.len(), 2);
         let r1 = rm.allocate(app1, &[any_req(Priority::MAP, 2)], &[]);
-        assert!(r1.allocated.is_empty(), "app0 holds the cluster");
+        assert!(r1.is_empty(), "app0 holds the cluster");
         // app0 finishes everything → app1 gets served.
         rm.unregister_application(app0);
         let r1b = rm.allocate(app1, &[], &[]);
-        assert_eq!(r1b.allocated.len(), 2);
+        assert_eq!(r1b.len(), 2);
     }
 
     #[test]
     fn unregister_reclaims_resources() {
         let mut rm = rm(2, 2);
-        let app = rm.submit_application(0);
+        let app = rm.submit_application();
         rm.allocate(app, &[any_req(Priority::MAP, 4)], &[]);
         assert_eq!(rm.live_containers(), 4);
         rm.unregister_application(app);
@@ -253,11 +230,10 @@ mod tests {
     #[test]
     fn release_via_heartbeat() {
         let mut rm = rm(1, 1);
-        let app = rm.submit_application(0);
-        let resp = rm.allocate(app, &[any_req(Priority::MAP, 1)], &[]);
-        let cid = resp.allocated[0].0.id;
-        let resp2 = rm.allocate(app, &[], &[cid]);
-        assert_eq!(resp2.completed, vec![cid]);
+        let app = rm.submit_application();
+        let granted = rm.allocate(app, &[any_req(Priority::MAP, 1)], &[]);
+        let cid = granted[0].id;
+        rm.allocate(app, &[], &[cid]);
         assert_eq!(rm.live_containers(), 0);
     }
 }

@@ -1,17 +1,18 @@
-//! Schedulers: FIFO and the Capacity scheduler.
+//! The scheduling pass: which application gets which container.
 //!
-//! Both serve applications' [`AskTable`]s against [`ClusterState`]
-//! capacity, honoring the paper's rules (§4.2.2): higher numeric priority
-//! first (maps before reduces), node-local before rack-local before
-//! off-switch, and — among fitting nodes — the node with the lowest
-//! occupancy rate.
+//! [`assign`] serves applications' [`AskTable`]s against [`ClusterState`]
+//! capacity under one of two [`SchedulerPolicy`] values, honoring the
+//! paper's rules (§4.2.2): higher numeric priority first (maps before
+//! reduces), node-local before rack-local before off-switch, and — among
+//! fitting nodes — the node with the lowest occupancy rate.
 //!
-//! The Capacity scheduler with a single root queue degenerates to FIFO
-//! order among applications, which is the configuration the paper assumes
-//! ("we do not have any hierarchical queues and we have only one root
-//! queue. Thus, resource allocation among applications will be in the FIFO
-//! order"). Both schedulers are work-conserving: an application that cannot
-//! be served does not block capacity that a later application can use.
+//! The paper's testbed runs the Capacity scheduler with a single root
+//! queue ("we do not have any hierarchical queues and we have only one
+//! root queue. Thus, resource allocation among applications will be in
+//! the FIFO order"), which [`SchedulerPolicy::CapacityFifo`] reproduces by
+//! draining applications in submission order. Both policies are
+//! work-conserving: an application that cannot be served does not block
+//! capacity that a later application can use.
 
 use crate::container::{Container, ContainerId, ContainerState};
 use crate::node::ClusterState;
@@ -19,13 +20,27 @@ use crate::request::{AskTable, MatchLevel, Priority};
 use crate::resources::ResourceVector;
 use crate::rm::AppId;
 
+/// Which scheduling policy the RM runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SchedulerPolicy {
+    /// Capacity scheduler with a single root queue — FIFO across
+    /// applications; the paper's assumed configuration.
+    #[default]
+    CapacityFifo,
+    /// Max–min fair sharing across applications: containers go one at a
+    /// time to the running application currently holding the smallest
+    /// share of the cluster (dominant-resource ordering, submission order
+    /// as tie-break). This is the Fair-Scheduler-like behaviour many
+    /// production clusters configure; the paper's model assumes FIFO
+    /// instead (the `fair_vs_fifo` example compares the two).
+    Fair,
+}
+
 /// Scheduler-side state of one registered application.
 #[derive(Debug, Clone)]
 pub struct AppSchedulingState {
     /// The application.
     pub app: AppId,
-    /// Index into the scheduler's queue list.
-    pub queue: usize,
     /// Outstanding ask.
     pub ask: AskTable,
     /// Resources currently held by this application's live containers.
@@ -41,8 +56,6 @@ pub struct Allocation {
     pub app: AppId,
     /// The container (state [`ContainerState::Allocated`]).
     pub container: Container,
-    /// Locality level that matched.
-    pub level: MatchLevel,
 }
 
 /// Mints container ids.
@@ -56,18 +69,6 @@ impl ContainerIdGen {
         self.0 += 1;
         id
     }
-}
-
-/// A container-granting policy.
-pub trait Scheduler {
-    /// Grant as many containers as capacity and asks allow. Mutates node
-    /// allocations and asks in place.
-    fn assign(
-        &mut self,
-        cluster: &mut ClusterState,
-        apps: &mut [AppSchedulingState],
-        ids: &mut ContainerIdGen,
-    ) -> Vec<Allocation>;
 }
 
 /// Try to serve one container of priority `p` for `app`; returns the
@@ -120,208 +121,67 @@ fn assign_one(
             priority: p,
             state: ContainerState::Allocated,
         },
-        level,
     })
 }
 
-/// Serve one app fully (all priorities, highest first), appending to `out`.
-fn drain_app(
+/// Grant as many containers as capacity and asks allow under `policy`.
+/// Mutates node allocations and asks in place.
+pub fn assign(
+    policy: SchedulerPolicy,
     cluster: &mut ClusterState,
-    app: &mut AppSchedulingState,
+    apps: &mut [AppSchedulingState],
     ids: &mut ContainerIdGen,
-    out: &mut Vec<Allocation>,
-) {
-    if app.finished {
-        return;
-    }
-    for p in app.ask.active_priorities() {
-        while app.ask.outstanding(p) > 0 {
-            match assign_one(cluster, app, p, ids) {
-                Some(a) => out.push(a),
-                None => break, // no node fits this capability now
+) -> Vec<Allocation> {
+    let mut out = Vec::new();
+    match policy {
+        // Serve each app fully (all priorities, highest first), in
+        // submission order.
+        SchedulerPolicy::CapacityFifo => {
+            for app in apps.iter_mut().filter(|a| !a.finished) {
+                for p in app.ask.active_priorities() {
+                    while app.ask.outstanding(p) > 0 {
+                        match assign_one(cluster, app, p, ids) {
+                            Some(a) => out.push(a),
+                            None => break, // no node fits this capability now
+                        }
+                    }
+                }
             }
         }
-    }
-}
-
-/// Strict submission-order scheduler.
-#[derive(Debug, Default)]
-pub struct FifoScheduler;
-
-impl Scheduler for FifoScheduler {
-    fn assign(
-        &mut self,
-        cluster: &mut ClusterState,
-        apps: &mut [AppSchedulingState],
-        ids: &mut ContainerIdGen,
-    ) -> Vec<Allocation> {
-        let mut out = Vec::new();
-        for app in apps.iter_mut() {
-            drain_app(cluster, app, ids, &mut out);
-        }
-        out
-    }
-}
-
-/// One leaf queue of the Capacity scheduler.
-#[derive(Debug, Clone)]
-pub struct QueueConfig {
-    /// Human-readable name.
-    pub name: String,
-    /// Guaranteed fraction of cluster capacity, in (0, 1].
-    pub capacity: f64,
-}
-
-/// The Hadoop Capacity scheduler restricted to a flat list of leaf queues
-/// under the root (hierarchies flatten to this for scheduling purposes).
-#[derive(Debug)]
-pub struct CapacityScheduler {
-    queues: Vec<QueueConfig>,
-}
-
-impl CapacityScheduler {
-    /// The paper's default: a single root queue holding every application.
-    pub fn single_queue() -> Self {
-        CapacityScheduler {
-            queues: vec![QueueConfig {
-                name: "root".to_string(),
-                capacity: 1.0,
-            }],
-        }
-    }
-
-    /// Multiple leaf queues; capacities should sum to ≈ 1.
-    pub fn with_queues(queues: Vec<QueueConfig>) -> Self {
-        assert!(!queues.is_empty());
-        let total: f64 = queues.iter().map(|q| q.capacity).sum();
-        assert!(
-            (total - 1.0).abs() < 1e-6,
-            "queue capacities must sum to 1, got {total}"
-        );
-        CapacityScheduler { queues }
-    }
-
-    /// Queue configuration by index.
-    pub fn queue(&self, idx: usize) -> &QueueConfig {
-        &self.queues[idx]
-    }
-}
-
-impl Scheduler for CapacityScheduler {
-    fn assign(
-        &mut self,
-        cluster: &mut ClusterState,
-        apps: &mut [AppSchedulingState],
-        ids: &mut ContainerIdGen,
-    ) -> Vec<Allocation> {
-        let mut out = Vec::new();
-        let total = cluster.total_capacity();
-        loop {
-            // Queue usage = sum of member apps' holdings (dominant share).
-            let mut usage = vec![ResourceVector::ZERO; self.queues.len()];
-            for a in apps.iter() {
-                usage[a.queue] += a.used;
-            }
-            // Serve the most under-served queue first; among its apps, FIFO.
-            let mut order: Vec<usize> = (0..self.queues.len()).collect();
-            order.sort_by(|&a, &b| {
-                let ra = usage[a].dominant_share(&total) / self.queues[a].capacity;
-                let rb = usage[b].dominant_share(&total) / self.queues[b].capacity;
-                ra.total_cmp(&rb).then(a.cmp(&b))
-            });
-            let mut assigned = false;
-            'queues: for q in order {
-                for app in apps.iter_mut().filter(|a| a.queue == q && !a.finished) {
+        // One container at a time to the app with the smallest share.
+        SchedulerPolicy::Fair => {
+            let total = cluster.total_capacity();
+            loop {
+                let mut order: Vec<usize> = (0..apps.len())
+                    .filter(|&i| !apps[i].finished && !apps[i].ask.is_empty())
+                    .collect();
+                order.sort_by(|&a, &b| {
+                    apps[a]
+                        .used
+                        .dominant_share(&total)
+                        .total_cmp(&apps[b].used.dominant_share(&total))
+                        .then(a.cmp(&b))
+                });
+                let mut assigned = false;
+                'apps: for i in order {
+                    let app = &mut apps[i];
                     for p in app.ask.active_priorities() {
                         if app.ask.outstanding(p) > 0 {
                             if let Some(a) = assign_one(cluster, app, p, ids) {
                                 out.push(a);
                                 assigned = true;
-                                break 'queues; // re-evaluate queue fairness
+                                break 'apps;
                             }
                         }
                     }
                 }
-            }
-            if !assigned {
-                break;
-            }
-        }
-        out
-    }
-}
-
-/// Max–min fair scheduler: containers go one at a time to the running
-/// application currently holding the smallest share of the cluster
-/// (dominant-resource ordering, submission order as tie-break). This is
-/// the Fair-Scheduler-like behaviour many production clusters configure;
-/// the paper's model assumes FIFO instead, and comparing the two explains
-/// the multi-job deviation discussed in EXPERIMENTS.md.
-#[derive(Debug, Default)]
-pub struct FairScheduler;
-
-impl Scheduler for FairScheduler {
-    fn assign(
-        &mut self,
-        cluster: &mut ClusterState,
-        apps: &mut [AppSchedulingState],
-        ids: &mut ContainerIdGen,
-    ) -> Vec<Allocation> {
-        let mut out = Vec::new();
-        let total = cluster.total_capacity();
-        loop {
-            let mut order: Vec<usize> = (0..apps.len())
-                .filter(|&i| !apps[i].finished && !apps[i].ask.is_empty())
-                .collect();
-            order.sort_by(|&a, &b| {
-                apps[a]
-                    .used
-                    .dominant_share(&total)
-                    .total_cmp(&apps[b].used.dominant_share(&total))
-                    .then(a.cmp(&b))
-            });
-            let mut assigned = false;
-            'apps: for i in order {
-                let app = &mut apps[i];
-                for p in app.ask.active_priorities() {
-                    if app.ask.outstanding(p) > 0 {
-                        if let Some(a) = assign_one(cluster, app, p, ids) {
-                            out.push(a);
-                            assigned = true;
-                            break 'apps;
-                        }
-                    }
+                if !assigned {
+                    break;
                 }
             }
-            if !assigned {
-                break;
-            }
-        }
-        out
-    }
-}
-
-/// Runtime-selectable scheduler, for simulator configuration.
-#[derive(Debug)]
-pub enum AnyScheduler {
-    /// Capacity scheduler (single root queue = FIFO; the paper's default).
-    Capacity(CapacityScheduler),
-    /// Max–min fair across applications.
-    Fair(FairScheduler),
-}
-
-impl Scheduler for AnyScheduler {
-    fn assign(
-        &mut self,
-        cluster: &mut ClusterState,
-        apps: &mut [AppSchedulingState],
-        ids: &mut ContainerIdGen,
-    ) -> Vec<Allocation> {
-        match self {
-            AnyScheduler::Capacity(s) => s.assign(cluster, apps, ids),
-            AnyScheduler::Fair(s) => s.assign(cluster, apps, ids),
         }
     }
+    out
 }
 
 #[cfg(test)]
@@ -340,7 +200,6 @@ mod tests {
     fn app(id: u32) -> AppSchedulingState {
         AppSchedulingState {
             app: AppId(id),
-            queue: 0,
             ask: AskTable::new(),
             used: ResourceVector::ZERO,
             finished: false,
@@ -357,13 +216,31 @@ mod tests {
         });
     }
 
+    fn fifo(c: &mut ClusterState, apps: &mut [AppSchedulingState]) -> Vec<Allocation> {
+        assign(
+            SchedulerPolicy::CapacityFifo,
+            c,
+            apps,
+            &mut ContainerIdGen::default(),
+        )
+    }
+
+    fn fair(c: &mut ClusterState, apps: &mut [AppSchedulingState]) -> Vec<Allocation> {
+        assign(
+            SchedulerPolicy::Fair,
+            c,
+            apps,
+            &mut ContainerIdGen::default(),
+        )
+    }
+
     #[test]
     fn fifo_serves_maps_before_reduces() {
         let mut c = cluster(1, 3);
         let mut apps = vec![app(0)];
         ask_any(&mut apps[0], Priority::REDUCE, 2);
         ask_any(&mut apps[0], Priority::MAP, 2);
-        let allocs = FifoScheduler.assign(&mut c, &mut apps, &mut ContainerIdGen::default());
+        let allocs = fifo(&mut c, &mut apps);
         assert_eq!(allocs.len(), 3);
         assert_eq!(allocs[0].container.priority, Priority::MAP);
         assert_eq!(allocs[1].container.priority, Priority::MAP);
@@ -384,10 +261,10 @@ mod tests {
             relax_locality: true,
         });
         ask_any(&mut apps[0], Priority::MAP, 1);
-        let allocs = FifoScheduler.assign(&mut c, &mut apps, &mut ContainerIdGen::default());
+        let allocs = fifo(&mut c, &mut apps);
         assert_eq!(allocs.len(), 1);
         assert_eq!(allocs[0].container.node, NodeId(2));
-        assert_eq!(allocs[0].level, MatchLevel::NodeLocal);
+        assert!(!apps[0].ask.wants_node(Priority::MAP, NodeId(2)));
     }
 
     #[test]
@@ -398,9 +275,8 @@ mod tests {
             .allocate(ContainerId(99), ResourceVector::new(2048, 2));
         let mut apps = vec![app(0)];
         ask_any(&mut apps[0], Priority::MAP, 1);
-        let allocs = FifoScheduler.assign(&mut c, &mut apps, &mut ContainerIdGen::default());
+        let allocs = fifo(&mut c, &mut apps);
         assert_eq!(allocs[0].container.node, NodeId(1));
-        assert_eq!(allocs[0].level, MatchLevel::OffSwitch);
     }
 
     #[test]
@@ -409,7 +285,7 @@ mod tests {
         let mut apps = vec![app(0), app(1)];
         ask_any(&mut apps[0], Priority::MAP, 5); // only 2 fit
         ask_any(&mut apps[1], Priority::MAP, 1); // starved: app0 took all
-        let allocs = FifoScheduler.assign(&mut c, &mut apps, &mut ContainerIdGen::default());
+        let allocs = fifo(&mut c, &mut apps);
         assert_eq!(allocs.len(), 2);
         assert!(allocs.iter().all(|a| a.app == AppId(0)));
         // After app0 releases, app1 can be served — here we simply verify
@@ -419,60 +295,12 @@ mod tests {
     }
 
     #[test]
-    fn capacity_single_queue_matches_fifo() {
-        let mut c1 = cluster(2, 2);
-        let mut c2 = cluster(2, 2);
-        let mk = || {
-            let mut a0 = app(0);
-            let mut a1 = app(1);
-            ask_any(&mut a0, Priority::MAP, 3);
-            ask_any(&mut a1, Priority::MAP, 3);
-            vec![a0, a1]
-        };
-        let mut apps1 = mk();
-        let mut apps2 = mk();
-        let f = FifoScheduler.assign(&mut c1, &mut apps1, &mut ContainerIdGen::default());
-        let mut cs = CapacityScheduler::single_queue();
-        let c = cs.assign(&mut c2, &mut apps2, &mut ContainerIdGen::default());
-        let key = |allocs: &[Allocation]| -> Vec<(AppId, NodeId)> {
-            allocs.iter().map(|a| (a.app, a.container.node)).collect()
-        };
-        assert_eq!(key(&f), key(&c));
-    }
-
-    #[test]
-    fn capacity_two_queues_split_fairly() {
-        let mut c = cluster(2, 2); // 4 containers total
-        let mut cs = CapacityScheduler::with_queues(vec![
-            QueueConfig {
-                name: "a".into(),
-                capacity: 0.5,
-            },
-            QueueConfig {
-                name: "b".into(),
-                capacity: 0.5,
-            },
-        ]);
-        let mut a0 = app(0);
-        a0.queue = 0;
-        let mut a1 = app(1);
-        a1.queue = 1;
-        ask_any(&mut a0, Priority::MAP, 4);
-        ask_any(&mut a1, Priority::MAP, 4);
-        let mut apps = vec![a0, a1];
-        let allocs = cs.assign(&mut c, &mut apps, &mut ContainerIdGen::default());
-        assert_eq!(allocs.len(), 4);
-        let to_a0 = allocs.iter().filter(|a| a.app == AppId(0)).count();
-        assert_eq!(to_a0, 2, "capacity split should be even");
-    }
-
-    #[test]
     fn fair_scheduler_splits_between_apps() {
         let mut c = cluster(2, 2); // 4 containers
         let mut apps = vec![app(0), app(1)];
         ask_any(&mut apps[0], Priority::MAP, 4);
         ask_any(&mut apps[1], Priority::MAP, 4);
-        let allocs = FairScheduler.assign(&mut c, &mut apps, &mut ContainerIdGen::default());
+        let allocs = fair(&mut c, &mut apps);
         assert_eq!(allocs.len(), 4);
         let to_a0 = allocs.iter().filter(|a| a.app == AppId(0)).count();
         assert_eq!(to_a0, 2, "fair split expected, got {to_a0}/4 for app0");
@@ -484,19 +312,9 @@ mod tests {
         let mut apps = vec![app(0)];
         ask_any(&mut apps[0], Priority::REDUCE, 2);
         ask_any(&mut apps[0], Priority::MAP, 1);
-        let allocs = FairScheduler.assign(&mut c, &mut apps, &mut ContainerIdGen::default());
+        let allocs = fair(&mut c, &mut apps);
         assert_eq!(allocs[0].container.priority, Priority::MAP);
         assert_eq!(allocs[1].container.priority, Priority::REDUCE);
-    }
-
-    #[test]
-    fn any_scheduler_dispatches() {
-        let mut c = cluster(1, 1);
-        let mut apps = vec![app(0)];
-        ask_any(&mut apps[0], Priority::MAP, 1);
-        let mut s = AnyScheduler::Fair(FairScheduler);
-        let allocs = s.assign(&mut c, &mut apps, &mut ContainerIdGen::default());
-        assert_eq!(allocs.len(), 1);
     }
 
     #[test]
@@ -505,7 +323,7 @@ mod tests {
         let mut apps = vec![app(0)];
         ask_any(&mut apps[0], Priority::MAP, 1);
         apps[0].finished = true;
-        let allocs = FifoScheduler.assign(&mut c, &mut apps, &mut ContainerIdGen::default());
-        assert!(allocs.is_empty());
+        assert!(fifo(&mut c, &mut apps).is_empty());
+        assert!(fair(&mut c, &mut apps).is_empty());
     }
 }

@@ -1,7 +1,7 @@
 //! Cross-crate pipeline tests: HDFS → YARN → MapReduce simulator →
 //! profile → calibration → model, exercised through the public facade.
 
-use hadoop2_perf::hdfs::{splits_for_file, DefaultPlacement, Namespace, Topology};
+use hadoop2_perf::hdfs::{splits_for_file, Namespace, Topology};
 use hadoop2_perf::model::timeline::{build_timeline, ShuffleSpec, TimelineConfig, TimelineJob};
 use hadoop2_perf::model::tree::build_tree;
 use hadoop2_perf::model::{job_inputs, model_input, solve, Calibration, ModelOptions};
@@ -16,15 +16,7 @@ fn hdfs_splits_feed_the_map_count() {
     let topo = Topology::single_rack(4);
     let mut ns = Namespace::new(3);
     let mut rng = SmallRng::seed_from_u64(1);
-    let file = ns.create_file(
-        &topo,
-        &DefaultPlacement,
-        "/in",
-        GB,
-        128 * MB,
-        None,
-        &mut rng,
-    );
+    let file = ns.create_file(&topo, "/in", GB, 128 * MB, None, &mut rng);
     let splits = splits_for_file(file);
     assert_eq!(splits.len(), 8);
 
