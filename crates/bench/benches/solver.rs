@@ -1,14 +1,16 @@
-//! Full A1–A6 solver cost for the paper's experiment configurations,
-//! plus the observability guard: the same solve with metrics recording
-//! on and off. Both cases sit in the committed baseline, so the ≤25%
-//! regression gate holds the registry's hot-path cost to the noise
-//! floor — instrumentation must stay effectively free.
+//! Full A1–A6 solver cost for the paper's experiment configurations —
+//! each estimator alone, and both from the joint loop (`solver/Both`)
+//! that every estimate runs — plus the observability guard: the same
+//! solve with metrics recording on and off. Both cases sit in the
+//! committed baseline, so the ≤25% regression gate holds the
+//! registry's hot-path cost to the noise floor — instrumentation must
+//! stay effectively free.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mapreduce_sim::workload::wordcount;
 use mapreduce_sim::{SimConfig, GB};
 use mr2_model::input::Estimator;
-use mr2_model::{model_input, solve, Calibration, ModelOptions};
+use mr2_model::{model_input, solve, solve_both, Calibration, ModelOptions};
 use std::hint::black_box;
 
 fn bench_solver(c: &mut Criterion) {
@@ -39,6 +41,18 @@ fn bench_solver(c: &mut Criterion) {
                 |b, inp| b.iter(|| solve(black_box(inp))),
             );
         }
+        // Both estimators from one joint loop, as every estimate does.
+        let inp = model_input(
+            &cfg,
+            &spec,
+            jobs,
+            ModelOptions::default(),
+            &Calibration::default(),
+            None,
+        );
+        g.bench_with_input(BenchmarkId::new("Both", name), &inp, |b, inp| {
+            b.iter(|| solve_both(black_box(inp)))
+        });
     }
     g.finish();
 }

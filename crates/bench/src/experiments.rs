@@ -389,8 +389,7 @@ pub fn debug_point() {
 pub fn ablations() -> String {
     use mapreduce_sim::profile::{eval_mix, profile_job};
     use mapreduce_sim::workload::wordcount;
-    use mr2_model::input::Estimator;
-    use mr2_model::solve;
+    use mr2_model::solve_both;
 
     let cfg = SimConfig::paper_testbed(4);
     let spec = wordcount(5 * GB, 4);
@@ -428,25 +427,11 @@ pub fn ablations() -> String {
         ),
     ];
     for (name, opts) in variants {
-        let fj = solve(&mr2_model::model_input(
+        let (fj, tr) = solve_both(&mr2_model::model_input(
             &cfg,
             &spec,
             1,
-            ModelOptions {
-                estimator: Estimator::ForkJoin,
-                ..opts.clone()
-            },
-            &cal,
-            Some(&profile),
-        ));
-        let tr = solve(&mr2_model::model_input(
-            &cfg,
-            &spec,
-            1,
-            ModelOptions {
-                estimator: Estimator::Tripathi,
-                ..opts.clone()
-            },
+            opts,
             &cal,
             Some(&profile),
         ));

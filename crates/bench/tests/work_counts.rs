@@ -1,5 +1,6 @@
 //! Pinned deterministic work counts for the `solver` and `simulator`
-//! bench inputs.
+//! bench inputs, the former under each estimator alone and under the
+//! joint `solve_both`.
 //!
 //! Wall-clock baselines are machine-specific, so they cannot gate a
 //! regression on a shared runner. The work the solver does can: A2–A6
@@ -18,7 +19,7 @@ use mapreduce_sim::workload::{grep, terasort, wordcount};
 use mapreduce_sim::SchedulerPolicy::{self, CapacityFifo, Fair};
 use mapreduce_sim::{ClusterSim, SimConfig, GB, MB};
 use mr2_model::input::Estimator;
-use mr2_model::{model_input, solve, Calibration, ModelOptions};
+use mr2_model::{model_input, solve, solve_both, Calibration, ModelInput, ModelOptions};
 
 /// `(bench case, estimator, A2–A6 iterations, MVA iterations, Tripathi max evaluations)`.
 const PINNED: [(&str, Estimator, usize, u64, u64); 6] = [
@@ -30,8 +31,47 @@ const PINNED: [(&str, Estimator, usize, u64, u64); 6] = [
     ("fig13_5gb_4jobs_8n", Estimator::Tripathi, 28, 392, 1566),
 ];
 
+/// `solve_both` on the bench inputs: `(case, fork/join iterations,
+/// Tripathi iterations, A2–A6 iterations, MVA iterations, Tripathi max
+/// evaluations)`. The joint loop runs until the later estimator stops,
+/// so its MVA work is one solve's, not two. On the 3.5 GB input the
+/// estimators stop one iteration apart.
+const JOINT_PINNED: [(&str, usize, usize, u64, u64, u64); 4] = [
+    ("fig10_1gb_1job_4n", 26, 26, 26, 286, 182),
+    ("fig12_5gb_1job_4n", 26, 26, 26, 338, 312),
+    ("fig13_5gb_4jobs_8n", 28, 28, 28, 392, 1566),
+    ("wordcount_3.5gb_1job_8n", 27, 28, 28, 364, 336),
+];
+
+/// The model input of a pinned case: the `solver` bench inputs
+/// (benches/solver.rs), plus one where the estimators stop apart.
+fn case_input(case: &str, estimator: Estimator) -> ModelInput {
+    let (nodes, input, jobs) = match case {
+        "fig10_1gb_1job_4n" => (4, GB, 1),
+        "fig12_5gb_1job_4n" => (4, 5 * GB, 1),
+        "fig13_5gb_4jobs_8n" => (8, 5 * GB, 4),
+        "wordcount_3.5gb_1job_8n" => (8, 7 * GB / 2, 1),
+        _ => unreachable!("unknown bench case {case}"),
+    };
+    model_input(
+        &SimConfig::paper_testbed(nodes),
+        &wordcount(input, nodes as u32),
+        jobs,
+        ModelOptions {
+            estimator,
+            ..ModelOptions::default()
+        },
+        &Calibration::default(),
+        None,
+    )
+}
+
 #[test]
 fn solver_bench_inputs_do_pinned_work() {
+    let solver = mr2_obs::counter(
+        "mr2_solver_iterations_total",
+        "A2-A6 iterations executed by the modified-MVA solver.",
+    );
     let mva = mr2_obs::counter(
         "mr2_mva_iterations_total",
         "Fixed-point iterations executed by the overlap-MVA solver.",
@@ -42,24 +82,7 @@ fn solver_bench_inputs_do_pinned_work() {
     );
     let mut failures = Vec::new();
     for (case, estimator, iterations, mva_iterations, tripathi_max_evals) in PINNED {
-        // The same inputs as the `solver` bench (benches/solver.rs).
-        let (nodes, input, jobs) = match case {
-            "fig10_1gb_1job_4n" => (4, GB, 1),
-            "fig12_5gb_1job_4n" => (4, 5 * GB, 1),
-            "fig13_5gb_4jobs_8n" => (8, 5 * GB, 4),
-            _ => unreachable!("unknown bench case {case}"),
-        };
-        let inp = model_input(
-            &SimConfig::paper_testbed(nodes),
-            &wordcount(input, nodes as u32),
-            jobs,
-            ModelOptions {
-                estimator,
-                ..ModelOptions::default()
-            },
-            &Calibration::default(),
-            None,
-        );
+        let inp = case_input(case, estimator);
         let (mva0, evals0) = (mva.value(), max_evals.value());
         let r = solve(&inp);
         let got = (r.iterations, mva.value() - mva0, max_evals.value() - evals0);
@@ -69,6 +92,33 @@ fn solver_bench_inputs_do_pinned_work() {
             failures.push(format!(
                 "{case} {estimator:?}: got {got:?}, pinned {want:?}"
             ));
+        }
+    }
+    for (case, fj_iterations, tr_iterations, iterations, mva_iterations, tripathi_max_evals) in
+        JOINT_PINNED
+    {
+        let inp = case_input(case, Estimator::ForkJoin);
+        let (solver0, mva0, evals0) = (solver.value(), mva.value(), max_evals.value());
+        let (fj, tr) = solve_both(&inp);
+        let got = (
+            fj.iterations,
+            tr.iterations,
+            solver.value() - solver0,
+            mva.value() - mva0,
+            max_evals.value() - evals0,
+        );
+        let want = (
+            fj_iterations,
+            tr_iterations,
+            iterations,
+            mva_iterations,
+            tripathi_max_evals,
+        );
+        println!(
+            "{case} Both: (fork/join iterations, Tripathi iterations, iterations, mva, max evals) = {got:?}"
+        );
+        if got != want {
+            failures.push(format!("{case} Both: got {got:?}, pinned {want:?}"));
         }
     }
     assert!(

@@ -5,7 +5,7 @@
 
 use crate::aria::{aria_bounds, AriaProfile, StageStats};
 use crate::calibrate::{herodotou_estimate, mix_model_input, Calibration, MixClass};
-use crate::input::{Estimator, ModelOptions};
+use crate::input::ModelOptions;
 use crate::memo::cached_solve;
 use crate::solver::SolveResult;
 use mapreduce_sim::SimConfig;
@@ -109,6 +109,9 @@ fn windowed_responses(submits: &[f64], solo: &[f64], full: &[f64]) -> Vec<f64> {
 /// their batch forms deliberately — they are the static t = 0 models
 /// whose breakage under staggered arrivals the error bands quantify.
 ///
+/// Both estimators come from one joint solve ([`crate::solve_both`]
+/// behind the endpoint memo), so `options.estimator` is ignored.
+///
 /// Baselines generalize the single-class forms: ARIA scales the slot
 /// pool by 1/total (FIFO averaging gives each of the concurrent jobs an
 /// equal share) and is evaluated per class, aggregated by job count;
@@ -121,15 +124,8 @@ pub fn estimate_mix(
     options: &ModelOptions,
     cal: &Calibration,
 ) -> MixEstimate {
-    let mut fj_opts = options.clone();
-    fj_opts.estimator = Estimator::ForkJoin;
-    let mut tr_opts = options.clone();
-    tr_opts.estimator = Estimator::Tripathi;
-
-    let fj_input = mix_model_input(cfg, classes, fj_opts.clone(), cal);
-    let tr_input = mix_model_input(cfg, classes, tr_opts.clone(), cal);
-    let fj = cached_solve(&fj_input);
-    let tr = cached_solve(&tr_input);
+    let input = mix_model_input(cfg, classes, options.clone(), cal);
+    let (fj, tr) = cached_solve(&input);
 
     let total: usize = classes.iter().map(|c| c.count).sum();
     assert!(
@@ -146,10 +142,10 @@ pub fn estimate_mix(
     // has no notion of concurrent jobs; following its own usage we scale
     // the slot pool by 1/total (each concurrent job effectively receives
     // an equal share under FIFO averaging).
-    let slots_total = fj_input
+    let slots_total = input
         .cluster
         .total_containers()
-        .saturating_sub(fj_input.cluster.reserved_containers)
+        .saturating_sub(input.cluster.reserved_containers)
         .max(1);
     let slots = (slots_total as f64 / total as f64).max(1.0) as u32;
     let mk = |mean: f64, cv: f64| StageStats {
@@ -175,12 +171,9 @@ pub fn estimate_mix(
                 count: 1,
                 profile: c.profile.clone(),
             }];
-            let s_fj =
-                cached_solve(&mix_model_input(cfg, &alone, fj_opts.clone(), cal)).avg_response;
-            let s_tr =
-                cached_solve(&mix_model_input(cfg, &alone, tr_opts.clone(), cal)).avg_response;
-            solo_fj.extend(std::iter::repeat_n(s_fj, c.count));
-            solo_tr.extend(std::iter::repeat_n(s_tr, c.count));
+            let (s_fj, s_tr) = cached_solve(&mix_model_input(cfg, &alone, options.clone(), cal));
+            solo_fj.extend(std::iter::repeat_n(s_fj.avg_response, c.count));
+            solo_tr.extend(std::iter::repeat_n(s_tr.avg_response, c.count));
         }
         (
             windowed_responses(submits, &solo_fj, &fj.per_job_response),
@@ -195,7 +188,7 @@ pub fn estimate_mix(
     let mut aria_weighted = 0.0;
     let mut offset = 0;
     for c in classes {
-        let job = &fj_input.jobs[offset];
+        let job = &input.jobs[offset];
         let profile = AriaProfile {
             num_maps: job.num_maps,
             num_reduces: job.num_reduces,

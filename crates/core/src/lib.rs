@@ -48,6 +48,6 @@ pub use input::{
 };
 pub use memo::cached_solve;
 pub use open::{eval_open_mix, DEFAULT_KNEE_UTILIZATION};
-pub use solver::{solve, SolveResult};
+pub use solver::{solve, solve_both, SolveResult};
 pub use timeline::{build_timeline, Segment, ShuffleSpec, Timeline, TimelineConfig, TimelineJob};
 pub use tree::{build_tree, waves, PrecTree};

@@ -5,25 +5,28 @@
 //! capacity plan's bisection re-derives the per-class solo solves at
 //! every probed node count. Those solves are pure functions of the
 //! [`ModelInput`], so a fixed-size cache in front of
-//! [`crate::solver::solve`] makes a probe trail or a λ-sweep pay for
-//! each *distinct* solve once. Hits return a clone of the original
-//! [`SolveResult`] — bit-identical to re-solving, because the solver
-//! is deterministic.
+//! [`crate::solver::solve_both`] makes a probe trail or a λ-sweep pay
+//! for each *distinct* solve once. Every caller needs both estimators,
+//! so one entry holds the (fork/join, Tripathi) pair and its key leaves
+//! out `options.estimator`. Hits return a clone of the original pair —
+//! bit-identical to re-solving, because the solver is deterministic.
 //!
-//! Keys are the full canonical encoding of the input (every field,
-//! f64s by bit pattern), not just a hash — a lookup compares the
-//! encodings, so hash collisions cannot serve a wrong result.
+//! Keys are the full canonical encoding of the input (every field the
+//! joint solve reads, f64s by bit pattern), not just a hash — a lookup
+//! compares the encodings, so hash collisions cannot serve a wrong
+//! result.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Mutex, OnceLock};
 
-use crate::input::{Estimator, ModelInput};
-use crate::solver::{solve, SolveResult};
+use crate::input::ModelInput;
+use crate::solver::{solve_both, SolveResult};
 
 /// Entries kept before the oldest is evicted (FIFO). Sized for a λ-sweep
 /// or plan bisection over a few dozen distinct configurations, while
-/// bounding the memory of a long-lived service.
-const CAPACITY: usize = 256;
+/// bounding the memory of a long-lived service: 128 pairs hold as many
+/// results as 256 single-estimator entries would.
+const CAPACITY: usize = 128;
 
 /// Memoized-solve lookups served from the cache.
 fn memo_hits() -> &'static mr2_obs::Counter {
@@ -47,8 +50,11 @@ fn memo_misses() -> &'static mr2_obs::Counter {
     })
 }
 
+/// A (fork/join, Tripathi) result pair.
+type Pair = (SolveResult, SolveResult);
+
 struct Memo {
-    map: HashMap<Vec<u64>, SolveResult>,
+    map: HashMap<Vec<u64>, Pair>,
     order: VecDeque<Vec<u64>>,
 }
 
@@ -62,23 +68,20 @@ fn memo() -> &'static Mutex<Memo> {
     })
 }
 
-/// The canonical form of a [`ModelInput`]: every solver-relevant field,
-/// in a fixed order, f64s by bit pattern. Two inputs with equal
-/// encodings produce bit-identical [`SolveResult`]s.
+/// The canonical form of a [`ModelInput`]: every field the joint solve
+/// reads, in a fixed order, f64s by bit pattern — all but
+/// `options.estimator`. Two inputs with equal encodings produce
+/// bit-identical [`solve_both`] pairs.
 fn encode(input: &ModelInput) -> Vec<u64> {
     let c = &input.cluster;
     let o = &input.options;
-    let mut k = Vec::with_capacity(11 + input.jobs.len() * 18);
+    let mut k = Vec::with_capacity(10 + input.jobs.len() * 18);
     k.push(c.num_nodes as u64);
     k.push(c.cpu_per_node as u64);
     k.push(c.disk_per_node as u64);
     k.push(c.max_maps_per_node as u64);
     k.push(c.max_reduce_per_node as u64);
     k.push(c.reserved_containers as u64);
-    k.push(match o.estimator {
-        Estimator::ForkJoin => 0,
-        Estimator::Tripathi => 1,
-    });
     k.push(
         o.slow_start as u64 | (o.balance_tree as u64) << 1 | (o.use_overlap_factors as u64) << 2,
     );
@@ -106,10 +109,10 @@ fn encode(input: &ModelInput) -> Vec<u64> {
     k
 }
 
-/// [`solve`] behind the process-wide memo: a hit clones the stored
-/// result, a miss solves and stores. Bit-identical to calling the
-/// solver directly.
-pub fn cached_solve(input: &ModelInput) -> SolveResult {
+/// [`solve_both`] behind the process-wide memo: a hit clones the stored
+/// `(fork/join, Tripathi)` pair, a miss solves and stores. Bit-identical
+/// to calling the solver directly.
+pub fn cached_solve(input: &ModelInput) -> Pair {
     let key = encode(input);
     if let Some(hit) = memo().lock().unwrap().map.get(&key) {
         memo_hits().inc();
@@ -121,7 +124,7 @@ pub fn cached_solve(input: &ModelInput) -> SolveResult {
     // endpoint solve worth attributing under model.eval.
     let result = {
         let _solve = mr2_obs::span("model.endpoint_solve");
-        solve(input)
+        solve_both(input)
     };
     let mut m = memo().lock().unwrap();
     if !m.map.contains_key(&key) {
@@ -164,23 +167,41 @@ mod tests {
         }
     }
 
-    fn bits(r: &SolveResult) -> Vec<u64> {
-        let mut b = vec![r.avg_response.to_bits(), r.makespan.to_bits()];
-        b.extend(r.per_job_response.iter().map(|x| x.to_bits()));
-        b.extend(r.durations.iter().flatten().map(|x| x.to_bits()));
+    fn bits((fj, tr): &Pair) -> Vec<u64> {
+        let mut b = Vec::new();
+        for r in [fj, tr] {
+            b.extend([r.avg_response.to_bits(), r.makespan.to_bits()]);
+            b.extend(r.per_job_response.iter().map(|x| x.to_bits()));
+            b.extend(r.durations.iter().flatten().map(|x| x.to_bits()));
+            b.extend([r.iterations as u64, r.converged as u64]);
+            b.extend(r.tree_depths.iter().map(|&d| d as u64));
+        }
         b
     }
 
     #[test]
     fn hit_is_bit_identical_to_direct_solve() {
         let inp = input(4, 8);
-        let direct = solve(&inp);
+        let direct = solve_both(&inp);
         let first = cached_solve(&inp);
         let second = cached_solve(&inp);
         assert_eq!(bits(&direct), bits(&first));
         assert_eq!(bits(&first), bits(&second));
-        assert_eq!(first.iterations, direct.iterations);
-        assert_eq!(first.tree_depths, direct.tree_depths);
+    }
+
+    #[test]
+    fn inputs_differing_only_in_estimator_share_one_entry() {
+        use crate::input::Estimator;
+        let mut fj = input(6, 9);
+        fj.options.estimator = Estimator::ForkJoin;
+        let mut tr = fj.clone();
+        tr.options.estimator = Estimator::Tripathi;
+        assert_eq!(encode(&fj), encode(&tr));
+        let first = cached_solve(&fj);
+        // The Tripathi-tagged input finds the entry the fork/join one
+        // stored, and gets the same pair back.
+        assert!(memo().lock().unwrap().map.contains_key(&encode(&tr)));
+        assert_eq!(bits(&first), bits(&cached_solve(&tr)));
     }
 
     #[test]
@@ -196,8 +217,8 @@ mod tests {
 
     #[test]
     fn distinct_inputs_get_distinct_entries() {
-        let a = cached_solve(&input(4, 16));
-        let b = cached_solve(&input(8, 16));
+        let (a, _) = cached_solve(&input(4, 16));
+        let (b, _) = cached_solve(&input(8, 16));
         assert_ne!(
             a.avg_response.to_bits(),
             b.avg_response.to_bits(),

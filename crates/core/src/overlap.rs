@@ -17,8 +17,10 @@
 //!
 //! Class populations for the MVA are the time-average number of active
 //! tasks of each class over that class's active period.
+//!
+//! Both read the same per-(job, class) activity sets, which
+//! [`activities`] builds in one pass over the timeline's segments.
 
-use crate::input::TaskClass;
 use crate::timeline::Timeline;
 
 /// A union of disjoint half-open intervals, kept sorted.
@@ -74,32 +76,44 @@ impl IntervalSet {
     }
 }
 
-/// Activity set of one (job, class).
-pub fn activity(tl: &Timeline, job: u32, class: TaskClass) -> IntervalSet {
-    IntervalSet::from_intervals(
-        tl.segments
-            .iter()
-            .filter(|s| s.job == job && s.class == class)
-            .map(|s| (s.start, s.end))
-            .collect(),
-    )
+/// When one (job, class) was active on a timeline, and how much task
+/// time it ran there. Built only by [`activities`].
+#[derive(Debug, Clone)]
+pub struct ClassActivity {
+    /// Union of the class's segment intervals.
+    active: IntervalSet,
+    /// Sum of the class's segment durations, in segment order.
+    busy: f64,
 }
 
-/// Time-average number of active class tasks over the class's active
-/// period: `Σ durations / measure(active union)`. Zero for an idle class.
-pub fn population(tl: &Timeline, job: u32, class: TaskClass) -> f64 {
-    let act = activity(tl, job, class);
-    let span = act.measure();
-    if span <= 0.0 {
-        return 0.0;
+impl ClassActivity {
+    /// Time-average number of active class tasks over the class's
+    /// active period: `busy / measure(active)`. Zero for an idle class.
+    pub fn population(&self) -> f64 {
+        let span = self.active.measure();
+        if span <= 0.0 {
+            return 0.0;
+        }
+        self.busy / span
     }
-    let busy: f64 = tl
-        .segments
-        .iter()
-        .filter(|s| s.job == job && s.class == class)
-        .map(|s| s.duration())
-        .sum();
-    busy / span
+}
+
+/// Every (job, class)'s activity, indexed `[job][class]`, from one pass
+/// over the timeline's segments. Every segment must belong to a job
+/// below `num_jobs`.
+pub fn activities(tl: &Timeline, num_jobs: u32) -> Vec<[ClassActivity; 3]> {
+    let mut raw: Vec<[Vec<(f64, f64)>; 3]> = vec![Default::default(); num_jobs as usize];
+    for s in &tl.segments {
+        raw[s.job as usize][s.class.index()].push((s.start, s.end));
+    }
+    raw.into_iter()
+        .map(|classes| {
+            classes.map(|ivs| ClassActivity {
+                busy: ivs.iter().map(|&(s, e)| e - s).sum(),
+                active: IntervalSet::from_intervals(ivs),
+            })
+        })
+        .collect()
 }
 
 /// The overlap-factor matrices of a workload of `num_jobs` jobs.
@@ -112,19 +126,8 @@ pub struct OverlapFactors {
     pub beta: [[f64; 3]; 3],
 }
 
-/// Compute α and β from a timeline.
-pub fn overlap_factors(tl: &Timeline, num_jobs: u32) -> OverlapFactors {
-    // Pre-compute activities.
-    let act: Vec<[IntervalSet; 3]> = (0..num_jobs)
-        .map(|j| {
-            [
-                activity(tl, j, TaskClass::Map),
-                activity(tl, j, TaskClass::ShuffleSort),
-                activity(tl, j, TaskClass::Merge),
-            ]
-        })
-        .collect();
-
+/// Compute α and β from the jobs' [`activities`].
+pub fn overlap_factors(act: &[[ClassActivity; 3]]) -> OverlapFactors {
     let factor = |a: &IntervalSet, b: &IntervalSet| -> f64 {
         let m = a.measure();
         if m <= 0.0 {
@@ -138,14 +141,14 @@ pub fn overlap_factors(tl: &Timeline, num_jobs: u32) -> OverlapFactors {
     let mut alpha_n = [[0u32; 3]; 3];
     let mut beta = [[0.0f64; 3]; 3];
     let mut beta_n = [[0u32; 3]; 3];
-    for a in 0..num_jobs as usize {
-        for b in 0..num_jobs as usize {
+    for a in 0..act.len() {
+        for b in 0..act.len() {
             for i in 0..3 {
-                if act[a][i].is_empty() {
+                if act[a][i].active.is_empty() {
                     continue;
                 }
                 for j in 0..3 {
-                    let f = factor(&act[a][i], &act[b][j]);
+                    let f = factor(&act[a][i].active, &act[b][j].active);
                     if a == b {
                         alpha[i][j] += f;
                         alpha_n[i][j] += 1;
@@ -173,7 +176,99 @@ pub fn overlap_factors(tl: &Timeline, num_jobs: u32) -> OverlapFactors {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::input::TaskClass;
     use crate::timeline::{build_timeline, ShuffleSpec, TimelineConfig, TimelineJob};
+
+    /// Oracle: the activity set of one (job, class) by filtering every
+    /// segment, as A3 computed it before the one-pass [`activities`].
+    fn filtered_activity(tl: &Timeline, job: u32, class: TaskClass) -> IntervalSet {
+        IntervalSet::from_intervals(
+            tl.segments
+                .iter()
+                .filter(|s| s.job == job && s.class == class)
+                .map(|s| (s.start, s.end))
+                .collect(),
+        )
+    }
+
+    /// Oracle: one (job, class)'s population by per-class filters.
+    fn filtered_population(tl: &Timeline, job: u32, class: TaskClass) -> f64 {
+        let act = filtered_activity(tl, job, class);
+        let span = act.measure();
+        if span <= 0.0 {
+            return 0.0;
+        }
+        let busy: f64 = tl
+            .segments
+            .iter()
+            .filter(|s| s.job == job && s.class == class)
+            .map(|s| s.duration())
+            .sum();
+        busy / span
+    }
+
+    /// Oracle: α and β over activity sets built by per-class filters,
+    /// as A3 computed them before the one-pass [`activities`].
+    fn filtered_overlap_factors(tl: &Timeline, num_jobs: u32) -> OverlapFactors {
+        // Pre-compute activities.
+        let act: Vec<[IntervalSet; 3]> = (0..num_jobs)
+            .map(|j| {
+                [
+                    filtered_activity(tl, j, TaskClass::Map),
+                    filtered_activity(tl, j, TaskClass::ShuffleSort),
+                    filtered_activity(tl, j, TaskClass::Merge),
+                ]
+            })
+            .collect();
+
+        let factor = |a: &IntervalSet, b: &IntervalSet| -> f64 {
+            let m = a.measure();
+            if m <= 0.0 {
+                0.0
+            } else {
+                a.intersection_measure(b) / m
+            }
+        };
+
+        let mut alpha = [[0.0f64; 3]; 3];
+        let mut alpha_n = [[0u32; 3]; 3];
+        let mut beta = [[0.0f64; 3]; 3];
+        let mut beta_n = [[0u32; 3]; 3];
+        for a in 0..num_jobs as usize {
+            for b in 0..num_jobs as usize {
+                for i in 0..3 {
+                    if act[a][i].is_empty() {
+                        continue;
+                    }
+                    for j in 0..3 {
+                        let f = factor(&act[a][i], &act[b][j]);
+                        if a == b {
+                            alpha[i][j] += f;
+                            alpha_n[i][j] += 1;
+                        } else {
+                            beta[i][j] += f;
+                            beta_n[i][j] += 1;
+                        }
+                    }
+                }
+            }
+        }
+        for i in 0..3 {
+            for j in 0..3 {
+                if alpha_n[i][j] > 0 {
+                    alpha[i][j] /= alpha_n[i][j] as f64;
+                }
+                if beta_n[i][j] > 0 {
+                    beta[i][j] /= beta_n[i][j] as f64;
+                }
+            }
+        }
+        OverlapFactors { alpha, beta }
+    }
+
+    fn population(tl: &Timeline, job: u32, class: TaskClass) -> f64 {
+        activities(tl, job + 1)[job as usize][class.index()].population()
+    }
 
     #[test]
     fn interval_set_merges() {
@@ -232,7 +327,7 @@ mod tests {
     #[test]
     fn intra_job_factors() {
         let tl = one_job_tl();
-        let f = overlap_factors(&tl, 1);
+        let f = overlap_factors(&activities(&tl, 1));
         // Maps active [0,20); shuffle-sort [10,17): overlap 7.
         // α[map][ss] = 7/20; α[ss][map] = 7/7 = 1.
         assert!((f.alpha[0][1] - 0.35).abs() < 1e-9, "{}", f.alpha[0][1]);
@@ -258,9 +353,73 @@ mod tests {
             shuffle: ShuffleSpec::Fixed(0.0),
         };
         let tl = build_timeline(&cfg, &[job.clone(), job]);
-        let f = overlap_factors(&tl, 2);
+        let f = overlap_factors(&activities(&tl, 2));
         // Jobs run serially (2 containers, 2 maps each): no map overlap.
         assert_eq!(f.beta[0][0], 0.0);
         assert!((f.alpha[0][0] - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn one_pass_activities_equal_the_per_class_filters() {
+        // Multi-job timelines: mixed shapes, container pools from one to
+        // many, slow start on and off, and both shuffle rules, so that
+        // jobs' classes interleave in the segment list.
+        let shapes = [
+            (6, 2, 10.0, 3.0, 2.5),
+            (1, 0, 4.0, 0.0, 0.0),
+            (17, 5, 7.25, 1.5, 0.75),
+            (3, 3, 0.5, 9.0, 4.0),
+        ];
+        let mut checked = 0;
+        for num_jobs in 1..=4u32 {
+            for (nodes, per_node) in [(1, 1), (2, 3), (5, 4)] {
+                for slow_start in [true, false] {
+                    for per_remote in [false, true] {
+                        let jobs: Vec<TimelineJob> = (0..num_jobs as usize)
+                            .map(|j| {
+                                let (m, r, map, merge, shuffle) = shapes[j % shapes.len()];
+                                TimelineJob {
+                                    num_maps: m,
+                                    num_reduces: r,
+                                    map_duration: map,
+                                    merge_duration: merge,
+                                    shuffle: if per_remote {
+                                        ShuffleSpec::PerRemoteMap {
+                                            sd: shuffle,
+                                            base: 0.5,
+                                        }
+                                    } else {
+                                        ShuffleSpec::Fixed(shuffle)
+                                    },
+                                }
+                            })
+                            .collect();
+                        let cfg = TimelineConfig {
+                            capacities: vec![per_node; nodes],
+                            slow_start,
+                        };
+                        let tl = build_timeline(&cfg, &jobs);
+                        let act = activities(&tl, num_jobs);
+                        for j in 0..num_jobs {
+                            for class in TaskClass::ALL {
+                                let got = act[j as usize][class.index()].population();
+                                let want = filtered_population(&tl, j, class);
+                                assert_eq!(got.to_bits(), want.to_bits(), "job {j} {class:?}");
+                            }
+                        }
+                        let got = overlap_factors(&act);
+                        let want = filtered_overlap_factors(&tl, num_jobs);
+                        for (g, w) in got.alpha.iter().flatten().zip(want.alpha.iter().flatten()) {
+                            assert_eq!(g.to_bits(), w.to_bits(), "alpha");
+                        }
+                        for (g, w) in got.beta.iter().flatten().zip(want.beta.iter().flatten()) {
+                            assert_eq!(g.to_bits(), w.to_bits(), "beta");
+                        }
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 48);
     }
 }

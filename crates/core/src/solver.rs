@@ -15,12 +15,16 @@
 //! per-job response time is estimated over the subtree of that job's tasks
 //! (Vianna's subset strategy) plus its FIFO queueing offset from the
 //! timeline.
+//!
+//! A2–A4 never read the estimate, so [`solve_both`] runs them once per
+//! iteration for both estimators and stops each at its own ε-test;
+//! [`solve`] runs the same loop for the one estimator its options name.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use crate::input::{Estimator, ModelInput, TaskClass};
-use crate::overlap::{overlap_factors, population};
+use crate::overlap::{activities, overlap_factors};
 use crate::timeline::{build_timeline, ShuffleSpec, Timeline, TimelineConfig, TimelineJob};
 use crate::tree::build_tree;
 use queueing::distribution::ExpPoly;
@@ -32,8 +36,9 @@ use queueing::{harmonic, overlap_mva};
 /// between two timelines; 0.5 is a standard safe choice.
 const DAMPING: f64 = 0.5;
 
-/// A2–A6 iterations executed by [`solve`], batched into one atomic add
-/// per solve (the inner MVA reports its own iteration counter).
+/// A2–A6 iterations executed by [`solve`] and [`solve_both`] (a joint
+/// iteration counts once), batched into one atomic add per solve (the
+/// inner MVA reports its own iteration counter).
 fn solver_iterations() -> &'static mr2_obs::Counter {
     static C: OnceLock<mr2_obs::Counter> = OnceLock::new();
     C.get_or_init(|| {
@@ -44,7 +49,8 @@ fn solver_iterations() -> &'static mr2_obs::Counter {
     })
 }
 
-/// Solves whose ε-test never passed within the iteration budget.
+/// Estimator results whose ε-test never passed within the iteration
+/// budget (a joint solve counts each estimator's).
 fn solver_failures() -> &'static mr2_obs::Counter {
     static C: OnceLock<mr2_obs::Counter> = OnceLock::new();
     C.get_or_init(|| {
@@ -329,9 +335,34 @@ fn eval_tripathi(
     (total.map(|d| d.mean()).unwrap_or(0.0), trees.max_evals)
 }
 
-/// Run the modified MVA algorithm on `input`.
-#[allow(clippy::needless_range_loop)] // (job, class) index pairs read clearer
+/// Run the modified MVA algorithm on `input` with the estimator its
+/// options name.
 pub fn solve(input: &ModelInput) -> SolveResult {
+    let [result] = run(input, [input.options.estimator]);
+    result
+}
+
+/// Run the modified MVA algorithm once for both estimators, returning
+/// `(fork/join, Tripathi)` and ignoring `input.options.estimator`. Each
+/// result is bit-identical to [`solve`] under that estimator, at about
+/// the cost of one such solve.
+pub fn solve_both(input: &ModelInput) -> (SolveResult, SolveResult) {
+    let [fork_join, tripathi] = run(input, [Estimator::ForkJoin, Estimator::Tripathi]);
+    (fork_join, tripathi)
+}
+
+/// The A1–A6 loop behind [`solve`] and [`solve_both`].
+///
+/// A2–A4 and the damped duration update never read an estimate: the
+/// estimate only feeds the ε-test. So every estimator sees the same
+/// timelines, overlap factors and MVA solutions, and one loop serves
+/// them all. Each iteration runs A2–A4 once, then A5 and A6 for every
+/// estimator whose ε-test has not yet passed. An estimator's result is
+/// snapshotted at the iteration where it stops, exactly as a loop run
+/// for it alone would return it; the loop ends when every estimator
+/// has stopped.
+#[allow(clippy::needless_range_loop)] // (job, class) index pairs read clearer
+fn run<const E: usize>(input: &ModelInput, estimators: [Estimator; E]) -> [SolveResult; E] {
     let _timer = mr2_obs::span("model.solve");
     input.validate();
     let net = build_network(input);
@@ -357,19 +388,19 @@ pub fn solve(input: &ModelInput) -> SolveResult {
     let mut intra = vec![vec![1.0f64; c_total]; c_total];
     let mut inter = vec![vec![1.0f64; c_total]; c_total];
     let mut job_segments: Vec<Vec<usize>> = vec![Vec::new(); n_jobs];
+    let mut job_waves: Vec<Vec<Vec<usize>>> = Vec::with_capacity(n_jobs);
     let mut per_job = vec![0.0f64; n_jobs];
 
-    let mut prev_avg = f64::INFINITY;
-    let mut avg = 0.0f64;
+    let mut prev_avg = [f64::INFINITY; E];
+    let mut results: [Option<SolveResult>; E] = std::array::from_fn(|_| None);
     let mut iterations = 0usize;
     let mut max_evals = 0u64;
-    let mut converged = false;
-    let mut final_tl = None;
 
-    for _iter in 0..input.options.max_iterations {
+    while results.iter().any(Option::is_none) {
         iterations += 1;
+        let last = iterations == input.options.max_iterations;
         // A2: timeline from current durations (precedence trees are
-        // pure reporting — they are built once, after convergence).
+        // pure reporting — they are built once per stopping iteration).
         tl_jobs.clear();
         tl_jobs.extend(input.jobs.iter().enumerate().map(|(j, job)| TimelineJob {
             num_maps: job.num_maps,
@@ -380,16 +411,16 @@ pub fn solve(input: &ModelInput) -> SolveResult {
         }));
         let tl = build_timeline(&cfg, &tl_jobs);
 
-        // A3: overlap factors and populations.
-        let f = overlap_factors(&tl, n_jobs as u32);
-        let mut p = 0;
+        // A3: populations and overlap factors from one pass over the
+        // timeline's segments.
+        let act = activities(&tl, n_jobs as u32);
         for j in 0..n_jobs {
-            for class in TaskClass::ALL {
-                pops[p] = population(&tl, j as u32, class);
-                p += 1;
+            for c in 0..3 {
+                pops[3 * j + c] = act[j][c].population();
             }
         }
         if input.options.use_overlap_factors {
+            let f = overlap_factors(&act);
             for a in 0..c_total {
                 for b in 0..c_total {
                     let (ci, cj) = (a % 3, b % 3);
@@ -412,65 +443,76 @@ pub fn solve(input: &ModelInput) -> SolveResult {
             }
         }
 
-        // A5: per-job response estimates over the job's subtree. One
+        // A5 input shared by every estimator: each job's waves. One
         // pass groups segment indices by job (ascending, matching the
         // former per-job filter).
-        for js in job_segments.iter_mut() {
-            js.clear();
-        }
         for (i, s) in tl.segments.iter().enumerate() {
             job_segments[s.job as usize].push(i);
         }
-        for j in 0..n_jobs {
-            let ws = crate::tree::waves(&tl, std::mem::take(&mut job_segments[j]));
-            let est = match input.options.estimator {
-                Estimator::ForkJoin => eval_fork_join(&ws, &tl, &durations),
-                Estimator::Tripathi => {
-                    let (est, evals) =
-                        eval_tripathi(&ws, &tl, &durations, &cvs, input.options.balance_tree);
-                    max_evals += evals;
-                    est
-                }
-            };
-            per_job[j] = tl.job_start(j as u32) + est;
-        }
-        avg = per_job.iter().sum::<f64>() / n_jobs as f64;
-        converged = (avg - prev_avg).abs() <= input.options.epsilon;
-        final_tl = Some(tl);
+        job_waves.clear();
+        job_waves.extend(
+            job_segments
+                .iter_mut()
+                .map(|js| crate::tree::waves(&tl, std::mem::take(js))),
+        );
 
-        // A6: convergence test.
-        if converged {
-            break;
+        let mut tree_depths: Option<Vec<usize>> = None;
+        for (e, &estimator) in estimators.iter().enumerate() {
+            if results[e].is_some() {
+                continue;
+            }
+            // A5: per-job response estimates over the job's subtree.
+            for j in 0..n_jobs {
+                let ws = &job_waves[j];
+                let est = match estimator {
+                    Estimator::ForkJoin => eval_fork_join(ws, &tl, &durations),
+                    Estimator::Tripathi => {
+                        let (est, evals) =
+                            eval_tripathi(ws, &tl, &durations, &cvs, input.options.balance_tree);
+                        max_evals += evals;
+                        est
+                    }
+                };
+                per_job[j] = tl.job_start(j as u32) + est;
+            }
+            let avg = per_job.iter().sum::<f64>() / n_jobs as f64;
+
+            // A6: this estimator's convergence test.
+            let converged = (avg - prev_avg[e]).abs() <= input.options.epsilon;
+            prev_avg[e] = avg;
+            if converged || last {
+                let depths = tree_depths.get_or_insert_with(|| {
+                    (0..n_jobs)
+                        .map(|j| {
+                            build_tree(&tl, Some(j as u32), input.options.balance_tree)
+                                .expect("every job has tasks")
+                                .depth()
+                        })
+                        .collect()
+                });
+                results[e] = Some(SolveResult {
+                    avg_response: avg,
+                    per_job_response: per_job.clone(),
+                    iterations,
+                    converged,
+                    durations: durations.clone(),
+                    tree_depths: depths.clone(),
+                    makespan: tl.makespan(),
+                });
+            }
         }
-        prev_avg = avg;
     }
     solver_iterations().add(iterations as u64);
     tripathi_max_evals().add(max_evals);
-    if !converged {
-        solver_failures().inc();
-    }
-    let (tree_depths, makespan) = match &final_tl {
-        Some(tl) => (
-            (0..n_jobs)
-                .map(|j| {
-                    build_tree(tl, Some(j as u32), input.options.balance_tree)
-                        .expect("every job has tasks")
-                        .depth()
-                })
-                .collect(),
-            tl.makespan(),
-        ),
-        None => (vec![0; n_jobs], 0.0),
-    };
-    SolveResult {
-        avg_response: avg,
-        per_job_response: per_job,
-        iterations,
-        converged,
-        durations,
-        tree_depths,
-        makespan,
-    }
+    // `validate` guarantees at least one iteration, and the last one
+    // snapshots every estimator still running.
+    results.map(|r| {
+        let r = r.expect("every estimator stops by the last iteration");
+        if !r.converged {
+            solver_failures().inc();
+        }
+        r
+    })
 }
 
 #[cfg(test)]
@@ -677,6 +719,92 @@ mod tests {
             "slow start should shorten the timeline: on={:.1} off={:.1}",
             a.makespan,
             b.makespan
+        );
+    }
+
+    /// Every field of a result, floats by bit pattern.
+    fn result_bits(r: &SolveResult) -> Vec<u64> {
+        let mut b = vec![r.avg_response.to_bits(), r.makespan.to_bits()];
+        b.extend(r.per_job_response.iter().map(|x| x.to_bits()));
+        b.extend(r.durations.iter().flatten().map(|x| x.to_bits()));
+        b.extend([r.iterations as u64, r.converged as u64]);
+        b.extend(r.tree_depths.iter().map(|&d| d as u64));
+        b
+    }
+
+    #[test]
+    fn solve_both_equals_solve_under_each_estimator() {
+        use crate::{model_input, Calibration};
+        use mapreduce_sim::workload::{grep, terasort, wordcount};
+        use mapreduce_sim::{SimConfig, GB};
+
+        let option_sets = [
+            ModelOptions::default(),
+            ModelOptions {
+                balance_tree: false,
+                ..ModelOptions::default()
+            },
+            ModelOptions {
+                slow_start: false,
+                ..ModelOptions::default()
+            },
+            ModelOptions {
+                use_overlap_factors: false,
+                ..ModelOptions::default()
+            },
+            // Neither estimator converges in five iterations.
+            ModelOptions {
+                max_iterations: 5,
+                ..ModelOptions::default()
+            },
+        ];
+        let mut cases = Vec::new();
+        for nodes in [1usize, 3, 8, 14] {
+            for spec in [
+                wordcount(GB, nodes as u32),
+                terasort(GB, nodes as u32),
+                grep(GB),
+            ] {
+                for count in [1, 4] {
+                    cases.push((nodes, spec.clone(), count));
+                }
+            }
+        }
+        // Fork/join stops one iteration before Tripathi here.
+        cases.push((8, wordcount(7 * GB / 2, 8), 1));
+
+        let (mut split, mut unconverged) = (0, 0);
+        for options in &option_sets {
+            for (nodes, spec, count) in &cases {
+                let inp = model_input(
+                    &SimConfig::paper_testbed(*nodes),
+                    spec,
+                    *count,
+                    options.clone(),
+                    &Calibration::default(),
+                    None,
+                );
+                let (fj, tr) = solve_both(&inp);
+                for (estimator, joint) in [(Estimator::ForkJoin, &fj), (Estimator::Tripathi, &tr)] {
+                    let mut alone = inp.clone();
+                    alone.options.estimator = estimator;
+                    assert_eq!(
+                        result_bits(joint),
+                        result_bits(&solve(&alone)),
+                        "{estimator:?} on {nodes} nodes, {count} × {} ({:?})",
+                        spec.name,
+                        options
+                    );
+                }
+                split += usize::from(fj.iterations != tr.iterations);
+                unconverged += usize::from(!fj.converged && !tr.converged);
+            }
+        }
+        assert!(split > 0, "no case stopped the estimators apart");
+        assert_eq!(
+            unconverged,
+            cases.len(),
+            "only max_iterations: 5 stops early"
         );
     }
 }

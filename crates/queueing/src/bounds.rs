@@ -79,8 +79,10 @@ pub fn response_upper_bound(net: &ClosedNetwork, class: usize, n: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mva::exact_mva;
+    use crate::mva::{approximate_mva, exact_mva};
     use crate::network::{ClosedNetwork, Station};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn net() -> ClosedNetwork {
         ClosedNetwork::new(
@@ -136,5 +138,60 @@ mod tests {
             sol.throughput[0] > 0.95 * x_max,
             "should be near saturation"
         );
+    }
+
+    /// Cross-layer check: the approximate MVA, grouped stations and
+    /// all, stays inside the bounds on seeded random single-class
+    /// networks — 1–8 queueing stations (some replicated), an optional
+    /// delay station, and 0.2–60 customers.
+    #[test]
+    fn approximate_mva_respects_bounds_on_random_networks() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        let within = |lo: f64, x: f64, hi: f64| {
+            let tol = 1e-12 * lo.abs().max(hi.abs()).max(x.abs());
+            lo - tol <= x && x <= hi + tol
+        };
+        for case in 0..500 {
+            let mut stations = Vec::new();
+            let mut demands = Vec::new();
+            let queueing = rng.gen_range(1..=8usize);
+            while stations.len() < queueing {
+                let d = rng.gen_range(0.01..4.0);
+                let copies = rng.gen_range(1..=3usize).min(queueing - stations.len());
+                for _ in 0..copies {
+                    stations.push(Station::queueing(&format!("q{}", stations.len())));
+                    demands.push(d);
+                }
+            }
+            if rng.gen_bool(0.5) {
+                stations.push(Station::delay("think"));
+                demands.push(rng.gen_range(0.0..10.0));
+            }
+            let net = ClosedNetwork::new(stations, vec!["c".into()], vec![demands]);
+            let n = rng.gen_range(0.2..=60.0);
+            let sol = approximate_mva(&net, &[n]);
+            let x = sol.throughput[0];
+            let r_queueing: f64 = net
+                .stations
+                .iter()
+                .zip(&sol.residence[0])
+                .filter(|(s, _)| s.kind == StationKind::Queueing)
+                .map(|(_, r)| r)
+                .sum();
+            assert!(
+                within(0.0, x, throughput_upper_bound(&net, 0, n)),
+                "case {case}: X({n}) = {x} above bound"
+            );
+            assert!(
+                within(
+                    response_lower_bound(&net, 0, n),
+                    r_queueing,
+                    response_upper_bound(&net, 0, n)
+                ),
+                "case {case}: R({n}) = {r_queueing} outside [{}, {}]",
+                response_lower_bound(&net, 0, n),
+                response_upper_bound(&net, 0, n)
+            );
+        }
     }
 }

@@ -11,7 +11,8 @@
 //!   behind the Tripathi-based estimator — exact moments for sums, minima
 //!   and maxima of independent phase-type variables, with per-node
 //!   re-fitting by coefficient of variation;
-//! * [`forkjoin`]: the Varki harmonic-number fork/join approximation;
+//! * [`forkjoin`]: the harmonic numbers behind the Varki fork/join
+//!   approximation;
 //! * [`open`]: the open (Poisson-arrival) counterpart — exact
 //!   product-form utilizations and response times over the same
 //!   station/demand definitions, with analytic saturation detection.
@@ -32,7 +33,7 @@ pub mod network;
 pub mod open;
 
 pub use distribution::ExpPoly;
-pub use forkjoin::{fork_join_response, harmonic};
+pub use forkjoin::harmonic;
 pub use mva::{approximate_mva, exact_mva, overlap_mva, EPSILON, MAX_ITER};
 pub use network::{ClosedNetwork, MvaSolution, Station, StationKind};
 pub use open::{solve_open, OpenSolution};

@@ -4,13 +4,21 @@
 //!   product-form networks with integer populations. Cost grows with the
 //!   product of populations, so it is the ground truth for small cases.
 //! * [`approximate_mva`] — Bard–Schweitzer fixed point; accepts fractional
-//!   populations and scales to the paper's workloads (O(C²K) per
+//!   populations and scales to the paper's workloads (at most O(C²K) per
 //!   iteration).
 //! * [`overlap_mva`] — the paper's modification (§4.2.3, after Mak &
 //!   Lundstrom \[5\]): the queue a class-`i` task sees at station `k` is
 //!   weighted by *overlap factors* `o_ij`, because tasks that never run
 //!   concurrently never queue behind each other. With all factors 1 it
 //!   reduces exactly to Bard–Schweitzer.
+//!
+//! The fixed point solves each group of identical stations once: stations
+//! of one kind with bit-equal demand columns stay bit-equal at every
+//! iteration, and a cluster's symmetric nodes make most of the stations
+//! copies. Each class's response still sums every station's residence in
+//! network order, so results are bit-identical to a per-station solve.
+//! A Bard–Schweitzer iteration then costs O(C²G + CK) for `G` groups
+//! instead of O(C²K).
 
 use std::sync::OnceLock;
 
@@ -215,15 +223,20 @@ pub fn overlap_mva(
         .map(|s| s.kind == StationKind::Queueing)
         .collect();
 
-    // Queue lengths in station-major layout, so the per-class inner sum
-    // walks one contiguous row instead of striding across class rows.
-    let mut queue_t = vec![0.0f64; k_n * c_n];
-    for k in 0..k_n {
+    // Solve each group of identical stations once (see the module docs).
+    let (group_of, reps) = station_groups(net);
+    let g_n = reps.len();
+
+    // Group queue lengths in group-major layout, so the per-class inner
+    // sum walks one contiguous row instead of striding across class rows.
+    let mut queue_g = vec![0.0f64; g_n * c_n];
+    for g in 0..g_n {
         for c in 0..c_n {
-            queue_t[k * c_n + c] = populations[c] / k_n as f64;
+            queue_g[g * c_n + c] = populations[c] / k_n as f64;
         }
     }
-    let mut residence = vec![vec![0.0f64; k_n]; c_n];
+    // Group residences, class-major: `residence_g[i * g_n + g]`.
+    let mut residence_g = vec![0.0f64; c_n * g_n];
     let mut response = vec![0.0f64; c_n];
     let mut throughput = vec![0.0f64; c_n];
 
@@ -240,15 +253,14 @@ pub fn overlap_mva(
             // diagonal term only; `* (n - 1.0) / n` keeps the original
             // expression's operation order bit-for-bit.
             let nm1 = n - 1.0;
-            let residence_i = &mut residence[i];
-            let mut r_total = 0.0;
-            for k in 0..k_n {
+            let residence_i = &mut residence_g[i * g_n..(i + 1) * g_n];
+            for (g, &k) in reps.iter().enumerate() {
                 let d = demands_i[k];
-                let r = if is_queueing[k] {
-                    let q_row = &queue_t[k * c_n..(k + 1) * c_n];
+                residence_i[g] = if is_queueing[k] {
+                    let q_row = &queue_g[g * c_n..(g + 1) * c_n];
                     let q_self = if n > 1.0 { q_row[i] * nm1 / n } else { 0.0 };
-                    // Diagonal split keeps the summation order of the
-                    // former `for j in 0..c_n` loop exactly.
+                    // Diagonal split keeps the summation order of a
+                    // plain `for j in 0..c_n` loop exactly.
                     let mut seen = 0.0;
                     for j in 0..i {
                         seen += w_row[j] * q_row[j];
@@ -261,8 +273,12 @@ pub fn overlap_mva(
                 } else {
                     d
                 };
-                residence_i[k] = r;
-                r_total += r;
+            }
+            // Sum over every station in network order, so the response
+            // rounds exactly as a per-station solve's would.
+            let mut r_total = 0.0;
+            for &g in &group_of {
+                r_total += residence_i[g];
             }
             let x = if r_total > 0.0 {
                 populations[i] / r_total
@@ -275,9 +291,9 @@ pub fn overlap_mva(
         }
         for i in 0..c_n {
             let x = throughput[i];
-            let residence_i = &residence[i];
-            for k in 0..k_n {
-                queue_t[k * c_n + i] = x * residence_i[k];
+            let residence_i = &residence_g[i * g_n..(i + 1) * g_n];
+            for g in 0..g_n {
+                queue_g[g * c_n + i] = x * residence_i[g];
             }
         }
         if max_delta < EPSILON {
@@ -285,17 +301,19 @@ pub fn overlap_mva(
             break;
         }
     }
-    let mut queue = vec![vec![0.0f64; k_n]; c_n];
-    for i in 0..c_n {
-        for k in 0..k_n {
-            queue[i][k] = queue_t[k * c_n + i];
-        }
-    }
     mva_iterations().add(iterations);
     if !converged && iterations > 0 {
         mva_failures().inc();
     }
 
+    let mut residence = vec![vec![0.0f64; k_n]; c_n];
+    let mut queue = vec![vec![0.0f64; k_n]; c_n];
+    for i in 0..c_n {
+        for (k, &g) in group_of.iter().enumerate() {
+            residence[i][k] = residence_g[i * g_n + g];
+            queue[i][k] = queue_g[g * c_n + i];
+        }
+    }
     let mut utilization = vec![0.0; k_n];
     for k in 0..k_n {
         for c in 0..c_n {
@@ -311,10 +329,294 @@ pub fn overlap_mva(
     }
 }
 
+/// Partition the stations into groups of one kind with bit-equal
+/// demand columns for every class. Returns each station's group and
+/// each group's first station, groups numbered in order of first
+/// appearance.
+fn station_groups(net: &ClosedNetwork) -> (Vec<usize>, Vec<usize>) {
+    let mut group_of = Vec::with_capacity(net.num_stations());
+    let mut reps: Vec<usize> = Vec::new();
+    for (k, station) in net.stations.iter().enumerate() {
+        let same = |&r: &usize| {
+            net.stations[r].kind == station.kind
+                && net
+                    .demands
+                    .iter()
+                    .all(|row| row[r].to_bits() == row[k].to_bits())
+        };
+        match reps.iter().position(same) {
+            Some(g) => group_of.push(g),
+            None => {
+                group_of.push(reps.len());
+                reps.push(k);
+            }
+        }
+    }
+    (group_of, reps)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::network::Station;
+    use rand::rngs::SmallRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+
+    /// Oracle: [`overlap_mva`] as it was before station grouping — every
+    /// station solved on its own — kept verbatim apart from the
+    /// iteration bookkeeping that fed the registry counters.
+    #[allow(clippy::needless_range_loop)]
+    fn per_station_mva(
+        net: &ClosedNetwork,
+        populations: &[f64],
+        intra: &[Vec<f64>],
+        inter: &[Vec<f64>],
+    ) -> MvaSolution {
+        net.validate();
+        let c_n = net.num_classes();
+        let k_n = net.num_stations();
+        assert_eq!(populations.len(), c_n);
+        assert_eq!(intra.len(), c_n);
+        assert_eq!(inter.len(), c_n);
+        assert!(
+            populations.iter().all(|&n| n >= 0.0 && n.is_finite()),
+            "populations must be non-negative"
+        );
+
+        // Contract: classes are per job in the caller's encoding — a class
+        // name "j2#map" belongs to job "j2" (the prefix before '#'); names
+        // without '#' all belong to one implicit job. Pairs within the same
+        // job are weighted by `intra[i][j]` (the paper's α), pairs across jobs
+        // by `inter[i][j]` (the paper's β).
+        //
+        // The factors are iteration-invariant, so the combined weight matrix
+        // is materialized once (flat, row-major) before the fixed point —
+        // the former per-(i,k,j) job-name string comparison dominated the
+        // solve at realistic class counts.
+        let job_of: Vec<&str> = net
+            .classes
+            .iter()
+            .map(|n| n.split('#').next().unwrap_or(n))
+            .collect();
+        let mut w = vec![0.0f64; c_n * c_n];
+        for i in 0..c_n {
+            for j in 0..c_n {
+                w[i * c_n + j] = if job_of[i] == job_of[j] {
+                    intra[i][j]
+                } else {
+                    inter[i][j]
+                };
+            }
+        }
+        let is_queueing: Vec<bool> = net
+            .stations
+            .iter()
+            .map(|s| s.kind == StationKind::Queueing)
+            .collect();
+
+        // Queue lengths in station-major layout, so the per-class inner sum
+        // walks one contiguous row instead of striding across class rows.
+        let mut queue_t = vec![0.0f64; k_n * c_n];
+        for k in 0..k_n {
+            for c in 0..c_n {
+                queue_t[k * c_n + c] = populations[c] / k_n as f64;
+            }
+        }
+        let mut residence = vec![vec![0.0f64; k_n]; c_n];
+        let mut response = vec![0.0f64; c_n];
+        let mut throughput = vec![0.0f64; c_n];
+
+        for _iter in 0..MAX_ITER {
+            let mut max_delta = 0.0f64;
+            for i in 0..c_n {
+                let w_row = &w[i * c_n..(i + 1) * c_n];
+                let demands_i = &net.demands[i];
+                let n = populations[i];
+                // Schweitzer self-correction factor (N_i−1), applied to the
+                // diagonal term only; `* (n - 1.0) / n` keeps the original
+                // expression's operation order bit-for-bit.
+                let nm1 = n - 1.0;
+                let residence_i = &mut residence[i];
+                let mut r_total = 0.0;
+                for k in 0..k_n {
+                    let d = demands_i[k];
+                    let r = if is_queueing[k] {
+                        let q_row = &queue_t[k * c_n..(k + 1) * c_n];
+                        let q_self = if n > 1.0 { q_row[i] * nm1 / n } else { 0.0 };
+                        // Diagonal split keeps the summation order of the
+                        // former `for j in 0..c_n` loop exactly.
+                        let mut seen = 0.0;
+                        for j in 0..i {
+                            seen += w_row[j] * q_row[j];
+                        }
+                        seen += w_row[i] * q_self;
+                        for j in i + 1..c_n {
+                            seen += w_row[j] * q_row[j];
+                        }
+                        d * (1.0 + seen)
+                    } else {
+                        d
+                    };
+                    residence_i[k] = r;
+                    r_total += r;
+                }
+                let x = if r_total > 0.0 {
+                    populations[i] / r_total
+                } else {
+                    0.0
+                };
+                max_delta = max_delta.max((response[i] - r_total).abs());
+                response[i] = r_total;
+                throughput[i] = x;
+            }
+            for i in 0..c_n {
+                let x = throughput[i];
+                let residence_i = &residence[i];
+                for k in 0..k_n {
+                    queue_t[k * c_n + i] = x * residence_i[k];
+                }
+            }
+            if max_delta < EPSILON {
+                break;
+            }
+        }
+        let mut queue = vec![vec![0.0f64; k_n]; c_n];
+        for i in 0..c_n {
+            for k in 0..k_n {
+                queue[i][k] = queue_t[k * c_n + i];
+            }
+        }
+
+        let mut utilization = vec![0.0; k_n];
+        for k in 0..k_n {
+            for c in 0..c_n {
+                utilization[k] += throughput[c] * net.demands[c][k];
+            }
+        }
+        MvaSolution {
+            residence,
+            response,
+            throughput,
+            queue,
+            utilization,
+        }
+    }
+
+    /// A seeded random network for the grouping oracle: distinct
+    /// queueing and delay stations, some replicated, some with a twin
+    /// one ULP off in one class's demand, all shuffled; classes spread
+    /// over jobs so both the intra- and inter-job factors apply.
+    fn random_network(rng: &mut SmallRng) -> ClosedNetwork {
+        let c_n = rng.gen_range(1..=6usize);
+        let mut columns: Vec<(StationKind, Vec<f64>)> = Vec::new();
+        for _ in 0..rng.gen_range(1..=5usize) {
+            let kind = if rng.gen_bool(0.25) {
+                StationKind::Delay
+            } else {
+                StationKind::Queueing
+            };
+            let col: Vec<f64> = (0..c_n)
+                .map(|_| {
+                    if rng.gen_bool(0.1) {
+                        0.0
+                    } else {
+                        rng.gen_range(0.01..5.0)
+                    }
+                })
+                .collect();
+            for _ in 0..rng.gen_range(1..=4usize) {
+                columns.push((kind, col.clone()));
+            }
+            if rng.gen_bool(0.4) {
+                let mut twin = col.clone();
+                let c = rng.gen_range(0..c_n);
+                twin[c] = f64::from_bits(twin[c].to_bits() + 1);
+                columns.push((kind, twin));
+            }
+        }
+        columns.shuffle(rng);
+        let stations = columns
+            .iter()
+            .enumerate()
+            .map(|(k, (kind, _))| match kind {
+                StationKind::Queueing => Station::queueing(&format!("s{k}")),
+                StationKind::Delay => Station::delay(&format!("s{k}")),
+            })
+            .collect();
+        let jobs = rng.gen_range(1..=3usize);
+        let classes = (0..c_n)
+            .map(|c| format!("j{}#{c}", rng.gen_range(0..jobs)))
+            .collect();
+        let demands = (0..c_n)
+            .map(|c| columns.iter().map(|(_, col)| col[c]).collect())
+            .collect();
+        ClosedNetwork::new(stations, classes, demands)
+    }
+
+    #[test]
+    fn grouped_stations_equal_the_per_station_solve() {
+        let mut rng = SmallRng::seed_from_u64(17);
+        let mut grouped = 0;
+        for case in 0..400 {
+            let net = random_network(&mut rng);
+            let c_n = net.num_classes();
+            let pops: Vec<f64> = (0..c_n)
+                .map(|_| {
+                    if rng.gen_bool(0.3) {
+                        // (0, 1]: the Schweitzer self-correction is off.
+                        1.0 - rng.gen::<f64>()
+                    } else {
+                        rng.gen_range(1.0..40.0)
+                    }
+                })
+                .collect();
+            let mut factors = || -> Vec<Vec<f64>> {
+                (0..c_n)
+                    .map(|_| (0..c_n).map(|_| rng.gen_range(0.0..=1.0)).collect())
+                    .collect()
+            };
+            let (intra, inter) = (factors(), factors());
+            if station_groups(&net).1.len() < net.num_stations() {
+                grouped += 1;
+            }
+            let got = overlap_mva(&net, &pops, &intra, &inter);
+            let want = per_station_mva(&net, &pops, &intra, &inter);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let rows = |m: &[Vec<f64>]| m.iter().map(|r| bits(r)).collect::<Vec<_>>();
+            assert_eq!(bits(&got.response), bits(&want.response), "case {case}");
+            assert_eq!(bits(&got.throughput), bits(&want.throughput), "case {case}");
+            assert_eq!(rows(&got.residence), rows(&want.residence), "case {case}");
+            assert_eq!(rows(&got.queue), rows(&want.queue), "case {case}");
+            assert_eq!(
+                bits(&got.utilization),
+                bits(&want.utilization),
+                "case {case}"
+            );
+        }
+        assert!(
+            grouped > 200,
+            "only {grouped} networks had replicated stations"
+        );
+    }
+
+    #[test]
+    fn one_ulp_twins_are_not_grouped() {
+        let d = 0.3f64;
+        let twin = f64::from_bits(d.to_bits() + 1);
+        let net = ClosedNetwork::new(
+            vec![
+                Station::queueing("a"),
+                Station::queueing("b"),
+                Station::delay("c"),
+                Station::queueing("d"),
+            ],
+            vec!["x".into(), "y".into()],
+            vec![vec![d, d, d, d], vec![1.0, 1.0, 1.0, twin]],
+        );
+        // a and b group; c differs in kind, d by one ULP in class y.
+        assert_eq!(station_groups(&net), (vec![0, 0, 1, 2], vec![0, 2, 3]));
+    }
 
     /// Single class, single queueing station: R(N) = N·D, X = 1/D.
     #[test]
@@ -344,7 +646,7 @@ mod tests {
             let sol = exact_mva(&net, &[n]);
             // Little: N = X·R (R includes think time here).
             assert!(
-                (sol.customers_in_system(0) - n as f64).abs() < 1e-6,
+                (sol.throughput[0] * sol.response[0] - n as f64).abs() < 1e-6,
                 "Little violated at N={n}"
             );
             assert!(sol.throughput[0] >= prev_x - 1e-12, "X must increase");

@@ -162,13 +162,6 @@ pub struct MvaSolution {
     pub utilization: Vec<f64>,
 }
 
-impl MvaSolution {
-    /// Overall mean number in system per class (Little check: `X·R`).
-    pub fn customers_in_system(&self, class: usize) -> f64 {
-        self.throughput[class] * self.response[class]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
