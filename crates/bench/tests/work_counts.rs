@@ -128,17 +128,35 @@ fn solver_bench_inputs_do_pinned_work() {
     );
 }
 
-/// `(bench case, scheduler, nodes, input, jobs, events processed, bits
-/// of the last job's finish time)` for the `simulator` bench inputs
-/// (benches/simulator.rs): `wordcount`, batch arrivals. The 4-job input
-/// also runs under the Fair policy, where the jobs' grants interleave;
-/// the 1-job inputs give the same bits under both policies.
+/// A simulator pin: `(bench case, scheduler, map failure probability,
+/// nodes, input, jobs, events processed, bits of the last job's finish
+/// time)`.
+type SimPin = (
+    &'static str,
+    SchedulerPolicy,
+    f64,
+    usize,
+    u64,
+    usize,
+    u64,
+    u64,
+);
+
+/// Pins for the `simulator` bench inputs (benches/simulator.rs):
+/// `wordcount`, batch arrivals. The 4-job input also runs under the Fair
+/// policy, where the jobs' grants interleave; the 1-job inputs give the
+/// same bits under both policies. The failure-injection rows cover the
+/// retry path: a failed map attempt goes back to waiting for a
+/// container, the one transition that raises the AM's waiting counts
+/// again.
 #[rustfmt::skip]
-const SIM_PINNED: [(&str, SchedulerPolicy, usize, u64, usize, u64, u64); 4] = [
-    ("1gb_1job_4n", CapacityFifo, 4, GB, 1, 197, 0x40579f261373dbc0),
-    ("5gb_1job_4n", CapacityFifo, 4, 5 * GB, 1, 664, 0x406e331b700c8b01),
-    ("5gb_4jobs_8n", CapacityFifo, 8, 5 * GB, 4, 3615, 0x40791a56f64c4270),
-    ("5gb_4jobs_8n", Fair, 8, 5 * GB, 4, 3727, 0x407688a253fb7b11),
+const SIM_PINNED: [SimPin; 6] = [
+    ("1gb_1job_4n", CapacityFifo, 0.0, 4, GB, 1, 197, 0x40579f261373dbc0),
+    ("5gb_1job_4n", CapacityFifo, 0.0, 4, 5 * GB, 1, 664, 0x406e331b700c8b01),
+    ("5gb_4jobs_8n", CapacityFifo, 0.0, 8, 5 * GB, 4, 3615, 0x40791a56f64c4270),
+    ("5gb_4jobs_8n", Fair, 0.0, 8, 5 * GB, 4, 3727, 0x407688a253fb7b11),
+    ("5gb_4jobs_8n", CapacityFifo, 0.05, 8, 5 * GB, 4, 3778, 0x407b8cf483b681a3),
+    ("5gb_4jobs_8n", Fair, 0.05, 8, 5 * GB, 4, 3774, 0x407849ad4dec5fee),
 ];
 
 /// Bits of the `mix_throughput` bench's `sim_4n_3reps` per-rep mean
@@ -148,9 +166,10 @@ const MIX_PINNED: [u64; 3] = [0x40511e61c8bc5772, 0x40519f0ae3dbe306, 0x404f064d
 #[test]
 fn simulator_bench_inputs_are_pinned() {
     let mut failures = Vec::new();
-    for (case, scheduler, nodes, input, jobs, events, last_finish) in SIM_PINNED {
+    for (case, scheduler, map_failure_prob, nodes, input, jobs, events, last_finish) in SIM_PINNED {
         let mut sim = ClusterSim::new(SimConfig {
             scheduler,
+            map_failure_prob,
             ..SimConfig::paper_testbed(nodes)
         });
         for _ in 0..jobs {
@@ -162,12 +181,12 @@ fn simulator_bench_inputs_are_pinned() {
             results.last().unwrap().finished_at.to_bits(),
         );
         println!(
-            "simulator {case} {scheduler:?}: (events, last finish bits) = ({}, {:#x})",
+            "simulator {case} {scheduler:?} p_fail={map_failure_prob}: (events, last finish bits) = ({}, {:#x})",
             got.0, got.1
         );
         if got != (events, last_finish) {
             failures.push(format!(
-                "simulator {case} {scheduler:?}: got ({}, {:#x}), pinned ({events}, {last_finish:#x})",
+                "simulator {case} {scheduler:?} p_fail={map_failure_prob}: got ({}, {:#x}), pinned ({events}, {last_finish:#x})",
                 got.0, got.1
             ));
         }

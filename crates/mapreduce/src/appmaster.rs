@@ -7,7 +7,10 @@
 //! * map containers are requested at priority 20, reduce containers at
 //!   priority 10 (higher numeric value served first, paper convention);
 //! * map requests carry node-locality rows derived from split replica
-//!   hosts plus the authoritative `*` row;
+//!   hosts plus the authoritative `*` row. The AM keeps its waiting
+//!   counts (per replica node, per task type) current as tasks change
+//!   state, so a heartbeat's ask costs one pass over the nodes, not one
+//!   over every map's replicas;
 //! * reduces are *slow-started*: none are requested until the configured
 //!   fraction of maps completed (default 5%); afterwards they ramp with
 //!   map progress and are all requested once every map is assigned;
@@ -19,7 +22,7 @@
 use crate::config::SimConfig;
 use crate::job::{JobId, JobSpec, TaskId};
 use crate::metrics::TaskRecord;
-use hdfs_sim::{InputSplit, NodeId, Topology};
+use hdfs_sim::{InputSplit, NodeId, RackId, Topology};
 use std::collections::HashMap;
 use yarn_sim::{AppId, Container, ContainerId, Location, Priority, ResourceRequest};
 
@@ -51,6 +54,7 @@ pub enum GrantAction {
 }
 
 /// Per-job ApplicationMaster state machine.
+#[cfg_attr(test, derive(Clone))]
 pub struct MrAppMaster {
     /// Workload index of this job.
     pub job: JobId,
@@ -75,6 +79,12 @@ pub struct MrAppMaster {
 
     map_state: Vec<TaskState>,
     reduce_state: Vec<TaskState>,
+    /// `Scheduled` maps with a replica on each node, indexed by node id.
+    maps_waiting_on: Vec<u32>,
+    /// `Scheduled` maps.
+    maps_waiting: u32,
+    /// `Scheduled` reduces.
+    reduces_waiting: u32,
     /// Completed map count.
     pub maps_completed: u32,
     /// Completed reduce count.
@@ -101,6 +111,12 @@ impl MrAppMaster {
     pub fn new(job: JobId, spec: JobSpec, app: AppId, splits: Vec<InputSplit>) -> Self {
         let m = splits.len();
         let r = spec.reduces as usize;
+        let nodes = splits
+            .iter()
+            .flat_map(|s| &s.hosts)
+            .map(|h| h.0 as usize + 1)
+            .max()
+            .unwrap_or(0);
         MrAppMaster {
             job,
             spec,
@@ -114,6 +130,9 @@ impl MrAppMaster {
             finished_at: f64::NAN,
             map_state: vec![TaskState::Pending; m],
             reduce_state: vec![TaskState::Pending; r],
+            maps_waiting_on: vec![0; nodes],
+            maps_waiting: 0,
+            reduces_waiting: 0,
             maps_completed: 0,
             reduces_completed: 0,
             maps_asked: false,
@@ -147,14 +166,6 @@ impl MrAppMaster {
         }
     }
 
-    /// Whether every map is at least assigned (the paper's trigger for
-    /// requesting *all* remaining reduces).
-    pub fn all_maps_assigned(&self) -> bool {
-        self.map_state
-            .iter()
-            .all(|s| matches!(s, TaskState::Assigned | TaskState::Completed))
-    }
-
     /// Whether the slow-start threshold has been reached.
     pub fn slowstart_met(&self, cfg: &SimConfig) -> bool {
         let m = self.num_maps();
@@ -167,6 +178,13 @@ impl MrAppMaster {
 
     /// Build this heartbeat's absolute ask (YARN semantics: counts replace
     /// earlier ones). Marks newly requested tasks `Scheduled`.
+    ///
+    /// Every row is re-sent on every heartbeat, from the waiting counts
+    /// the AM keeps as tasks change state: the map node rows in ascending
+    /// node id, then the rack rows (each rack's node counts summed) in
+    /// ascending rack id, then the map `*` row and the reduce `*` row.
+    /// The absolute re-send is what overwrites the RM's decrements for
+    /// grants this AM has not picked up yet.
     pub fn build_asks(
         &mut self,
         now: f64,
@@ -195,88 +213,71 @@ impl MrAppMaster {
             return asks;
         }
 
-        // Map ask: recomputed every heartbeat from still-waiting maps.
+        // Map ask: every map is requested on the first heartbeat after
+        // the AM starts, and the rows then follow the waiting counts.
         if !self.maps_asked {
             self.maps_asked = true;
-            for (i, s) in self.map_state.iter_mut().enumerate() {
-                if *s == TaskState::Pending {
-                    *s = TaskState::Scheduled;
-                    self.records.insert(
-                        TaskId::Map(i as u32),
-                        blank_record(TaskId::Map(i as u32), now),
-                    );
+            for i in 0..self.splits.len() {
+                if self.map_state[i] == TaskState::Pending {
+                    let t = TaskId::Map(i as u32);
+                    self.set_state(t, TaskState::Scheduled);
+                    self.records.insert(t, blank_record(t, now));
                 }
             }
         }
-        let waiting: Vec<usize> = (0..self.splits.len())
-            .filter(|&i| self.map_state[i] == TaskState::Scheduled)
-            .collect();
-        if !waiting.is_empty() {
-            let mut per_node: HashMap<NodeId, u32> = HashMap::new();
-            let mut per_rack: HashMap<hdfs_sim::RackId, u32> = HashMap::new();
-            for &i in &waiting {
-                for &h in &self.splits[i].hosts {
-                    *per_node.entry(h).or_insert(0) += 1;
-                    *per_rack.entry(topo.rack_of(h)).or_insert(0) += 1;
-                }
-            }
-            let mut nodes: Vec<_> = per_node.into_iter().collect();
-            nodes.sort_by_key(|&(n, _)| n);
-            for (n, c) in nodes {
-                asks.push(ResourceRequest {
-                    num_containers: c,
-                    priority: Priority::MAP,
-                    capability: cfg.container_size,
-                    location: Location::Node(n),
-                    relax_locality: true,
-                });
-            }
-            let mut racks: Vec<_> = per_rack.into_iter().collect();
-            racks.sort_by_key(|&(r, _)| r);
-            for (r, c) in racks {
-                asks.push(ResourceRequest {
-                    num_containers: c,
-                    priority: Priority::MAP,
-                    capability: cfg.container_size,
-                    location: Location::Rack(r),
-                    relax_locality: true,
-                });
-            }
-            asks.push(ResourceRequest {
-                num_containers: waiting.len() as u32,
+        if self.maps_waiting > 0 {
+            let map_row = |num_containers, location| ResourceRequest {
+                num_containers,
                 priority: Priority::MAP,
                 capability: cfg.container_size,
-                location: Location::Any,
+                location,
                 relax_locality: true,
-            });
+            };
+            let mut per_rack: Vec<u32> = Vec::new();
+            for (n, &c) in self.maps_waiting_on.iter().enumerate() {
+                if c > 0 {
+                    let node = NodeId(n as u32);
+                    asks.push(map_row(c, Location::Node(node)));
+                    let rack = topo.rack_of(node).0 as usize;
+                    if per_rack.len() <= rack {
+                        per_rack.resize(rack + 1, 0);
+                    }
+                    per_rack[rack] += c;
+                }
+            }
+            for (r, &c) in per_rack.iter().enumerate() {
+                if c > 0 {
+                    asks.push(map_row(c, Location::Rack(RackId(r as u32))));
+                }
+            }
+            asks.push(map_row(self.maps_waiting, Location::Any));
         }
 
         // Reduce ask: slow start, then ramp with map progress (§4.2.2:
         // "schedule reduce tasks based on the percentage of completed map
         // tasks ... otherwise, schedule all reduce tasks"). Map output
-        // locality is NOT considered: the request asks for any host.
+        // locality is NOT considered: the request asks for any host. No
+        // map is `Pending` once the map ask went out, so "no waiting map"
+        // means every map is assigned or completed.
         let r = self.num_reduces();
         if r > 0 && self.slowstart_met(cfg) {
             let m = self.num_maps();
-            let target = if self.all_maps_assigned() {
+            let target = if self.maps_waiting == 0 {
                 r
             } else {
                 ((r as f64 * self.maps_completed as f64 / m as f64).floor() as u32).max(1)
             };
             if target > self.reduces_requested {
                 for i in self.reduces_requested..target {
-                    self.reduce_state[i as usize] = TaskState::Scheduled;
-                    self.records
-                        .insert(TaskId::Reduce(i), blank_record(TaskId::Reduce(i), now));
+                    let t = TaskId::Reduce(i);
+                    self.set_state(t, TaskState::Scheduled);
+                    self.records.insert(t, blank_record(t, now));
                 }
                 self.reduces_requested = target;
             }
-            let waiting_reduces = (0..r as usize)
-                .filter(|&i| self.reduce_state[i] == TaskState::Scheduled)
-                .count() as u32;
-            if waiting_reduces > 0 {
+            if self.reduces_waiting > 0 {
                 asks.push(ResourceRequest {
-                    num_containers: waiting_reduces,
+                    num_containers: self.reduces_waiting,
                     priority: Priority::REDUCE,
                     capability: cfg.container_size,
                     location: Location::Any,
@@ -390,10 +391,33 @@ impl MrAppMaster {
         }
     }
 
+    /// The one place task states change: keeps the waiting counts that
+    /// [`build_asks`](Self::build_asks) reads in step with the states.
     fn set_state(&mut self, t: TaskId, s: TaskState) {
+        let state = match t {
+            TaskId::Map(i) => &mut self.map_state[i as usize],
+            TaskId::Reduce(i) => &mut self.reduce_state[i as usize],
+        };
+        let was = std::mem::replace(state, s);
+        let joins = s == TaskState::Scheduled;
+        if (was == TaskState::Scheduled) == joins {
+            return;
+        }
+        let bump = |c: &mut u32| {
+            if joins {
+                *c += 1
+            } else {
+                *c -= 1
+            }
+        };
         match t {
-            TaskId::Map(i) => self.map_state[i as usize] = s,
-            TaskId::Reduce(i) => self.reduce_state[i as usize] = s,
+            TaskId::Map(i) => {
+                bump(&mut self.maps_waiting);
+                for h in &self.splits[i as usize].hosts {
+                    bump(&mut self.maps_waiting_on[h.0 as usize]);
+                }
+            }
+            TaskId::Reduce(_) => bump(&mut self.reduces_waiting),
         }
     }
 }
@@ -425,6 +449,8 @@ mod tests {
     use super::*;
     use crate::config::{SimConfig, MB};
     use crate::workload::wordcount;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
     use yarn_sim::{ContainerState, ResourceVector};
 
     fn mk_am(maps: usize, reduces: u32) -> MrAppMaster {
@@ -581,5 +607,232 @@ mod tests {
         }
         assert!(am.done);
         assert_eq!(am.take_releases().len(), 2);
+    }
+
+    /// The ask as the AM built it before it kept waiting counts: a scan
+    /// of every map and reduce, with per-node and per-rack `HashMap`s over
+    /// every waiting map's replica hosts. Kept verbatim as the oracle.
+    fn reference_asks(
+        am: &mut MrAppMaster,
+        now: f64,
+        topo: &Topology,
+        cfg: &SimConfig,
+    ) -> Vec<ResourceRequest> {
+        let mut asks = Vec::new();
+
+        if !am.am_asked && cfg.include_am_container {
+            am.am_asked = true;
+            asks.push(ResourceRequest {
+                num_containers: 1,
+                priority: AM_PRIORITY,
+                capability: cfg.am_container_size,
+                location: Location::Any,
+                relax_locality: true,
+            });
+        }
+        if !cfg.include_am_container {
+            am.am_started = true;
+            if am.am_started_at.is_nan() {
+                am.am_started_at = now;
+            }
+        }
+        if !am.am_started || am.done {
+            return asks;
+        }
+
+        // Map ask: recomputed every heartbeat from still-waiting maps.
+        if !am.maps_asked {
+            am.maps_asked = true;
+            for (i, s) in am.map_state.iter_mut().enumerate() {
+                if *s == TaskState::Pending {
+                    *s = TaskState::Scheduled;
+                    am.records.insert(
+                        TaskId::Map(i as u32),
+                        blank_record(TaskId::Map(i as u32), now),
+                    );
+                }
+            }
+        }
+        let waiting: Vec<usize> = (0..am.splits.len())
+            .filter(|&i| am.map_state[i] == TaskState::Scheduled)
+            .collect();
+        if !waiting.is_empty() {
+            let mut per_node: HashMap<NodeId, u32> = HashMap::new();
+            let mut per_rack: HashMap<hdfs_sim::RackId, u32> = HashMap::new();
+            for &i in &waiting {
+                for &h in &am.splits[i].hosts {
+                    *per_node.entry(h).or_insert(0) += 1;
+                    *per_rack.entry(topo.rack_of(h)).or_insert(0) += 1;
+                }
+            }
+            let mut nodes: Vec<_> = per_node.into_iter().collect();
+            nodes.sort_by_key(|&(n, _)| n);
+            for (n, c) in nodes {
+                asks.push(ResourceRequest {
+                    num_containers: c,
+                    priority: Priority::MAP,
+                    capability: cfg.container_size,
+                    location: Location::Node(n),
+                    relax_locality: true,
+                });
+            }
+            let mut racks: Vec<_> = per_rack.into_iter().collect();
+            racks.sort_by_key(|&(r, _)| r);
+            for (r, c) in racks {
+                asks.push(ResourceRequest {
+                    num_containers: c,
+                    priority: Priority::MAP,
+                    capability: cfg.container_size,
+                    location: Location::Rack(r),
+                    relax_locality: true,
+                });
+            }
+            asks.push(ResourceRequest {
+                num_containers: waiting.len() as u32,
+                priority: Priority::MAP,
+                capability: cfg.container_size,
+                location: Location::Any,
+                relax_locality: true,
+            });
+        }
+
+        let r = am.num_reduces();
+        if r > 0 && am.slowstart_met(cfg) {
+            let m = am.num_maps();
+            let all_maps_assigned = am
+                .map_state
+                .iter()
+                .all(|s| matches!(s, TaskState::Assigned | TaskState::Completed));
+            let target = if all_maps_assigned {
+                r
+            } else {
+                ((r as f64 * am.maps_completed as f64 / m as f64).floor() as u32).max(1)
+            };
+            if target > am.reduces_requested {
+                for i in am.reduces_requested..target {
+                    am.reduce_state[i as usize] = TaskState::Scheduled;
+                    am.records
+                        .insert(TaskId::Reduce(i), blank_record(TaskId::Reduce(i), now));
+                }
+                am.reduces_requested = target;
+            }
+            let waiting_reduces = (0..r as usize)
+                .filter(|&i| am.reduce_state[i] == TaskState::Scheduled)
+                .count() as u32;
+            if waiting_reduces > 0 {
+                asks.push(ResourceRequest {
+                    num_containers: waiting_reduces,
+                    priority: Priority::REDUCE,
+                    capability: cfg.container_size,
+                    location: Location::Any,
+                    relax_locality: true,
+                });
+            }
+        }
+        asks
+    }
+
+    /// `build_asks` against the oracle on a copy of the AM: the same rows
+    /// in the same order, and the same task states afterwards.
+    fn heartbeat_matches_reference(am: &mut MrAppMaster, now: f64, topo: &Topology) {
+        let cfg = SimConfig::default();
+        let mut shadow = am.clone();
+        let want = reference_asks(&mut shadow, now, topo, &cfg);
+        let got = am.build_asks(now, topo, &cfg);
+        assert_eq!(got, want, "asks at t={now}");
+        assert_eq!(am.map_state, shadow.map_state);
+        assert_eq!(am.reduce_state, shadow.reduce_state);
+        assert_eq!(am.reduces_requested, shadow.reduces_requested);
+    }
+
+    #[test]
+    fn waiting_counts_match_a_full_recount() {
+        // Three racks, so the rack rows sum node counts across racks;
+        // the simulator itself only ever builds one.
+        let topo = Topology::with_racks(&[3, 2, 4]);
+        let nodes = topo.num_nodes() as u32;
+        let (mut failures, mut surplus) = (0, 0);
+        for seed in 0..40 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let maps = rng.gen_range(1..40usize);
+            let reduces = rng.gen_range(0..6u32);
+            let splits = (0..maps)
+                .map(|index| {
+                    let replicas = rng.gen_range(1..=3usize);
+                    let mut hosts = Vec::new();
+                    while hosts.len() < replicas {
+                        let h = NodeId(rng.gen_range(0..nodes));
+                        if !hosts.contains(&h) {
+                            hosts.push(h);
+                        }
+                    }
+                    InputSplit {
+                        index,
+                        len: 128 * MB,
+                        hosts,
+                    }
+                })
+                .collect();
+            let mut spec = wordcount(maps as u64 * 128 * MB, reduces);
+            spec.reduces = reduces;
+            let mut am = MrAppMaster::new(JobId(0), spec, AppId(0), splits);
+            heartbeat_matches_reference(&mut am, 0.0, &topo);
+            am.am_started = true;
+
+            // Granted tasks, and whether each has started.
+            let mut running: Vec<(ContainerId, TaskId, bool)> = Vec::new();
+            let mut next_id = 0;
+            let mut now = 0.0;
+            while !am.done {
+                now += 1.0;
+                heartbeat_matches_reference(&mut am, now, &topo);
+                match rng.gen_range(0..10u32) {
+                    // A grant on a random node: local to some waiting
+                    // maps, not to others, or surplus.
+                    0..=3 => {
+                        let p = if rng.gen_bool(0.7) {
+                            Priority::MAP
+                        } else {
+                            Priority::REDUCE
+                        };
+                        let c = grant(rng.gen_range(0..nodes), p, next_id);
+                        next_id += 1;
+                        match am.on_grant(now, &c) {
+                            GrantAction::StartTask(t) => running.push((c.id, t, false)),
+                            GrantAction::Release => surplus += 1,
+                            GrantAction::StartAm => unreachable!("no AM-priority grant"),
+                        }
+                    }
+                    4..=5 if !running.is_empty() => {
+                        let k = rng.gen_range(0..running.len());
+                        if !running[k].2 {
+                            running[k].2 = am.on_task_started(now, running[k].0).is_some();
+                        }
+                    }
+                    6..=8 => {
+                        if let Some(k) = running.iter().position(|r| r.2) {
+                            let (_, t, _) = running.swap_remove(k);
+                            am.on_task_finished(now, t);
+                        }
+                    }
+                    // A started map attempt fails: back to waiting.
+                    _ => {
+                        if let Some(k) = running
+                            .iter()
+                            .position(|r| r.2 && matches!(r.1, TaskId::Map(_)))
+                        {
+                            let (_, t, _) = running.swap_remove(k);
+                            am.on_task_failed(now, t);
+                            failures += 1;
+                        }
+                    }
+                }
+            }
+            heartbeat_matches_reference(&mut am, now + 1.0, &topo);
+        }
+        assert!(
+            failures > 0 && surplus > 0,
+            "{failures} failures, {surplus} surplus"
+        );
     }
 }

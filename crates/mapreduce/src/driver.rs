@@ -252,11 +252,6 @@ impl ClusterSim {
         self.engine.processed()
     }
 
-    /// Failed task attempts of one job (populated after `run`).
-    pub fn ams_failed_attempts(&self, job: usize) -> u32 {
-        self.ams[job].failed_attempts
-    }
-
     fn jitter_factor(&mut self) -> f64 {
         match &self.jitter {
             None => 1.0,
@@ -808,7 +803,7 @@ mod tests {
         let mut sim = ClusterSim::new(cfg);
         sim.add_job(wordcount(input, 2), 0.0);
         let with_failures = sim.run()[0].response_time();
-        let failed = sim.ams_failed_attempts(0);
+        let failed = sim.ams[0].failed_attempts;
         assert!(
             failed > 0,
             "with p=0.3 over 14 maps some attempt should fail"

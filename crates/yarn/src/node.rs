@@ -97,30 +97,11 @@ impl ClusterState {
         &self.nodes
     }
 
-    /// Aggregate free resources.
-    pub fn total_available(&self) -> ResourceVector {
-        self.nodes
-            .iter()
-            .fold(ResourceVector::ZERO, |acc, n| acc + n.available())
-    }
-
     /// Aggregate capacity.
     pub fn total_capacity(&self) -> ResourceVector {
         self.nodes
             .iter()
             .fold(ResourceVector::ZERO, |acc, n| acc + n.capacity)
-    }
-
-    /// Nodes able to host `size`, ordered by (occupancy rate, id) — the
-    /// paper's "highest remaining capacity" tie-broken deterministically.
-    pub fn candidates_by_occupancy(&self, size: &ResourceVector) -> Vec<NodeId> {
-        let mut fit: Vec<&NodeState> = self.nodes.iter().filter(|n| n.can_fit(size)).collect();
-        fit.sort_by(|a, b| {
-            a.occupancy_rate()
-                .total_cmp(&b.occupancy_rate())
-                .then_with(|| a.id.cmp(&b.id))
-        });
-        fit.into_iter().map(|n| n.id).collect()
     }
 }
 
@@ -148,28 +129,5 @@ mod tests {
         let mut n = NodeState::new(NodeId(0), ResourceVector::new(1024, 1));
         n.allocate(ContainerId(1), ResourceVector::new(1024, 1));
         n.allocate(ContainerId(2), ResourceVector::new(1, 1));
-    }
-
-    #[test]
-    fn occupancy_ordering() {
-        let topo = Topology::single_rack(3);
-        let mut cluster = ClusterState::homogeneous(topo, ResourceVector::new(4096, 4));
-        let c = ResourceVector::new(1024, 1);
-        cluster.node_mut(NodeId(0)).allocate(ContainerId(1), c);
-        cluster.node_mut(NodeId(0)).allocate(ContainerId(2), c);
-        cluster.node_mut(NodeId(1)).allocate(ContainerId(3), c);
-        let order = cluster.candidates_by_occupancy(&c);
-        assert_eq!(order, vec![NodeId(2), NodeId(1), NodeId(0)]);
-    }
-
-    #[test]
-    fn candidates_exclude_full_nodes() {
-        let topo = Topology::single_rack(2);
-        let mut cluster = ClusterState::homogeneous(topo, ResourceVector::new(1024, 1));
-        cluster
-            .node_mut(NodeId(0))
-            .allocate(ContainerId(1), ResourceVector::new(1024, 1));
-        let order = cluster.candidates_by_occupancy(&ResourceVector::new(1024, 1));
-        assert_eq!(order, vec![NodeId(1)]);
     }
 }

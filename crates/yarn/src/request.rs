@@ -87,15 +87,15 @@ impl AskTable {
     }
 
     /// Apply an absolute request update (YARN semantics: later requests for
-    /// the same key replace the count).
-    pub fn update(&mut self, req: &ResourceRequest) {
+    /// the same key replace the count). Returns whether the table changed:
+    /// false when the row equals the stored one, or removes an absent row.
+    pub fn update(&mut self, req: &ResourceRequest) -> bool {
+        let key = (req.priority, req.location);
         if req.num_containers == 0 {
-            self.entries.remove(&(req.priority, req.location));
+            self.entries.remove(&key).is_some()
         } else {
-            self.entries.insert(
-                (req.priority, req.location),
-                (req.capability, req.num_containers),
-            );
+            let row = (req.capability, req.num_containers);
+            self.entries.insert(key, row) != Some(row)
         }
     }
 
@@ -252,6 +252,30 @@ mod tests {
             relax_locality: true,
         });
         assert_eq!(ask.outstanding(Priority::MAP), 2);
+    }
+
+    #[test]
+    fn update_reports_whether_the_table_changed() {
+        let mut ask = AskTable::new();
+        let row = |num_containers, capability| ResourceRequest {
+            num_containers,
+            priority: Priority::MAP,
+            capability,
+            location: Location::Node(NodeId(3)),
+            relax_locality: true,
+        };
+        // Removing an absent row changes nothing.
+        assert!(!ask.update(&row(0, cap())));
+        assert!(ask.update(&row(2, cap())));
+        assert!(!ask.update(&row(2, cap())), "same row again");
+        assert!(ask.update(&row(1, cap())), "new count");
+        assert!(
+            ask.update(&row(1, ResourceVector::new(2048, 1))),
+            "new capability"
+        );
+        assert!(ask.update(&row(0, cap())), "removal");
+        assert!(!ask.update(&row(0, cap())), "removal of the removed row");
+        assert!(ask.is_empty());
     }
 
     #[test]

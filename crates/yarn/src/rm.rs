@@ -6,6 +6,11 @@
 //! YARN (§3.2–3.3 of the paper): register, send `allocate` heartbeats
 //! carrying absolute [`ResourceRequest`] updates and releases, pick up
 //! granted containers from the response, and unregister when done.
+//!
+//! A scheduling pass runs only when one of its inputs changed since the
+//! last pass (see [`ResourceManager::schedule`]): most heartbeats re-send
+//! the rows the RM already holds and release nothing, and a pass over
+//! unchanged inputs grants nothing.
 
 use crate::container::{Container, ContainerId, ContainerState};
 use crate::node::ClusterState;
@@ -35,6 +40,9 @@ pub struct ResourceManager {
     /// Live containers: id → (owner, node, size).
     live: HashMap<ContainerId, (AppId, hdfs_sim::NodeId, ResourceVector)>,
     ids: ContainerIdGen,
+    /// Whether the asks, an application's registration or the cluster's
+    /// free capacity changed since the last scheduling pass.
+    dirty: bool,
 }
 
 impl ResourceManager {
@@ -47,6 +55,7 @@ impl ResourceManager {
             pending_pickup: HashMap::new(),
             live: HashMap::new(),
             ids: ContainerIdGen::default(),
+            dirty: false,
         }
     }
 
@@ -59,6 +68,7 @@ impl ResourceManager {
             used: ResourceVector::ZERO,
             finished: false,
         });
+        self.dirty = true;
         id
     }
 
@@ -71,11 +81,8 @@ impl ResourceManager {
         requests: &[ResourceRequest],
         releases: &[ContainerId],
     ) -> Vec<Container> {
-        {
-            let state = self.app_mut(app);
-            for r in requests {
-                state.ask.update(r);
-            }
+        for r in requests {
+            self.dirty |= self.apps[app.0 as usize].ask.update(r);
         }
         for &cid in releases {
             self.finish_container(cid);
@@ -86,7 +93,21 @@ impl ResourceManager {
 
     /// Run one scheduling pass; grants become pickable on the next
     /// heartbeat of each AM.
+    ///
+    /// The pass is skipped when no input changed since the last one: no
+    /// application registered or unregistered, no `allocate` changed an
+    /// ask row, and no live container finished. The skip is exact
+    /// because every [`assign`] pass leaves nothing grantable. Under
+    /// [`SchedulerPolicy::CapacityFifo`] each (application, priority)
+    /// loop stops only at zero outstanding or when no node fits that
+    /// priority's capability, and later grants in the same pass only
+    /// shrink capacity. [`SchedulerPolicy::Fair`] loops until a whole
+    /// sweep grants nothing. So a pass over unchanged inputs would grant
+    /// nothing and mutate nothing, container ids included.
     pub fn schedule(&mut self) {
+        if !std::mem::take(&mut self.dirty) {
+            return;
+        }
         let allocs = assign(
             self.policy,
             &mut self.cluster,
@@ -110,6 +131,7 @@ impl ResourceManager {
     /// release its resources.
     pub fn finish_container(&mut self, id: ContainerId) {
         if let Some((app, node, size)) = self.live.remove(&id) {
+            self.dirty = true;
             self.cluster.node_mut(node).release(id, size);
             self.app_mut(app).used = self.app_mut(app).used.saturating_sub(&size);
         }
@@ -131,6 +153,7 @@ impl ResourceManager {
         state.finished = true;
         state.ask = AskTable::new();
         self.pending_pickup.remove(&app);
+        self.dirty = true;
     }
 
     /// Cluster state (read-only).
@@ -199,6 +222,23 @@ mod tests {
     }
 
     #[test]
+    fn finished_container_reopens_a_skipped_pass() {
+        let mut rm = rm(1, 2);
+        let app = rm.submit_application();
+        let granted = rm.allocate(app, &[any_req(Priority::MAP, 3)], &[]);
+        assert_eq!(granted.len(), 2);
+        // The AM re-sends the row the RM already holds: nothing changed,
+        // so the pass is skipped and nothing is granted.
+        assert!(rm
+            .allocate(app, &[any_req(Priority::MAP, 1)], &[])
+            .is_empty());
+        // Freed capacity is a changed input: the next heartbeat grants.
+        rm.finish_container(granted[0].id);
+        let granted2 = rm.allocate(app, &[any_req(Priority::MAP, 1)], &[]);
+        assert_eq!(granted2.len(), 1);
+    }
+
+    #[test]
     fn fifo_across_applications() {
         let mut rm = rm(1, 2);
         let app0 = rm.submit_application();
@@ -223,7 +263,11 @@ mod tests {
         assert_eq!(rm.live_containers(), 4);
         rm.unregister_application(app);
         assert_eq!(rm.live_containers(), 0);
-        let avail = rm.cluster().total_available();
+        let avail = rm
+            .cluster()
+            .nodes()
+            .iter()
+            .fold(ResourceVector::ZERO, |acc, n| acc + n.available());
         assert_eq!(avail, ResourceVector::new(4096, 4));
     }
 

@@ -19,6 +19,7 @@ use crate::node::ClusterState;
 use crate::request::{AskTable, MatchLevel, Priority};
 use crate::resources::ResourceVector;
 use crate::rm::AppId;
+use hdfs_sim::NodeId;
 
 /// Which scheduling policy the RM runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -73,6 +74,11 @@ impl ContainerIdGen {
 
 /// Try to serve one container of priority `p` for `app`; returns the
 /// allocation if a node fit.
+///
+/// Among fitting nodes, ordered by (occupancy rate, id), the first
+/// requested node wins, then the first node of a requested rack, then
+/// the first node (off-switch). The order is total, so each "first" is a
+/// minimum, and one scan over the nodes finds all three.
 fn assign_one(
     cluster: &mut ClusterState,
     app: &mut AppSchedulingState,
@@ -81,31 +87,28 @@ fn assign_one(
 ) -> Option<Allocation> {
     let cap = app.ask.capability(p)?;
 
-    // Node-local: requested nodes that fit, lowest occupancy first.
-    let mut chosen: Option<(hdfs_sim::NodeId, MatchLevel)> = None;
-    for n in cluster.candidates_by_occupancy(&cap) {
-        if app.ask.wants_node(p, n) {
-            chosen = Some((n, MatchLevel::NodeLocal));
-            break;
+    let mut local: Option<(f64, NodeId)> = None;
+    let mut rack_local = None;
+    let mut any = None;
+    for n in cluster.nodes().iter().filter(|n| n.can_fit(&cap)) {
+        let key = (n.occupancy_rate(), n.id);
+        let beats = |best: &Option<(f64, NodeId)>| {
+            best.is_none_or(|b| key.0.total_cmp(&b.0).then(key.1.cmp(&b.1)).is_lt())
+        };
+        if beats(&local) && app.ask.wants_node(p, n.id) {
+            local = Some(key);
+        }
+        if beats(&rack_local) && app.ask.wants_rack(p, cluster.topology.rack_of(n.id)) {
+            rack_local = Some(key);
+        }
+        if beats(&any) {
+            any = Some(key);
         }
     }
-    // Rack-local fallback.
-    if chosen.is_none() {
-        for n in cluster.candidates_by_occupancy(&cap) {
-            if app.ask.wants_rack(p, cluster.topology.rack_of(n)) {
-                chosen = Some((n, MatchLevel::RackLocal));
-                break;
-            }
-        }
-    }
-    // Off-switch: any fitting node, lowest occupancy.
-    if chosen.is_none() {
-        chosen = cluster
-            .candidates_by_occupancy(&cap)
-            .first()
-            .map(|&n| (n, MatchLevel::OffSwitch));
-    }
-    let (node, level) = chosen?;
+    let (node, level) = local
+        .map(|(_, n)| (n, MatchLevel::NodeLocal))
+        .or(rack_local.map(|(_, n)| (n, MatchLevel::RackLocal)))
+        .or(any.map(|(_, n)| (n, MatchLevel::OffSwitch)))?;
 
     let id = ids.next_id();
     cluster.node_mut(node).allocate(id, cap);
@@ -188,7 +191,9 @@ pub fn assign(
 mod tests {
     use super::*;
     use crate::request::{Location, ResourceRequest};
-    use hdfs_sim::{NodeId, Topology};
+    use hdfs_sim::{RackId, Topology};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn cluster(nodes: usize, per_node: u32) -> ClusterState {
         ClusterState::homogeneous(
@@ -277,6 +282,179 @@ mod tests {
         ask_any(&mut apps[0], Priority::MAP, 1);
         let allocs = fifo(&mut c, &mut apps);
         assert_eq!(allocs[0].container.node, NodeId(1));
+    }
+
+    #[test]
+    fn node_choice_is_lowest_occupancy_then_lowest_id() {
+        let mut c = cluster(3, 4);
+        let one = ResourceVector::new(1024, 1);
+        c.node_mut(NodeId(0)).allocate(ContainerId(97), one);
+        c.node_mut(NodeId(0)).allocate(ContainerId(98), one);
+        c.node_mut(NodeId(1)).allocate(ContainerId(99), one);
+        let mut apps = vec![app(0)];
+        ask_any(&mut apps[0], Priority::MAP, 4);
+        let nodes: Vec<NodeId> = fifo(&mut c, &mut apps)
+            .iter()
+            .map(|a| a.container.node)
+            .collect();
+        // Occupancy (n0, n1, n2) goes (.50, .25, 0) → n2; then n1 and
+        // n2 tie at .25 → n1; then n2 alone at .25 → n2; then all at .5
+        // → n0.
+        assert_eq!(nodes, [NodeId(2), NodeId(1), NodeId(2), NodeId(0)]);
+    }
+
+    #[test]
+    fn node_and_rack_local_choices_also_take_the_lowest_occupancy() {
+        // Racks r0 = {n0, n1}, r1 = {n2, n3}.
+        let mut c =
+            ClusterState::homogeneous(Topology::with_racks(&[2, 2]), ResourceVector::new(4096, 4));
+        let one = ResourceVector::new(1024, 1);
+        c.node_mut(NodeId(1)).allocate(ContainerId(98), one);
+        c.node_mut(NodeId(2)).allocate(ContainerId(99), one);
+        let mut apps = vec![app(0)];
+        for (loc, n) in [
+            (Location::Node(NodeId(1)), 1),
+            (Location::Node(NodeId(2)), 1),
+            (Location::Rack(RackId(1)), 3),
+            (Location::Any, 3),
+        ] {
+            apps[0].ask.update(&ResourceRequest {
+                num_containers: n,
+                priority: Priority::MAP,
+                capability: one,
+                location: loc,
+                relax_locality: true,
+            });
+        }
+        let nodes: Vec<NodeId> = fifo(&mut c, &mut apps)
+            .iter()
+            .map(|a| a.container.node)
+            .collect();
+        // Requested n1 and n2 tie at .25 → n1, then n2 node-local; then
+        // rack r1, where n3 is emptier than n2. Never the emptiest n0.
+        assert_eq!(nodes, [NodeId(1), NodeId(2), NodeId(3)]);
+    }
+
+    #[test]
+    fn full_nodes_are_never_chosen() {
+        let mut c = cluster(2, 1);
+        c.node_mut(NodeId(0))
+            .allocate(ContainerId(99), ResourceVector::new(1024, 1));
+        let mut apps = vec![app(0)];
+        // Node-local on the full n0, plus the authoritative row.
+        apps[0].ask.update(&ResourceRequest {
+            num_containers: 2,
+            priority: Priority::MAP,
+            capability: ResourceVector::new(1024, 1),
+            location: Location::Node(NodeId(0)),
+            relax_locality: true,
+        });
+        ask_any(&mut apps[0], Priority::MAP, 2);
+        let allocs = fifo(&mut c, &mut apps);
+        assert_eq!(allocs.len(), 1);
+        assert_eq!(allocs[0].container.node, NodeId(1));
+    }
+
+    /// A seeded random cluster with mixed occupancy, and apps with
+    /// random node, rack and `*` rows over two or three priorities of
+    /// differing capabilities (one too large for any node).
+    fn random_case(seed: u64) -> (ClusterState, Vec<AppSchedulingState>) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let racks: Vec<usize> = (0..rng.gen_range(1..=3usize))
+            .map(|_| rng.gen_range(1..=4usize))
+            .collect();
+        let topo = Topology::with_racks(&racks);
+        let mut c = ClusterState::homogeneous(topo.clone(), ResourceVector::new(8192, 8));
+        let sizes = [
+            ResourceVector::new(1024, 1),
+            ResourceVector::new(2048, 1),
+            ResourceVector::new(1024, 3),
+            ResourceVector::new(3072, 2),
+            ResourceVector::new(16384, 1),
+        ];
+        let mut preload = 1000;
+        for n in topo.nodes() {
+            for _ in 0..rng.gen_range(0..6u32) {
+                let size = sizes[rng.gen_range(0..4usize)];
+                if c.nodes()[n.0 as usize].can_fit(&size) {
+                    c.node_mut(n).allocate(ContainerId(preload), size);
+                    preload += 1;
+                }
+            }
+        }
+        let apps = (0..rng.gen_range(1..=4u32))
+            .map(|id| {
+                let mut a = app(id);
+                a.finished = rng.gen_bool(0.15);
+                let mut priorities = vec![Priority(30), Priority::MAP, Priority::REDUCE];
+                priorities.truncate(rng.gen_range(2..=3usize));
+                for p in priorities {
+                    let cap = sizes[rng.gen_range(0..sizes.len())];
+                    let mut row = |location, num_containers| {
+                        a.ask.update(&ResourceRequest {
+                            num_containers,
+                            priority: p,
+                            capability: cap,
+                            location,
+                            relax_locality: true,
+                        });
+                    };
+                    row(Location::Any, rng.gen_range(1..=12u32));
+                    for n in topo.nodes() {
+                        if rng.gen_bool(0.3) {
+                            row(Location::Node(n), rng.gen_range(1..=4u32));
+                        }
+                    }
+                    for r in 0..racks.len() as u32 {
+                        if rng.gen_bool(0.4) {
+                            row(Location::Rack(RackId(r)), rng.gen_range(1..=6u32));
+                        }
+                    }
+                }
+                a
+            })
+            .collect();
+        (c, apps)
+    }
+
+    /// Everything a pass reads or writes.
+    type Snapshot = (
+        Vec<(ResourceVector, Vec<ContainerId>)>,
+        Vec<Vec<(Priority, Location, ResourceVector, u32)>>,
+        Vec<ResourceVector>,
+        u64,
+    );
+
+    fn snapshot(c: &ClusterState, apps: &[AppSchedulingState], ids: &ContainerIdGen) -> Snapshot {
+        (
+            c.nodes()
+                .iter()
+                .map(|n| (n.allocated, n.containers.clone()))
+                .collect(),
+            apps.iter().map(|a| a.ask.rows().collect()).collect(),
+            apps.iter().map(|a| a.used).collect(),
+            ids.0,
+        )
+    }
+
+    #[test]
+    fn a_pass_leaves_nothing_grantable() {
+        // What lets the RM skip a pass over unchanged inputs: right after
+        // a pass, a second one grants nothing and changes nothing.
+        let mut granted = 0;
+        for seed in 0..300 {
+            let (cluster, apps) = random_case(seed);
+            for policy in [SchedulerPolicy::CapacityFifo, SchedulerPolicy::Fair] {
+                let (mut c, mut apps) = (cluster.clone(), apps.clone());
+                let mut ids = ContainerIdGen::default();
+                granted += assign(policy, &mut c, &mut apps, &mut ids).len();
+                let before = snapshot(&c, &apps, &ids);
+                let again = assign(policy, &mut c, &mut apps, &mut ids);
+                assert!(again.is_empty(), "seed {seed} {policy:?}: {again:?}");
+                assert_eq!(snapshot(&c, &apps, &ids), before, "seed {seed} {policy:?}");
+            }
+        }
+        assert!(granted > 1000, "only {granted} grants: cases too tight");
     }
 
     #[test]
