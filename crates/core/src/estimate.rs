@@ -263,7 +263,11 @@ pub fn estimate_mix(
 /// v4: open Poisson arrivals ([`crate::open::eval_open_mix`]) —
 /// [`ModelPoint`] grew an optional [`OpenMetrics`] tail (bottleneck
 /// utilization, knee rate, saturation rate) appended to its record.
-pub const MODEL_SCHEMA_VERSION: u32 = 4;
+///
+/// v5: the Tripathi estimator rescales one per-solve shape for every
+/// P-subtree over like leaves, so its values move by up to ~1e-14
+/// relative; fork/join and every other field are unchanged.
+pub const MODEL_SCHEMA_VERSION: u32 = 5;
 
 /// Steady-state saturation metrics of an open-arrival evaluation — the
 /// tail of a [`ModelPoint`] produced by [`crate::open::eval_open_mix`]

@@ -29,7 +29,7 @@ use crate::timeline::{build_timeline, ShuffleSpec, Timeline, TimelineConfig, Tim
 use crate::tree::build_tree;
 use queueing::distribution::ExpPoly;
 use queueing::network::{ClosedNetwork, Station};
-use queueing::{harmonic, overlap_mva};
+use queueing::{harmonic, OverlapMva};
 
 /// Damping applied when feeding MVA responses back into the timeline
 /// (0 = keep old, 1 = pure replacement). Plain replacement can oscillate
@@ -191,41 +191,50 @@ fn tripathi_max_evals() -> &'static mr2_obs::Counter {
     C.get_or_init(|| {
         mr2_obs::counter(
             "mr2_tripathi_max_evals_total",
-            "Pairwise max evaluations run by the Tripathi estimator (a memoized P-subtree counts once).",
+            "Pairwise max evaluations run by the Tripathi estimator (a memoized P-subtree counts once per job estimate, a run of like leaves once per solve).",
         )
     })
 }
 
-/// The P-subtrees of one [`eval_tripathi`] call, over leaves named by
-/// `3·job + class`. A leaf's distribution depends only on its job's
-/// duration and CV for its class, so a subtree's depends only on its
-/// sequence of leaves, and subtrees are memoized by that sequence
-/// (run-length encoded). A balanced wave of `w` like members then costs
-/// about `2·log₂ w` pairwise maxima instead of `w − 1`, and a repeated wave
-/// costs none. Results are bit-identical to the plain recursion.
-struct PSubtrees<'a> {
-    durations: &'a [[f64; 3]],
-    cvs: &'a [[f64; 3]],
+/// The P-subtrees of the Tripathi estimator over one solve, with leaves
+/// named by `3·job + class`.
+///
+/// A leaf's distribution depends only on its job's duration and CV for
+/// its class, so within one job estimate a subtree's depends only on its
+/// sequence of leaves. Such subtrees are memoized by that sequence, run-
+/// length encoded. Durations move between iterations, so the memo is
+/// cleared for every job estimate. A repeated subtree then costs nothing,
+/// and the memo's results are bit-identical to the plain recursion.
+///
+/// A subtree over one run of `w` like leaves needs no memo. `fit` and
+/// `max` are scale-equivariant, so its root's moments are those of `w`
+/// unit-mean leaves of the same CV, times the leaf mean (squared for the
+/// second moment). CVs do not change during a solve, so those moments are
+/// tabled once per solve by `(cv, w)`, and each run rescales and re-fits
+/// them. That is the same §4.2.4 computation up to rounding, and a run's
+/// pairwise maxima are counted once per solve: a balanced wave of `w` like
+/// members costs at most about `2·log₂ w` of them in its first job
+/// estimate and none after.
+struct PSubtrees {
     balance: bool,
     memo: HashMap<Vec<(usize, usize)>, ExpPoly>,
-    /// Pairwise maxima evaluated (memo misses).
+    /// Run-length key of the slice being looked up.
+    key: Vec<(usize, usize)>,
+    /// Root `max` moments over `w ≥ 2` unit-mean leaves, by `(cv bits, w)`.
+    shapes: HashMap<(u64, usize), (f64, f64)>,
+    /// Pairwise maxima evaluated (memo and table misses).
     max_evals: u64,
 }
 
-impl<'a> PSubtrees<'a> {
-    fn new(durations: &'a [[f64; 3]], cvs: &'a [[f64; 3]], balance: bool) -> Self {
+impl PSubtrees {
+    fn new(balance: bool) -> Self {
         PSubtrees {
-            durations,
-            cvs,
             balance,
             memo: HashMap::new(),
+            key: Vec::new(),
+            shapes: HashMap::new(),
             max_evals: 0,
         }
-    }
-
-    fn leaf(&self, id: usize) -> ExpPoly {
-        let (job, class) = (id / 3, id % 3);
-        ExpPoly::fit(self.durations[job][class].max(1e-9), self.cvs[job][class])
     }
 
     /// One P-node: exact `max` moments, re-fitted into the family.
@@ -235,36 +244,90 @@ impl<'a> PSubtrees<'a> {
         ExpPoly::refit(m1.max(1e-12), m2)
     }
 
-    /// Parallel-and combine of a wave's leaves.
-    fn combine(&mut self, ids: &[usize]) -> ExpPoly {
-        if ids.len() == 1 {
-            return self.leaf(ids[0]);
+    /// Parallel-and combine of a wave's leaves, given every job's class
+    /// durations and CVs.
+    fn combine(&mut self, ids: &[usize], durations: &[[f64; 3]], cvs: &[[f64; 3]]) -> ExpPoly {
+        let leaf = |id: usize| (durations[id / 3][id % 3].max(1e-9), cvs[id / 3][id % 3]);
+        if ids.iter().all(|&id| id == ids[0]) {
+            let (mean, cv) = leaf(ids[0]);
+            if ids.len() == 1 {
+                return ExpPoly::fit(mean, cv);
+            }
+            let (m1, m2) = self.shape(cv, ids.len());
+            return ExpPoly::refit(mean * m1, mean * mean * m2);
         }
-        let mut key: Vec<(usize, usize)> = Vec::new();
+        self.key.clear();
         for &id in ids {
-            match key.last_mut() {
+            match self.key.last_mut() {
                 Some((last, run)) if *last == id => *run += 1,
-                _ => key.push((id, 1)),
+                _ => self.key.push((id, 1)),
             }
         }
-        if let Some(d) = self.memo.get(&key) {
-            return d.clone();
+        if let Some(&d) = self.memo.get(self.key.as_slice()) {
+            return d;
         }
+        let key = self.key.clone();
         let d = if self.balance {
             let mid = ids.len() / 2;
-            let a = self.combine(&ids[..mid]);
-            let b = self.combine(&ids[mid..]);
+            let a = self.combine(&ids[..mid], durations, cvs);
+            let b = self.combine(&ids[mid..], durations, cvs);
             self.max(&a, &b)
         } else {
-            let mut acc = self.leaf(ids[0]);
+            let fit = |id| {
+                let (mean, cv) = leaf(id);
+                ExpPoly::fit(mean, cv)
+            };
+            let mut acc = fit(ids[0]);
             for &id in &ids[1..] {
-                let next = self.leaf(id);
-                acc = self.max(&acc, &next);
+                acc = self.max(&acc, &fit(id));
             }
             acc
         };
-        self.memo.insert(key, d.clone());
+        self.memo.insert(key, d);
         d
+    }
+
+    /// Root `max` moments of the subtree over `w ≥ 2` unit-mean leaves
+    /// of CV `cv`.
+    fn shape(&mut self, cv: f64, w: usize) -> (f64, f64) {
+        if let Some(&m) = self.shapes.get(&(cv.to_bits(), w)) {
+            return m;
+        }
+        if self.balance {
+            let a = self.unit(cv, w / 2);
+            let b = self.unit(cv, w - w / 2);
+            self.max_evals += 1;
+            let m = a.max_moments(&b);
+            self.shapes.insert((cv.to_bits(), w), m);
+            return m;
+        }
+        // Left-deep: extend the longest tabled chain one leaf at a time,
+        // tabling every prefix, without recursing once per leaf.
+        let mut v = w - 1;
+        while v > 1 && !self.shapes.contains_key(&(cv.to_bits(), v)) {
+            v -= 1;
+        }
+        let leaf = ExpPoly::fit(1.0, cv);
+        let mut acc = self.unit(cv, v);
+        loop {
+            v += 1;
+            self.max_evals += 1;
+            let m = acc.max_moments(&leaf);
+            self.shapes.insert((cv.to_bits(), v), m);
+            if v == w {
+                return m;
+            }
+            acc = ExpPoly::refit(m.0.max(1e-12), m.1);
+        }
+    }
+
+    /// The subtree over `w` unit-mean leaves of CV `cv`, re-fitted.
+    fn unit(&mut self, cv: f64, w: usize) -> ExpPoly {
+        if w == 1 {
+            return ExpPoly::fit(1.0, cv);
+        }
+        let (m1, m2) = self.shape(cv, w);
+        ExpPoly::refit(m1.max(1e-12), m2)
     }
 }
 
@@ -274,8 +337,8 @@ impl<'a> PSubtrees<'a> {
 /// by its mean and CV \[4, 9\]; the synchronization wave of each class is a
 /// parallel block combined through exact pairwise `max` moments with
 /// per-node re-fitting (§4.2.4), pipelined intermediate waves contribute
-/// their plain duration, and blocks compose as sums. Returns the estimate
-/// and the pairwise maxima it evaluated.
+/// their plain duration, and blocks compose as sums. `trees` counts the
+/// pairwise maxima it evaluates.
 ///
 /// The pairwise maxima compound at every P level, so an *unbalanced*
 /// (left-deep) encoding of a wide wave inflates the estimate much more
@@ -286,8 +349,8 @@ fn eval_tripathi(
     tl: &Timeline,
     durations: &[[f64; 3]],
     cvs: &[[f64; 3]],
-    balance: bool,
-) -> (f64, u64) {
+    trees: &mut PSubtrees,
+) -> f64 {
     // Last wave index per class.
     let mut last_wave = [usize::MAX; 3];
     for (wi, w) in job_waves.iter().enumerate() {
@@ -295,7 +358,7 @@ fn eval_tripathi(
             last_wave[tl.segments[i].class.index()] = wi;
         }
     }
-    let mut trees = PSubtrees::new(durations, cvs, balance);
+    trees.memo.clear();
 
     let mut total: Option<ExpPoly> = None;
     for (wi, w) in job_waves.iter().enumerate() {
@@ -310,7 +373,7 @@ fn eval_tripathi(
                     3 * s.job as usize + s.class.index()
                 })
                 .collect();
-            trees.combine(&ids)
+            trees.combine(&ids, durations, cvs)
         } else {
             // Pipelined wave: plain duration of its longest member.
             let (mut mean, mut cv) = (0.0f64, 0.0f64);
@@ -332,7 +395,7 @@ fn eval_tripathi(
             }
         });
     }
-    (total.map(|d| d.mean()).unwrap_or(0.0), trees.max_evals)
+    total.map(|d| d.mean()).unwrap_or(0.0)
 }
 
 /// Run the modified MVA algorithm on `input` with the estimator its
@@ -366,6 +429,7 @@ fn run<const E: usize>(input: &ModelInput, estimators: [Estimator; E]) -> [Solve
     let _timer = mr2_obs::span("model.solve");
     input.validate();
     let net = build_network(input);
+    let mut mva = OverlapMva::new(&net);
     let caps = capacities(input);
     let n_jobs = input.jobs.len();
 
@@ -394,7 +458,7 @@ fn run<const E: usize>(input: &ModelInput, estimators: [Estimator; E]) -> [Solve
     let mut prev_avg = [f64::INFINITY; E];
     let mut results: [Option<SolveResult>; E] = std::array::from_fn(|_| None);
     let mut iterations = 0usize;
-    let mut max_evals = 0u64;
+    let mut trees = PSubtrees::new(input.options.balance_tree);
 
     while results.iter().any(Option::is_none) {
         iterations += 1;
@@ -431,12 +495,12 @@ fn run<const E: usize>(input: &ModelInput, estimators: [Estimator; E]) -> [Solve
         }
 
         // A4: overlap-adjusted MVA.
-        let sol = overlap_mva(&net, &pops, &intra, &inter);
+        let response = mva.solve(&pops, &intra, &inter);
 
         // New contention-adjusted class durations (damped).
         for j in 0..n_jobs {
             for c in 0..3 {
-                let new = sol.response[3 * j + c];
+                let new = response[3 * j + c];
                 if new > 0.0 {
                     durations[j][c] = (1.0 - DAMPING) * durations[j][c] + DAMPING * new;
                 }
@@ -466,12 +530,7 @@ fn run<const E: usize>(input: &ModelInput, estimators: [Estimator; E]) -> [Solve
                 let ws = &job_waves[j];
                 let est = match estimator {
                     Estimator::ForkJoin => eval_fork_join(ws, &tl, &durations),
-                    Estimator::Tripathi => {
-                        let (est, evals) =
-                            eval_tripathi(ws, &tl, &durations, &cvs, input.options.balance_tree);
-                        max_evals += evals;
-                        est
-                    }
+                    Estimator::Tripathi => eval_tripathi(ws, &tl, &durations, &cvs, &mut trees),
                 };
                 per_job[j] = tl.job_start(j as u32) + est;
             }
@@ -503,7 +562,7 @@ fn run<const E: usize>(input: &ModelInput, estimators: [Estimator; E]) -> [Solve
         }
     }
     solver_iterations().add(iterations as u64);
-    tripathi_max_evals().add(max_evals);
+    tripathi_max_evals().add(trees.max_evals);
     // `validate` guarantees at least one iteration, and the last one
     // snapshots every estimator still running.
     results.map(|r| {
@@ -554,26 +613,41 @@ mod tests {
         }
     }
 
-    /// `combine` without the memo: the recursion the memo must reproduce.
-    fn plain_combine(ids: &[usize], leaf: &dyn Fn(usize) -> ExpPoly, balance: bool) -> ExpPoly {
-        let max = |a: &ExpPoly, b: &ExpPoly| {
-            let (m1, m2) = a.max_moments(b);
-            ExpPoly::refit(m1.max(1e-12), m2)
-        };
+    /// A leaf's `(mean, cv)` by id.
+    type Leaf<'a> = &'a dyn Fn(usize) -> (f64, f64);
+
+    /// `combine` without the memo or the shape table: the plain
+    /// recursion. With `by_shape`, a slice of one repeated leaf is
+    /// combined over unit-mean leaves and its root's moments rescaled and
+    /// re-fitted, as the table does.
+    fn plain_combine(ids: &[usize], leaf: Leaf, balance: bool, by_shape: bool) -> ExpPoly {
+        let (mean, cv) = leaf(ids[0]);
         if ids.len() == 1 {
-            return leaf(ids[0]);
+            return ExpPoly::fit(mean.max(1e-9), cv);
         }
+        if by_shape && ids.iter().all(|&id| id == ids[0]) {
+            let (m1, m2) = plain_root(ids, &|_| (1.0, cv), balance, false);
+            let mean = mean.max(1e-9);
+            return ExpPoly::refit(mean * m1, mean * mean * m2);
+        }
+        let (m1, m2) = plain_root(ids, leaf, balance, by_shape);
+        ExpPoly::refit(m1.max(1e-12), m2)
+    }
+
+    /// The root P-node's `max` moments of [`plain_combine`] over `ids`.
+    fn plain_root(ids: &[usize], leaf: Leaf, balance: bool, by_shape: bool) -> (f64, f64) {
+        let combine = |ids: &[usize]| plain_combine(ids, leaf, balance, by_shape);
         if balance {
             let mid = ids.len() / 2;
-            let a = plain_combine(&ids[..mid], leaf, balance);
-            let b = plain_combine(&ids[mid..], leaf, balance);
-            max(&a, &b)
+            combine(&ids[..mid]).max_moments(&combine(&ids[mid..]))
         } else {
-            let mut acc = leaf(ids[0]);
-            for &id in &ids[1..] {
-                acc = max(&acc, &leaf(id));
+            let (init, last) = ids.split_at(ids.len() - 1);
+            let mut acc = combine(&init[..1]);
+            for &id in &init[1..] {
+                let (m1, m2) = acc.max_moments(&combine(&[id]));
+                acc = ExpPoly::refit(m1.max(1e-12), m2);
             }
-            acc
+            acc.max_moments(&combine(last))
         }
     }
 
@@ -582,19 +656,17 @@ mod tests {
         // Two jobs; CVs cover the stiff Erlang, a mid Erlang and an H2.
         let durations: [[f64; 3]; 2] = [[34.2, 4.6, 7.0], [12.0, 0.5, 2.5]];
         let cvs: [[f64; 3]; 2] = [[0.15, 0.0, 1.7], [0.4, 0.25, 1.0]];
-        let leaf =
-            |id: usize| ExpPoly::fit(durations[id / 3][id % 3].max(1e-9), cvs[id / 3][id % 3]);
+        let leaf = |id: usize| (durations[id / 3][id % 3], cvs[id / 3][id % 3]);
         let runs = |runs: &[(usize, usize)]| -> Vec<usize> {
             runs.iter()
                 .flat_map(|&(id, n)| std::iter::repeat_n(id, n))
                 .collect()
         };
-        // Like waves, mixed runs, and reorderings of one another: a memo
-        // keyed by the members' multiset instead of their order would
-        // hand a reordered wave the other's tree.
+        // Mixed runs, and reorderings of one another: a memo keyed by
+        // the members' multiset instead of their order would hand a
+        // reordered wave the other's tree. Their single-run halves go
+        // through the shape table, here and in the oracle alike.
         let waves = [
-            runs(&[(0, 64)]),
-            runs(&[(0, 13)]),
             runs(&[(0, 5), (1, 3)]),
             runs(&[(1, 3), (0, 5)]),
             runs(&[(1, 2), (2, 7), (1, 2)]),
@@ -602,13 +674,14 @@ mod tests {
             runs(&[(0, 2), (2, 1)]),
             runs(&[(2, 1), (0, 1), (5, 1), (3, 1), (4, 1)]),
             runs(&[(0, 3), (3, 3), (0, 3), (3, 3)]),
-            runs(&[(0, 64)]),
+            runs(&[(0, 64), (4, 1)]),
+            runs(&[(0, 5), (1, 3)]),
         ];
         for balance in [true, false] {
-            let mut trees = PSubtrees::new(&durations, &cvs, balance);
+            let mut trees = PSubtrees::new(balance);
             for w in &waves {
-                let got = trees.combine(w);
-                let want = plain_combine(w, &leaf, balance);
+                let got = trees.combine(w, &durations, &cvs);
+                let want = plain_combine(w, &leaf, balance, true);
                 assert_eq!(got.mean().to_bits(), want.mean().to_bits(), "{w:?}");
                 assert_eq!(
                     got.second_moment().to_bits(),
@@ -617,12 +690,72 @@ mod tests {
                 );
             }
         }
-        // A balanced like wave of 64 is one pairwise max per level.
-        let mut trees = PSubtrees::new(&durations, &cvs, true);
-        trees.combine(&waves[0]);
+        // A balanced like wave of 64 is one pairwise max per level, once
+        // per solve; a repeated mixed wave is a memo hit.
+        let mut trees = PSubtrees::new(true);
+        trees.combine(&runs(&[(0, 64)]), &durations, &cvs);
         assert_eq!(trees.max_evals, 6);
-        trees.combine(&waves[0]);
-        assert_eq!(trees.max_evals, 6, "a repeated wave is a memo hit");
+        trees.combine(&runs(&[(0, 64)]), &durations, &cvs);
+        trees.combine(&runs(&[(0, 32)]), &durations, &cvs);
+        assert_eq!(trees.max_evals, 6, "a run's shape is tabled");
+        trees.combine(&waves[0], &durations, &cvs);
+        let evals = trees.max_evals;
+        trees.combine(&waves[0], &durations, &cvs);
+        assert_eq!(trees.max_evals, evals, "a repeated wave is a memo hit");
+    }
+
+    /// Erlang order of each mixture component, read from the `Debug`
+    /// form: `[k]` for an Erlang-`k`, `[1, 1]` for an H2.
+    fn orders(d: &ExpPoly) -> Vec<u32> {
+        format!("{d:?}")
+            .split("k: ")
+            .skip(1)
+            .map(|s| s.split(',').next().unwrap().parse().unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn homogeneous_runs_match_the_plain_recursion() {
+        let rel = |a: f64, b: f64| (a - b).abs() / b.abs();
+        let (mut cases, mut worst) = (0, 0.0f64);
+        for balance in [true, false] {
+            for cv in [0.0, 0.05, 0.15, 0.4, 1.0, 1.7, 3.0] {
+                for (m, mean) in [1e-3, 0.37, 1.0, 12.5, 981.0, 1e5].into_iter().enumerate() {
+                    // One table per solve: every run of this CV shares it.
+                    let durations = [[mean; 3]];
+                    let cvs = [[cv; 3]];
+                    let mut trees = PSubtrees::new(balance);
+                    for w in 2..=128 {
+                        let ids = vec![0; w];
+                        let got = trees.combine(&ids, &durations, &cvs);
+                        let what = format!("balance {balance}, cv {cv}, mean {mean}, w {w}");
+                        if m == 0 {
+                            // Tabled shapes, each reused by wider runs, are
+                            // exactly the ones computed afresh.
+                            let by_shape = plain_combine(&ids, &|_| (mean, cv), balance, true);
+                            assert_eq!(got.mean().to_bits(), by_shape.mean().to_bits(), "{what}");
+                            assert_eq!(
+                                got.second_moment().to_bits(),
+                                by_shape.second_moment().to_bits(),
+                                "{what}"
+                            );
+                        }
+                        let want = plain_combine(&ids, &|_| (mean, cv), balance, false);
+                        assert!(rel(got.mean(), want.mean()) <= 1e-10, "{what}: mean");
+                        assert!(
+                            rel(got.second_moment(), want.second_moment()) <= 1e-10,
+                            "{what}: second moment"
+                        );
+                        assert_eq!(orders(&got), orders(&want), "{what}: fitted family");
+                        worst = worst
+                            .max(rel(got.mean(), want.mean()))
+                            .max(rel(got.second_moment(), want.second_moment()));
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        println!("{cases} runs, worst relative error {worst:e}");
     }
 
     #[test]

@@ -25,14 +25,34 @@ struct Erlang {
     rate: f64,
 }
 
+/// Filler for an [`ExpPoly`]'s unused component slot.
+const UNUSED: Erlang = Erlang {
+    w: 0.0,
+    k: 1,
+    rate: 1.0,
+};
+
 /// A distribution whose survival function is a positive mixture of
 /// Erlang survivals. Its first two moments are computed once, at
-/// construction.
-#[derive(Debug, Clone)]
+/// construction. Every constructor mixes at most two components, which
+/// are kept inline, so the type is `Copy`.
+#[derive(Clone, Copy)]
 pub struct ExpPoly {
-    components: Vec<Erlang>,
+    /// The first `len` entries are the components.
+    slots: [Erlang; 2],
+    len: u8,
     mean: f64,
     second_moment: f64,
+}
+
+impl std::fmt::Debug for ExpPoly {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ExpPoly")
+            .field("components", &self.components())
+            .field("mean", &self.mean)
+            .field("second_moment", &self.second_moment)
+            .finish()
+    }
 }
 
 /// Entries of the `ln n!` prefix table: the minimum of two fitted
@@ -96,19 +116,26 @@ fn erlang_min(a: &Erlang, b: &Erlang) -> (f64, f64) {
 }
 
 impl ExpPoly {
-    fn from_components(components: Vec<Erlang>) -> ExpPoly {
+    fn from_components(components: &[Erlang]) -> ExpPoly {
+        let mut slots = [UNUSED; 2];
+        slots[..components.len()].copy_from_slice(components);
         let mut mean = 0.0;
         let mut second_moment = 0.0;
-        for c in &components {
+        for c in components {
             let k = c.k as f64;
             mean += c.w * k / c.rate;
             second_moment += c.w * k * (k + 1.0) / (c.rate * c.rate);
         }
         ExpPoly {
-            components,
+            slots,
+            len: components.len() as u8,
             mean,
             second_moment,
         }
+    }
+
+    fn components(&self) -> &[Erlang] {
+        &self.slots[..self.len as usize]
     }
 
     /// Exponential with the given mean.
@@ -120,7 +147,7 @@ impl ExpPoly {
     /// `Σ_{j<k} (λt)^j/j! · e^{-λt}` with `λ = k/mean`.
     pub fn erlang(k: u32, mean: f64) -> ExpPoly {
         assert!(k >= 1 && mean > 0.0);
-        ExpPoly::from_components(vec![Erlang {
+        ExpPoly::from_components(&[Erlang {
             w: 1.0,
             k,
             rate: k as f64 / mean,
@@ -130,16 +157,19 @@ impl ExpPoly {
     /// Two-phase hyperexponential: probability `p` of mean `m1`, else `m2`.
     pub fn hyperexp(p: f64, m1: f64, m2: f64) -> ExpPoly {
         assert!((0.0..=1.0).contains(&p) && m1 > 0.0 && m2 > 0.0);
-        let components = [(p, m1), (1.0 - p, m2)]
-            .into_iter()
-            .filter(|&(w, _)| w > 0.0)
-            .map(|(w, mean)| Erlang {
-                w,
-                k: 1,
-                rate: 1.0 / mean,
-            })
-            .collect();
-        ExpPoly::from_components(components)
+        let mut components = [UNUSED; 2];
+        let mut len = 0;
+        for (w, mean) in [(p, m1), (1.0 - p, m2)] {
+            if w > 0.0 {
+                components[len] = Erlang {
+                    w,
+                    k: 1,
+                    rate: 1.0 / mean,
+                };
+                len += 1;
+            }
+        }
+        ExpPoly::from_components(&components[..len])
     }
 
     /// Fit by mean and CV exactly as the paper prescribes: Erlang for
@@ -195,8 +225,8 @@ impl ExpPoly {
     pub fn min_moments(&self, other: &ExpPoly) -> (f64, f64) {
         let mut m1 = 0.0;
         let mut m2 = 0.0;
-        for a in &self.components {
-            for b in &other.components {
+        for a in self.components() {
+            for b in other.components() {
                 let (e1, e2) = erlang_min(a, b);
                 let w = a.w * b.w;
                 m1 += w * e1;
@@ -246,7 +276,7 @@ mod tests {
     fn reference_min_moments(x: &ExpPoly, y: &ExpPoly) -> (f64, f64) {
         // (ln c, n, rate) per term.
         let terms = |d: &ExpPoly| -> Vec<(f64, u32, f64)> {
-            d.components
+            d.components()
                 .iter()
                 .flat_map(|c| {
                     (0..c.k).map(move |j| {

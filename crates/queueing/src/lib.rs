@@ -34,6 +34,6 @@ pub mod open;
 
 pub use distribution::ExpPoly;
 pub use forkjoin::harmonic;
-pub use mva::{approximate_mva, exact_mva, overlap_mva, EPSILON, MAX_ITER};
+pub use mva::{approximate_mva, exact_mva, overlap_mva, OverlapMva, EPSILON, MAX_ITER};
 pub use network::{ClosedNetwork, MvaSolution, Station, StationKind};
 pub use open::{solve_open, OpenSolution};

@@ -18,14 +18,16 @@
 //! copies. Each class's response still sums every station's residence in
 //! network order, so results are bit-identical to a per-station solve.
 //! A Bard–Schweitzer iteration then costs O(C²G + CK) for `G` groups
-//! instead of O(C²K).
+//! instead of O(C²K). [`OverlapMva`] finds the groups once per network,
+//! for callers that solve one network many times.
 
 use std::sync::OnceLock;
 
 use crate::network::{ClosedNetwork, MvaSolution, StationKind};
 
-/// Iterations executed by [`overlap_mva`]'s fixed point, batched into
-/// one atomic add per solve so the loop body stays uninstrumented.
+/// Iterations executed by the overlap-MVA fixed point
+/// ([`OverlapMva::solve`]), batched into one atomic add per solve so the
+/// loop body stays uninstrumented.
 fn mva_iterations() -> &'static mr2_obs::Counter {
     static C: OnceLock<mr2_obs::Counter> = OnceLock::new();
     C.get_or_init(|| {
@@ -158,7 +160,8 @@ pub fn approximate_mva(net: &ClosedNetwork, populations: &[f64]) -> MvaSolution 
     overlap_mva(net, populations, &ones, &ones)
 }
 
-/// Overlap-factor-adjusted approximate MVA (the paper's A5 step).
+/// Overlap-factor-adjusted approximate MVA (the paper's A4 step): one
+/// [`OverlapMva`] solve, expanded into a full [`MvaSolution`].
 ///
 /// `intra[i][j]` scales how much of class `j`'s queue class `i` sees when
 /// both belong to the *same* job; `inter[i][j]` when they belong to
@@ -174,158 +177,221 @@ pub fn approximate_mva(net: &ClosedNetwork, populations: &[f64]) -> MvaSolution 
 /// where `w_ij` combines the intra- and inter-job factors weighted by how
 /// much of class `j`'s population is co-job vs foreign (encoded by the
 /// caller in the two matrices; see `mr2-model::solver`).
-#[allow(clippy::needless_range_loop)] // station/class index pairs read clearer
 pub fn overlap_mva(
     net: &ClosedNetwork,
     populations: &[f64],
     intra: &[Vec<f64>],
     inter: &[Vec<f64>],
 ) -> MvaSolution {
-    net.validate();
-    let c_n = net.num_classes();
-    let k_n = net.num_stations();
-    assert_eq!(populations.len(), c_n);
-    assert_eq!(intra.len(), c_n);
-    assert_eq!(inter.len(), c_n);
-    assert!(
-        populations.iter().all(|&n| n >= 0.0 && n.is_finite()),
-        "populations must be non-negative"
-    );
+    let mut mva = OverlapMva::new(net);
+    mva.solve(populations, intra, inter);
+    mva.solution()
+}
 
-    // Contract: classes are per job in the caller's encoding — a class
-    // name "j2#map" belongs to job "j2" (the prefix before '#'); names
-    // without '#' all belong to one implicit job. Pairs within the same
-    // job are weighted by `intra[i][j]` (the paper's α), pairs across jobs
-    // by `inter[i][j]` (the paper's β).
-    //
-    // The factors are iteration-invariant, so the combined weight matrix
-    // is materialized once (flat, row-major) before the fixed point —
-    // the former per-(i,k,j) job-name string comparison dominated the
-    // solve at realistic class counts.
-    let job_of: Vec<&str> = net
-        .classes
-        .iter()
-        .map(|n| n.split('#').next().unwrap_or(n))
-        .collect();
-    let mut w = vec![0.0f64; c_n * c_n];
-    for i in 0..c_n {
-        for j in 0..c_n {
-            w[i * c_n + j] = if job_of[i] == job_of[j] {
-                intra[i][j]
-            } else {
-                inter[i][j]
-            };
+/// [`overlap_mva`] prepared for one network. Validation, the station
+/// groups, the same-job mask, each group's demands and the fixed point's
+/// buffers are set up once, so a caller that solves one network for many
+/// populations and factors (the model's A2–A6 loop) pays for them once.
+/// Every [`OverlapMva::solve`] starts cold from `N_c / K`, so its result
+/// depends only on its arguments.
+pub struct OverlapMva<'a> {
+    net: &'a ClosedNetwork,
+    /// `same_job[i * C + j]`: classes `i` and `j` belong to one job.
+    same_job: Vec<bool>,
+    /// Each station's group (see [`station_groups`]).
+    group_of: Vec<usize>,
+    /// Whether each group's stations queue.
+    queueing_g: Vec<bool>,
+    /// Group demands, class-major: `demands_g[i * G + g]`.
+    demands_g: Vec<f64>,
+    /// The combined factor matrix, flat and row-major.
+    w: Vec<f64>,
+    /// Group queue lengths in group-major layout, so the per-class inner
+    /// sum walks one contiguous row instead of striding across class rows.
+    queue_g: Vec<f64>,
+    /// Group residences, class-major: `residence_g[i * G + g]`.
+    residence_g: Vec<f64>,
+    response: Vec<f64>,
+    throughput: Vec<f64>,
+}
+
+impl<'a> OverlapMva<'a> {
+    /// Validate `net` and group its stations.
+    ///
+    /// Contract: classes are per job in the caller's encoding — a class
+    /// name "j2#map" belongs to job "j2" (the prefix before '#'); names
+    /// without '#' all belong to one implicit job. Pairs within the same
+    /// job are weighted by `intra[i][j]` (the paper's α), pairs across
+    /// jobs by `inter[i][j]` (the paper's β).
+    pub fn new(net: &'a ClosedNetwork) -> Self {
+        net.validate();
+        let c_n = net.num_classes();
+        let job_of: Vec<&str> = net
+            .classes
+            .iter()
+            .map(|n| n.split('#').next().unwrap_or(n))
+            .collect();
+        let same_job = job_of
+            .iter()
+            .flat_map(|a| job_of.iter().map(move |b| a == b))
+            .collect();
+        // Solve each group of identical stations once (see the module docs).
+        let (group_of, reps) = station_groups(net);
+        let g_n = reps.len();
+        let queueing_g = reps
+            .iter()
+            .map(|&k| net.stations[k].kind == StationKind::Queueing)
+            .collect();
+        let demands_g = net
+            .demands
+            .iter()
+            .flat_map(|row| reps.iter().map(|&k| row[k]))
+            .collect();
+        OverlapMva {
+            net,
+            same_job,
+            group_of,
+            queueing_g,
+            demands_g,
+            w: vec![0.0; c_n * c_n],
+            queue_g: vec![0.0; g_n * c_n],
+            residence_g: vec![0.0; c_n * g_n],
+            response: vec![0.0; c_n],
+            throughput: vec![0.0; c_n],
         }
     }
-    let is_queueing: Vec<bool> = net
-        .stations
-        .iter()
-        .map(|s| s.kind == StationKind::Queueing)
-        .collect();
 
-    // Solve each group of identical stations once (see the module docs).
-    let (group_of, reps) = station_groups(net);
-    let g_n = reps.len();
+    /// Run the fixed point for `populations` and the factors `intra` and
+    /// `inter` (see [`overlap_mva`]), cold from `N_c / K`. Returns each
+    /// class's response time.
+    #[allow(clippy::needless_range_loop)] // station/class index pairs read clearer
+    pub fn solve(&mut self, populations: &[f64], intra: &[Vec<f64>], inter: &[Vec<f64>]) -> &[f64] {
+        let c_n = self.net.num_classes();
+        let k_n = self.net.num_stations();
+        let g_n = self.queueing_g.len();
+        assert_eq!(populations.len(), c_n);
+        assert_eq!(intra.len(), c_n);
+        assert_eq!(inter.len(), c_n);
+        assert!(
+            populations.iter().all(|&n| n >= 0.0 && n.is_finite()),
+            "populations must be non-negative"
+        );
 
-    // Group queue lengths in group-major layout, so the per-class inner
-    // sum walks one contiguous row instead of striding across class rows.
-    let mut queue_g = vec![0.0f64; g_n * c_n];
-    for g in 0..g_n {
-        for c in 0..c_n {
-            queue_g[g * c_n + c] = populations[c] / k_n as f64;
-        }
-    }
-    // Group residences, class-major: `residence_g[i * g_n + g]`.
-    let mut residence_g = vec![0.0f64; c_n * g_n];
-    let mut response = vec![0.0f64; c_n];
-    let mut throughput = vec![0.0f64; c_n];
-
-    let mut iterations = 0u64;
-    let mut converged = false;
-    for _iter in 0..MAX_ITER {
-        iterations += 1;
-        let mut max_delta = 0.0f64;
+        // The factors are fixed for the whole fixed point, so the
+        // combined weight matrix is materialized once per solve.
         for i in 0..c_n {
-            let w_row = &w[i * c_n..(i + 1) * c_n];
-            let demands_i = &net.demands[i];
-            let n = populations[i];
-            // Schweitzer self-correction factor (N_i−1), applied to the
-            // diagonal term only; `* (n - 1.0) / n` keeps the original
-            // expression's operation order bit-for-bit.
-            let nm1 = n - 1.0;
-            let residence_i = &mut residence_g[i * g_n..(i + 1) * g_n];
-            for (g, &k) in reps.iter().enumerate() {
-                let d = demands_i[k];
-                residence_i[g] = if is_queueing[k] {
-                    let q_row = &queue_g[g * c_n..(g + 1) * c_n];
-                    let q_self = if n > 1.0 { q_row[i] * nm1 / n } else { 0.0 };
-                    // Diagonal split keeps the summation order of a
-                    // plain `for j in 0..c_n` loop exactly.
-                    let mut seen = 0.0;
-                    for j in 0..i {
-                        seen += w_row[j] * q_row[j];
-                    }
-                    seen += w_row[i] * q_self;
-                    for j in i + 1..c_n {
-                        seen += w_row[j] * q_row[j];
-                    }
-                    d * (1.0 + seen)
+            for j in 0..c_n {
+                self.w[i * c_n + j] = if self.same_job[i * c_n + j] {
+                    intra[i][j]
                 } else {
-                    d
+                    inter[i][j]
                 };
             }
-            // Sum over every station in network order, so the response
-            // rounds exactly as a per-station solve's would.
-            let mut r_total = 0.0;
-            for &g in &group_of {
-                r_total += residence_i[g];
-            }
-            let x = if r_total > 0.0 {
-                populations[i] / r_total
-            } else {
-                0.0
-            };
-            max_delta = max_delta.max((response[i] - r_total).abs());
-            response[i] = r_total;
-            throughput[i] = x;
         }
-        for i in 0..c_n {
-            let x = throughput[i];
-            let residence_i = &residence_g[i * g_n..(i + 1) * g_n];
-            for g in 0..g_n {
-                queue_g[g * c_n + i] = x * residence_i[g];
+        for g in 0..g_n {
+            for c in 0..c_n {
+                self.queue_g[g * c_n + c] = populations[c] / k_n as f64;
             }
         }
-        if max_delta < EPSILON {
-            converged = true;
-            break;
+        // The first iteration's delta is measured from zero.
+        self.response.fill(0.0);
+
+        let mut iterations = 0u64;
+        let mut converged = false;
+        for _iter in 0..MAX_ITER {
+            iterations += 1;
+            let mut max_delta = 0.0f64;
+            for i in 0..c_n {
+                let w_row = &self.w[i * c_n..(i + 1) * c_n];
+                let demands_i = &self.demands_g[i * g_n..(i + 1) * g_n];
+                let n = populations[i];
+                // Schweitzer self-correction factor (N_i−1), applied to the
+                // diagonal term only; `* (n - 1.0) / n` keeps the original
+                // expression's operation order bit-for-bit.
+                let nm1 = n - 1.0;
+                let residence_i = &mut self.residence_g[i * g_n..(i + 1) * g_n];
+                for g in 0..g_n {
+                    let d = demands_i[g];
+                    residence_i[g] = if self.queueing_g[g] {
+                        let q_row = &self.queue_g[g * c_n..(g + 1) * c_n];
+                        let q_self = if n > 1.0 { q_row[i] * nm1 / n } else { 0.0 };
+                        // Diagonal split keeps the summation order of a
+                        // plain `for j in 0..c_n` loop exactly.
+                        let mut seen = 0.0;
+                        for j in 0..i {
+                            seen += w_row[j] * q_row[j];
+                        }
+                        seen += w_row[i] * q_self;
+                        for j in i + 1..c_n {
+                            seen += w_row[j] * q_row[j];
+                        }
+                        d * (1.0 + seen)
+                    } else {
+                        d
+                    };
+                }
+                // Sum over every station in network order, so the response
+                // rounds exactly as a per-station solve's would.
+                let mut r_total = 0.0;
+                for &g in &self.group_of {
+                    r_total += residence_i[g];
+                }
+                let x = if r_total > 0.0 {
+                    populations[i] / r_total
+                } else {
+                    0.0
+                };
+                max_delta = max_delta.max((self.response[i] - r_total).abs());
+                self.response[i] = r_total;
+                self.throughput[i] = x;
+            }
+            for i in 0..c_n {
+                let x = self.throughput[i];
+                let residence_i = &self.residence_g[i * g_n..(i + 1) * g_n];
+                for g in 0..g_n {
+                    self.queue_g[g * c_n + i] = x * residence_i[g];
+                }
+            }
+            if max_delta < EPSILON {
+                converged = true;
+                break;
+            }
         }
-    }
-    mva_iterations().add(iterations);
-    if !converged && iterations > 0 {
-        mva_failures().inc();
+        mva_iterations().add(iterations);
+        if !converged && iterations > 0 {
+            mva_failures().inc();
+        }
+        &self.response
     }
 
-    let mut residence = vec![vec![0.0f64; k_n]; c_n];
-    let mut queue = vec![vec![0.0f64; k_n]; c_n];
-    for i in 0..c_n {
-        for (k, &g) in group_of.iter().enumerate() {
-            residence[i][k] = residence_g[i * g_n + g];
-            queue[i][k] = queue_g[g * c_n + i];
+    /// The last [`OverlapMva::solve`]'s full solution, per station.
+    #[allow(clippy::needless_range_loop)] // station/class index pairs read clearer
+    pub fn solution(&self) -> MvaSolution {
+        let net = self.net;
+        let c_n = net.num_classes();
+        let k_n = net.num_stations();
+        let g_n = self.queueing_g.len();
+        let mut residence = vec![vec![0.0f64; k_n]; c_n];
+        let mut queue = vec![vec![0.0f64; k_n]; c_n];
+        for i in 0..c_n {
+            for (k, &g) in self.group_of.iter().enumerate() {
+                residence[i][k] = self.residence_g[i * g_n + g];
+                queue[i][k] = self.queue_g[g * c_n + i];
+            }
         }
-    }
-    let mut utilization = vec![0.0; k_n];
-    for k in 0..k_n {
-        for c in 0..c_n {
-            utilization[k] += throughput[c] * net.demands[c][k];
+        let mut utilization = vec![0.0; k_n];
+        for k in 0..k_n {
+            for c in 0..c_n {
+                utilization[k] += self.throughput[c] * net.demands[c][k];
+            }
         }
-    }
-    MvaSolution {
-        residence,
-        response,
-        throughput,
-        queue,
-        utilization,
+        MvaSolution {
+            residence,
+            response: self.response.clone(),
+            throughput: self.throughput.clone(),
+            queue,
+            utilization,
+        }
     }
 }
 
@@ -554,50 +620,91 @@ mod tests {
         ClosedNetwork::new(stations, classes, demands)
     }
 
+    /// Random populations, some in (0, 1] where the Schweitzer
+    /// self-correction is off, and random intra- and inter-job factors.
+    fn random_load(rng: &mut SmallRng, c_n: usize) -> (Vec<f64>, Vec<Vec<f64>>, Vec<Vec<f64>>) {
+        let pops: Vec<f64> = (0..c_n)
+            .map(|_| {
+                if rng.gen_bool(0.3) {
+                    1.0 - rng.gen::<f64>()
+                } else {
+                    rng.gen_range(1.0..40.0)
+                }
+            })
+            .collect();
+        let mut factors = || -> Vec<Vec<f64>> {
+            (0..c_n)
+                .map(|_| (0..c_n).map(|_| rng.gen_range(0.0..=1.0)).collect())
+                .collect()
+        };
+        let (intra, inter) = (factors(), factors());
+        (pops, intra, inter)
+    }
+
+    /// The grouping oracle's 400 seeded networks, each with a random load.
+    #[allow(clippy::type_complexity)]
+    fn oracle_cases() -> Vec<(ClosedNetwork, (Vec<f64>, Vec<Vec<f64>>, Vec<Vec<f64>>))> {
+        let mut rng = SmallRng::seed_from_u64(17);
+        (0..400)
+            .map(|_| {
+                let net = random_network(&mut rng);
+                let load = random_load(&mut rng, net.num_classes());
+                (net, load)
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every field of two solutions equal by bit pattern.
+    fn assert_bit_equal(got: &MvaSolution, want: &MvaSolution, what: &str) {
+        let rows = |m: &[Vec<f64>]| m.iter().map(|r| bits(r)).collect::<Vec<_>>();
+        assert_eq!(bits(&got.response), bits(&want.response), "{what}");
+        assert_eq!(bits(&got.throughput), bits(&want.throughput), "{what}");
+        assert_eq!(rows(&got.residence), rows(&want.residence), "{what}");
+        assert_eq!(rows(&got.queue), rows(&want.queue), "{what}");
+        assert_eq!(bits(&got.utilization), bits(&want.utilization), "{what}");
+    }
+
     #[test]
     fn grouped_stations_equal_the_per_station_solve() {
-        let mut rng = SmallRng::seed_from_u64(17);
         let mut grouped = 0;
-        for case in 0..400 {
-            let net = random_network(&mut rng);
-            let c_n = net.num_classes();
-            let pops: Vec<f64> = (0..c_n)
-                .map(|_| {
-                    if rng.gen_bool(0.3) {
-                        // (0, 1]: the Schweitzer self-correction is off.
-                        1.0 - rng.gen::<f64>()
-                    } else {
-                        rng.gen_range(1.0..40.0)
-                    }
-                })
-                .collect();
-            let mut factors = || -> Vec<Vec<f64>> {
-                (0..c_n)
-                    .map(|_| (0..c_n).map(|_| rng.gen_range(0.0..=1.0)).collect())
-                    .collect()
-            };
-            let (intra, inter) = (factors(), factors());
-            if station_groups(&net).1.len() < net.num_stations() {
+        for (case, (net, (pops, intra, inter))) in oracle_cases().iter().enumerate() {
+            if station_groups(net).1.len() < net.num_stations() {
                 grouped += 1;
             }
-            let got = overlap_mva(&net, &pops, &intra, &inter);
-            let want = per_station_mva(&net, &pops, &intra, &inter);
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            let rows = |m: &[Vec<f64>]| m.iter().map(|r| bits(r)).collect::<Vec<_>>();
-            assert_eq!(bits(&got.response), bits(&want.response), "case {case}");
-            assert_eq!(bits(&got.throughput), bits(&want.throughput), "case {case}");
-            assert_eq!(rows(&got.residence), rows(&want.residence), "case {case}");
-            assert_eq!(rows(&got.queue), rows(&want.queue), "case {case}");
-            assert_eq!(
-                bits(&got.utilization),
-                bits(&want.utilization),
-                "case {case}"
-            );
+            let got = overlap_mva(net, pops, intra, inter);
+            let want = per_station_mva(net, pops, intra, inter);
+            assert_bit_equal(&got, &want, &format!("case {case}"));
         }
         assert!(
             grouped > 200,
             "only {grouped} networks had replicated stations"
         );
+    }
+
+    #[test]
+    fn a_reused_prepared_solver_equals_the_per_station_solve() {
+        // The buffers a prepared solver keeps across solves must carry
+        // nothing from one solve into the next.
+        let mut rng = SmallRng::seed_from_u64(18);
+        for (case, (net, first)) in oracle_cases().into_iter().enumerate() {
+            let mut mva = OverlapMva::new(&net);
+            let mut load = first;
+            for call in 0..5 {
+                if call > 0 {
+                    load = random_load(&mut rng, net.num_classes());
+                }
+                let (pops, intra, inter) = &load;
+                let response = bits(mva.solve(pops, intra, inter));
+                let want = per_station_mva(&net, pops, intra, inter);
+                let what = format!("case {case}, call {call}");
+                assert_eq!(response, bits(&want.response), "{what}");
+                assert_bit_equal(&mva.solution(), &want, &what);
+            }
+        }
     }
 
     #[test]
