@@ -1,9 +1,13 @@
 //! Timeline-construction cost — the paper's §4.3 claim that building the
 //! timeline is `O(C × T)` for `C` tasks and `T` containers, and therefore
-//! never dominates the MVA.
+//! never dominates the MVA. Each input is timed twice: a fresh
+//! `build_timeline`, and a rebuild by one kept `TimelineBuilder`, as the
+//! solver's A2 runs it on every iteration.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mr2_model::timeline::{build_timeline, ShuffleSpec, TimelineConfig, TimelineJob};
+use mr2_model::timeline::{
+    build_timeline, ShuffleSpec, TimelineBuilder, TimelineConfig, TimelineJob,
+};
 use std::hint::black_box;
 
 fn job(maps: u32, reduces: u32) -> TimelineJob {
@@ -24,6 +28,10 @@ fn bench_tasks(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("maps", maps), &maps, |b, _| {
             b.iter(|| build_timeline(black_box(&cfg), black_box(&jobs)))
         });
+        g.bench_with_input(BenchmarkId::new("maps_reused", maps), &maps, |b, _| {
+            let mut builder = TimelineBuilder::default();
+            b.iter(|| builder.build(black_box(&cfg), black_box(&jobs)).makespan())
+        });
     }
     g.finish();
 }
@@ -36,6 +44,10 @@ fn bench_containers(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("nodes", nodes), &nodes, |b, _| {
             b.iter(|| build_timeline(black_box(&cfg), black_box(&jobs)))
         });
+        g.bench_with_input(BenchmarkId::new("nodes_reused", nodes), &nodes, |b, _| {
+            let mut builder = TimelineBuilder::default();
+            b.iter(|| builder.build(black_box(&cfg), black_box(&jobs)).makespan())
+        });
     }
     g.finish();
 }
@@ -47,6 +59,10 @@ fn bench_multi_job(c: &mut Criterion) {
         let jobs: Vec<TimelineJob> = (0..n_jobs).map(|_| job(40, 8)).collect();
         g.bench_with_input(BenchmarkId::new("jobs", n_jobs), &n_jobs, |b, _| {
             b.iter(|| build_timeline(black_box(&cfg), black_box(&jobs)))
+        });
+        g.bench_with_input(BenchmarkId::new("jobs_reused", n_jobs), &n_jobs, |b, _| {
+            let mut builder = TimelineBuilder::default();
+            b.iter(|| builder.build(black_box(&cfg), black_box(&jobs)).makespan())
         });
     }
     g.finish();

@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mr2_model::timeline::{build_timeline, ShuffleSpec, Timeline, TimelineConfig, TimelineJob};
-use mr2_model::tree::{build_tree, waves};
+use mr2_model::tree::{build_tree, waves, Waves};
 use std::hint::black_box;
 
 fn timeline(maps: u32) -> Timeline {
@@ -39,6 +39,14 @@ fn bench_waves(c: &mut Criterion) {
         let idx: Vec<usize> = (0..tl.segments.len()).collect();
         g.bench_with_input(BenchmarkId::new("segments", maps), &maps, |b, _| {
             b.iter(|| waves(black_box(&tl), black_box(idx.clone())))
+        });
+        // The solver's form: one kept flat buffer, regrouped in place.
+        g.bench_with_input(BenchmarkId::new("flat_reused", maps), &maps, |b, _| {
+            let mut ws = Waves::default();
+            b.iter(|| {
+                ws.rebuild(black_box(&tl), 1);
+                ws.job_start(0)
+            })
         });
     }
     g.finish();

@@ -19,7 +19,8 @@
 //! tasks of each class over that class's active period.
 //!
 //! Both read the same per-(job, class) activity sets, which
-//! [`activities`] builds in one pass over the timeline's segments.
+//! [`Activities::rebuild`] builds in one pass over the timeline's
+//! segments, measuring each set once.
 
 use crate::timeline::Timeline;
 
@@ -31,17 +32,32 @@ pub struct IntervalSet {
 
 impl IntervalSet {
     /// Build from possibly-overlapping intervals.
-    pub fn from_intervals(mut raw: Vec<(f64, f64)>) -> IntervalSet {
-        raw.retain(|&(s, e)| e > s);
-        raw.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut ivs: Vec<(f64, f64)> = Vec::with_capacity(raw.len());
-        for (s, e) in raw {
-            match ivs.last_mut() {
-                Some(last) if s <= last.1 => last.1 = last.1.max(e),
-                _ => ivs.push((s, e)),
+    #[cfg(test)]
+    pub fn from_intervals(raw: Vec<(f64, f64)>) -> IntervalSet {
+        let mut set = IntervalSet { ivs: raw };
+        set.merge();
+        set
+    }
+
+    /// Merge the held intervals, possibly overlapping and in any order,
+    /// into sorted disjoint ones, in place. Intervals with equal starts
+    /// merge to the same union in any order, so the sort need not be
+    /// stable.
+    fn merge(&mut self) {
+        let ivs = &mut self.ivs;
+        ivs.retain(|&(s, e)| e > s);
+        ivs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        let mut len = 0;
+        for k in 0..ivs.len() {
+            let (s, e) = ivs[k];
+            if len > 0 && s <= ivs[len - 1].1 {
+                ivs[len - 1].1 = ivs[len - 1].1.max(e);
+            } else {
+                ivs[len] = (s, e);
+                len += 1;
             }
         }
-        IntervalSet { ivs }
+        ivs.truncate(len);
     }
 
     /// Total measure.
@@ -77,11 +93,13 @@ impl IntervalSet {
 }
 
 /// When one (job, class) was active on a timeline, and how much task
-/// time it ran there. Built only by [`activities`].
-#[derive(Debug, Clone)]
+/// time it ran there. Built only by [`Activities::rebuild`].
+#[derive(Debug, Clone, Default)]
 pub struct ClassActivity {
     /// Union of the class's segment intervals.
     active: IntervalSet,
+    /// `active`'s measure.
+    span: f64,
     /// Sum of the class's segment durations, in segment order.
     busy: f64,
 }
@@ -90,30 +108,99 @@ impl ClassActivity {
     /// Time-average number of active class tasks over the class's
     /// active period: `busy / measure(active)`. Zero for an idle class.
     pub fn population(&self) -> f64 {
-        let span = self.active.measure();
-        if span <= 0.0 {
+        if self.span <= 0.0 {
             return 0.0;
         }
-        self.busy / span
+        self.busy / self.span
+    }
+
+    /// `o(self→other)`: the fraction of this class's active time during
+    /// which `other` is active too (zero for an idle class).
+    fn overlap(&self, other: &ClassActivity) -> f64 {
+        if self.span <= 0.0 {
+            0.0
+        } else {
+            self.active.intersection_measure(&other.active) / self.span
+        }
     }
 }
 
-/// Every (job, class)'s activity, indexed `[job][class]`, from one pass
-/// over the timeline's segments. Every segment must belong to a job
-/// below `num_jobs`.
-pub fn activities(tl: &Timeline, num_jobs: u32) -> Vec<[ClassActivity; 3]> {
-    let mut raw: Vec<[Vec<(f64, f64)>; 3]> = vec![Default::default(); num_jobs as usize];
-    for s in &tl.segments {
-        raw[s.job as usize][s.class.index()].push((s.start, s.end));
+/// Every (job, class)'s activity on a timeline, indexed `[job][class]`,
+/// in storage that a caller rebuilding it many times (the solver's A3,
+/// once per iteration) refills instead of allocating.
+#[derive(Debug, Default)]
+pub struct Activities {
+    jobs: Vec<[ClassActivity; 3]>,
+}
+
+impl std::ops::Index<usize> for Activities {
+    type Output = [ClassActivity; 3];
+
+    fn index(&self, job: usize) -> &[ClassActivity; 3] {
+        &self.jobs[job]
     }
-    raw.into_iter()
-        .map(|classes| {
-            classes.map(|ivs| ClassActivity {
-                busy: ivs.iter().map(|&(s, e)| e - s).sum(),
-                active: IntervalSet::from_intervals(ivs),
-            })
-        })
-        .collect()
+}
+
+impl Activities {
+    /// Rebuild from one pass over the timeline's segments, in place of
+    /// the previous activities. Every segment must belong to a job below
+    /// `num_jobs`.
+    pub fn rebuild(&mut self, tl: &Timeline, num_jobs: u32) {
+        self.jobs.resize_with(num_jobs as usize, Default::default);
+        for act in self.jobs.iter_mut().flatten() {
+            act.active.ivs.clear();
+        }
+        for s in &tl.segments {
+            self.jobs[s.job as usize][s.class.index()]
+                .active
+                .ivs
+                .push((s.start, s.end));
+        }
+        for act in self.jobs.iter_mut().flatten() {
+            act.busy = act.active.ivs.iter().map(|&(s, e)| e - s).sum();
+            act.active.merge();
+            act.span = act.active.measure();
+        }
+    }
+
+    /// The overlap-factor matrices α and β.
+    pub fn overlap_factors(&self) -> OverlapFactors {
+        let act = &self.jobs;
+        let mut alpha = [[0.0f64; 3]; 3];
+        let mut alpha_n = [[0u32; 3]; 3];
+        let mut beta = [[0.0f64; 3]; 3];
+        let mut beta_n = [[0u32; 3]; 3];
+        for a in 0..act.len() {
+            for b in 0..act.len() {
+                for i in 0..3 {
+                    if act[a][i].active.is_empty() {
+                        continue;
+                    }
+                    for j in 0..3 {
+                        let f = act[a][i].overlap(&act[b][j]);
+                        if a == b {
+                            alpha[i][j] += f;
+                            alpha_n[i][j] += 1;
+                        } else {
+                            beta[i][j] += f;
+                            beta_n[i][j] += 1;
+                        }
+                    }
+                }
+            }
+        }
+        for i in 0..3 {
+            for j in 0..3 {
+                if alpha_n[i][j] > 0 {
+                    alpha[i][j] /= alpha_n[i][j] as f64;
+                }
+                if beta_n[i][j] > 0 {
+                    beta[i][j] /= beta_n[i][j] as f64;
+                }
+            }
+        }
+        OverlapFactors { alpha, beta }
+    }
 }
 
 /// The overlap-factor matrices of a workload of `num_jobs` jobs.
@@ -126,53 +213,6 @@ pub struct OverlapFactors {
     pub beta: [[f64; 3]; 3],
 }
 
-/// Compute α and β from the jobs' [`activities`].
-pub fn overlap_factors(act: &[[ClassActivity; 3]]) -> OverlapFactors {
-    let factor = |a: &IntervalSet, b: &IntervalSet| -> f64 {
-        let m = a.measure();
-        if m <= 0.0 {
-            0.0
-        } else {
-            a.intersection_measure(b) / m
-        }
-    };
-
-    let mut alpha = [[0.0f64; 3]; 3];
-    let mut alpha_n = [[0u32; 3]; 3];
-    let mut beta = [[0.0f64; 3]; 3];
-    let mut beta_n = [[0u32; 3]; 3];
-    for a in 0..act.len() {
-        for b in 0..act.len() {
-            for i in 0..3 {
-                if act[a][i].active.is_empty() {
-                    continue;
-                }
-                for j in 0..3 {
-                    let f = factor(&act[a][i].active, &act[b][j].active);
-                    if a == b {
-                        alpha[i][j] += f;
-                        alpha_n[i][j] += 1;
-                    } else {
-                        beta[i][j] += f;
-                        beta_n[i][j] += 1;
-                    }
-                }
-            }
-        }
-    }
-    for i in 0..3 {
-        for j in 0..3 {
-            if alpha_n[i][j] > 0 {
-                alpha[i][j] /= alpha_n[i][j] as f64;
-            }
-            if beta_n[i][j] > 0 {
-                beta[i][j] /= beta_n[i][j] as f64;
-            }
-        }
-    }
-    OverlapFactors { alpha, beta }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,7 +220,7 @@ mod tests {
     use crate::timeline::{build_timeline, ShuffleSpec, TimelineConfig, TimelineJob};
 
     /// Oracle: the activity set of one (job, class) by filtering every
-    /// segment, as A3 computed it before the one-pass [`activities`].
+    /// segment, as A3 computed it before the one-pass [`Activities::rebuild`].
     fn filtered_activity(tl: &Timeline, job: u32, class: TaskClass) -> IntervalSet {
         IntervalSet::from_intervals(
             tl.segments
@@ -208,7 +248,7 @@ mod tests {
     }
 
     /// Oracle: α and β over activity sets built by per-class filters,
-    /// as A3 computed them before the one-pass [`activities`].
+    /// as A3 computed them before the one-pass [`Activities::rebuild`].
     fn filtered_overlap_factors(tl: &Timeline, num_jobs: u32) -> OverlapFactors {
         // Pre-compute activities.
         let act: Vec<[IntervalSet; 3]> = (0..num_jobs)
@@ -264,6 +304,13 @@ mod tests {
             }
         }
         OverlapFactors { alpha, beta }
+    }
+
+    /// A fresh [`Activities`] of `tl`.
+    fn activities(tl: &Timeline, num_jobs: u32) -> Activities {
+        let mut act = Activities::default();
+        act.rebuild(tl, num_jobs);
+        act
     }
 
     fn population(tl: &Timeline, job: u32, class: TaskClass) -> f64 {
@@ -327,7 +374,7 @@ mod tests {
     #[test]
     fn intra_job_factors() {
         let tl = one_job_tl();
-        let f = overlap_factors(&activities(&tl, 1));
+        let f = activities(&tl, 1).overlap_factors();
         // Maps active [0,20); shuffle-sort [10,17): overlap 7.
         // α[map][ss] = 7/20; α[ss][map] = 7/7 = 1.
         assert!((f.alpha[0][1] - 0.35).abs() < 1e-9, "{}", f.alpha[0][1]);
@@ -353,7 +400,7 @@ mod tests {
             shuffle: ShuffleSpec::Fixed(0.0),
         };
         let tl = build_timeline(&cfg, &[job.clone(), job]);
-        let f = overlap_factors(&activities(&tl, 2));
+        let f = activities(&tl, 2).overlap_factors();
         // Jobs run serially (2 containers, 2 maps each): no map overlap.
         assert_eq!(f.beta[0][0], 0.0);
         assert!((f.alpha[0][0] - 1.0).abs() < 1e-12);
@@ -407,7 +454,7 @@ mod tests {
                                 assert_eq!(got.to_bits(), want.to_bits(), "job {j} {class:?}");
                             }
                         }
-                        let got = overlap_factors(&act);
+                        let got = act.overlap_factors();
                         let want = filtered_overlap_factors(&tl, num_jobs);
                         for (g, w) in got.alpha.iter().flatten().zip(want.alpha.iter().flatten()) {
                             assert_eq!(g.to_bits(), w.to_bits(), "alpha");

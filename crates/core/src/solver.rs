@@ -24,9 +24,9 @@ use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use crate::input::{Estimator, ModelInput, TaskClass};
-use crate::overlap::{activities, overlap_factors};
-use crate::timeline::{build_timeline, ShuffleSpec, Timeline, TimelineConfig, TimelineJob};
-use crate::tree::build_tree;
+use crate::overlap::Activities;
+use crate::timeline::{ShuffleSpec, Timeline, TimelineBuilder, TimelineConfig, TimelineJob};
+use crate::tree::Waves;
 use queueing::distribution::ExpPoly;
 use queueing::network::{ClosedNetwork, Station};
 use queueing::{harmonic, OverlapMva};
@@ -155,17 +155,20 @@ fn capacities(input: &ModelInput) -> Vec<u32> {
 ///    Intermediate waves are pipelined — containers free one by one — so
 ///    they contribute their plain duration. A wave therefore receives the
 ///    `H₂` factor only if it is the final wave of some class it contains.
-fn eval_fork_join(job_waves: &[Vec<usize>], tl: &Timeline, durations: &[[f64; 3]]) -> f64 {
+fn eval_fork_join<'a>(
+    job_waves: impl Iterator<Item = &'a [usize]> + Clone,
+    tl: &Timeline,
+    durations: &[[f64; 3]],
+) -> f64 {
     let h2 = harmonic(2);
     // Last wave index per class (0 = map, 1 = shuffle-sort, 2 = merge).
     let mut last_wave = [usize::MAX; 3];
-    for (wi, w) in job_waves.iter().enumerate() {
+    for (wi, w) in job_waves.clone().enumerate() {
         for &i in w {
             last_wave[tl.segments[i].class.index()] = wi;
         }
     }
     job_waves
-        .iter()
         .enumerate()
         .map(|(wi, w)| {
             let mut max = 0.0f64;
@@ -338,22 +341,23 @@ impl PSubtrees {
 /// parallel block combined through exact pairwise `max` moments with
 /// per-node re-fitting (§4.2.4), pipelined intermediate waves contribute
 /// their plain duration, and blocks compose as sums. `trees` counts the
-/// pairwise maxima it evaluates.
+/// pairwise maxima it evaluates; `ids` is scratch for a wave's leaf ids.
 ///
 /// The pairwise maxima compound at every P level, so an *unbalanced*
 /// (left-deep) encoding of a wide wave inflates the estimate much more
 /// than the balanced one — the depth/error effect §5.2 reports and the
 /// reason the paper balances P-subtrees.
-fn eval_tripathi(
-    job_waves: &[Vec<usize>],
+fn eval_tripathi<'a>(
+    job_waves: impl Iterator<Item = &'a [usize]> + Clone,
     tl: &Timeline,
     durations: &[[f64; 3]],
     cvs: &[[f64; 3]],
     trees: &mut PSubtrees,
+    ids: &mut Vec<usize>,
 ) -> f64 {
     // Last wave index per class.
     let mut last_wave = [usize::MAX; 3];
-    for (wi, w) in job_waves.iter().enumerate() {
+    for (wi, w) in job_waves.clone().enumerate() {
         for &i in w {
             last_wave[tl.segments[i].class.index()] = wi;
         }
@@ -361,19 +365,17 @@ fn eval_tripathi(
     trees.memo.clear();
 
     let mut total: Option<ExpPoly> = None;
-    for (wi, w) in job_waves.iter().enumerate() {
+    for (wi, w) in job_waves.enumerate() {
         let synchronizes = w
             .iter()
             .any(|&i| last_wave[tl.segments[i].class.index()] == wi);
         let wave_dist = if synchronizes && w.len() > 1 {
-            let ids: Vec<usize> = w
-                .iter()
-                .map(|&i| {
-                    let s = &tl.segments[i];
-                    3 * s.job as usize + s.class.index()
-                })
-                .collect();
-            trees.combine(&ids, durations, cvs)
+            ids.clear();
+            ids.extend(w.iter().map(|&i| {
+                let s = &tl.segments[i];
+                3 * s.job as usize + s.class.index()
+            }));
+            trees.combine(ids, durations, cvs)
         } else {
             // Pipelined wave: plain duration of its longest member.
             let (mut mean, mut cv) = (0.0f64, 0.0f64);
@@ -396,6 +398,19 @@ fn eval_tripathi(
         });
     }
     total.map(|d| d.mean()).unwrap_or(0.0)
+}
+
+/// A2's input: each job's timeline description at the current class
+/// durations, written into `out`.
+fn timeline_jobs(input: &ModelInput, durations: &[[f64; 3]], out: &mut Vec<TimelineJob>) {
+    out.clear();
+    out.extend(input.jobs.iter().enumerate().map(|(j, job)| TimelineJob {
+        num_maps: job.num_maps,
+        num_reduces: job.num_reduces,
+        map_duration: durations[j][0].max(1e-9),
+        merge_duration: durations[j][2].max(0.0),
+        shuffle: ShuffleSpec::Fixed(durations[j][1].max(0.0)),
+    }));
 }
 
 /// Run the modified MVA algorithm on `input` with the estimator its
@@ -437,8 +452,8 @@ fn run<const E: usize>(input: &ModelInput, estimators: [Estimator; E]) -> [Solve
     let mut durations: Vec<[f64; 3]> = input.jobs.iter().map(|j| j.initial_response).collect();
     let cvs: Vec<[f64; 3]> = input.jobs.iter().map(|j| j.cv).collect();
 
-    // Iteration-invariant state and scratch buffers, hoisted so the
-    // A2–A6 loop re-fills storage instead of re-allocating it. The
+    // Iteration-invariant state and the A2–A5 working state, hoisted so
+    // the A2–A6 loop re-fills storage instead of re-allocating it. The
     // overlap matrices start as all-ones — exactly the values the
     // factor-free configuration uses — and are only overwritten when
     // overlap factors are on.
@@ -451,8 +466,10 @@ fn run<const E: usize>(input: &ModelInput, estimators: [Estimator; E]) -> [Solve
     let mut pops = vec![0.0f64; c_total];
     let mut intra = vec![vec![1.0f64; c_total]; c_total];
     let mut inter = vec![vec![1.0f64; c_total]; c_total];
-    let mut job_segments: Vec<Vec<usize>> = vec![Vec::new(); n_jobs];
-    let mut job_waves: Vec<Vec<Vec<usize>>> = Vec::with_capacity(n_jobs);
+    let mut timeline = TimelineBuilder::default();
+    let mut act = Activities::default();
+    let mut waves = Waves::default();
+    let mut ids = Vec::new();
     let mut per_job = vec![0.0f64; n_jobs];
 
     let mut prev_avg = [f64::INFINITY; E];
@@ -464,27 +481,20 @@ fn run<const E: usize>(input: &ModelInput, estimators: [Estimator; E]) -> [Solve
         iterations += 1;
         let last = iterations == input.options.max_iterations;
         // A2: timeline from current durations (precedence trees are
-        // pure reporting — they are built once per stopping iteration).
-        tl_jobs.clear();
-        tl_jobs.extend(input.jobs.iter().enumerate().map(|(j, job)| TimelineJob {
-            num_maps: job.num_maps,
-            num_reduces: job.num_reduces,
-            map_duration: durations[j][0].max(1e-9),
-            merge_duration: durations[j][2].max(0.0),
-            shuffle: ShuffleSpec::Fixed(durations[j][1].max(0.0)),
-        }));
-        let tl = build_timeline(&cfg, &tl_jobs);
+        // pure reporting — only their depths are read, off the waves).
+        timeline_jobs(input, &durations, &mut tl_jobs);
+        let tl = timeline.build(&cfg, &tl_jobs);
 
         // A3: populations and overlap factors from one pass over the
         // timeline's segments.
-        let act = activities(&tl, n_jobs as u32);
+        act.rebuild(tl, n_jobs as u32);
         for j in 0..n_jobs {
             for c in 0..3 {
                 pops[3 * j + c] = act[j][c].population();
             }
         }
         if input.options.use_overlap_factors {
-            let f = overlap_factors(&act);
+            let f = act.overlap_factors();
             for a in 0..c_total {
                 for b in 0..c_total {
                     let (ci, cj) = (a % 3, b % 3);
@@ -507,18 +517,9 @@ fn run<const E: usize>(input: &ModelInput, estimators: [Estimator; E]) -> [Solve
             }
         }
 
-        // A5 input shared by every estimator: each job's waves. One
-        // pass groups segment indices by job (ascending, matching the
-        // former per-job filter).
-        for (i, s) in tl.segments.iter().enumerate() {
-            job_segments[s.job as usize].push(i);
-        }
-        job_waves.clear();
-        job_waves.extend(
-            job_segments
-                .iter_mut()
-                .map(|js| crate::tree::waves(&tl, std::mem::take(js))),
-        );
+        // A5 input shared by every estimator: each job's waves and
+        // first start.
+        waves.rebuild(tl, n_jobs);
 
         let mut tree_depths: Option<Vec<usize>> = None;
         for (e, &estimator) in estimators.iter().enumerate() {
@@ -527,12 +528,14 @@ fn run<const E: usize>(input: &ModelInput, estimators: [Estimator; E]) -> [Solve
             }
             // A5: per-job response estimates over the job's subtree.
             for j in 0..n_jobs {
-                let ws = &job_waves[j];
+                let ws = waves.job(j);
                 let est = match estimator {
-                    Estimator::ForkJoin => eval_fork_join(ws, &tl, &durations),
-                    Estimator::Tripathi => eval_tripathi(ws, &tl, &durations, &cvs, &mut trees),
+                    Estimator::ForkJoin => eval_fork_join(ws, tl, &durations),
+                    Estimator::Tripathi => {
+                        eval_tripathi(ws, tl, &durations, &cvs, &mut trees, &mut ids)
+                    }
                 };
-                per_job[j] = tl.job_start(j as u32) + est;
+                per_job[j] = waves.job_start(j) + est;
             }
             let avg = per_job.iter().sum::<f64>() / n_jobs as f64;
 
@@ -543,9 +546,9 @@ fn run<const E: usize>(input: &ModelInput, estimators: [Estimator; E]) -> [Solve
                 let depths = tree_depths.get_or_insert_with(|| {
                     (0..n_jobs)
                         .map(|j| {
-                            build_tree(&tl, Some(j as u32), input.options.balance_tree)
+                            waves
+                                .tree_depth(j, input.options.balance_tree)
                                 .expect("every job has tasks")
-                                .depth()
                         })
                         .collect()
                 });
@@ -853,6 +856,58 @@ mod tests {
             a.makespan,
             b.makespan
         );
+    }
+
+    #[test]
+    fn tree_depths_read_off_the_waves_equal_the_built_trees() {
+        use crate::timeline::build_timeline;
+        use crate::tree::build_tree;
+        use crate::{model_input, Calibration};
+        use mapreduce_sim::workload::{grep, terasort, wordcount};
+        use mapreduce_sim::{SimConfig, GB};
+
+        let (mut waves, mut jobs, mut checked) = (Waves::default(), Vec::new(), 0);
+        for nodes in [1usize, 3, 8] {
+            let specs = [
+                wordcount(GB, nodes as u32),
+                terasort(5 * GB, nodes as u32),
+                grep(GB),
+            ];
+            for (spec, count) in specs.iter().flat_map(|s| [(s, 1), (s, 4)]) {
+                for balance_tree in [true, false] {
+                    let options = ModelOptions {
+                        balance_tree,
+                        ..ModelOptions::default()
+                    };
+                    let cfg = SimConfig::paper_testbed(nodes);
+                    let inp =
+                        model_input(&cfg, spec, count, options, &Calibration::default(), None);
+                    let r = solve(&inp);
+                    // The solver's timelines at its first and last durations.
+                    let first: Vec<[f64; 3]> =
+                        inp.jobs.iter().map(|j| j.initial_response).collect();
+                    let cfg = TimelineConfig {
+                        capacities: capacities(&inp),
+                        slow_start: inp.options.slow_start,
+                    };
+                    for durations in [&first, &r.durations] {
+                        timeline_jobs(&inp, durations, &mut jobs);
+                        let tl = build_timeline(&cfg, &jobs);
+                        waves.rebuild(&tl, count);
+                        for j in 0..count {
+                            for balance in [true, false] {
+                                let want = build_tree(&tl, Some(j as u32), balance)
+                                    .expect("every job has tasks")
+                                    .depth();
+                                assert_eq!(waves.tree_depth(j, balance), Some(want));
+                                checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 3 * 3 * (1 + 4) * 2 * 2 * 2);
     }
 
     /// Every field of a result, floats by bit pattern.

@@ -7,7 +7,8 @@
 //! * map containers are granted before reduce containers (priorities);
 //! * each task goes to the node with the lowest occupancy rate —
 //!   `min(TL)` in Algorithm 1 — implemented as the node whose container
-//!   pool frees earliest (ties: fewer tasks, then lower id);
+//!   pool frees earliest (ties: fewer tasks, then lower id), kept at the
+//!   root of a heap of nodes;
 //! * with *slow start*, the shuffle of a reduce may begin at the end of
 //!   the **first** map (`border := TL[min(TL)].et`); without it, at the
 //!   end of the **last** map (`border := TL[max(TL)].et`);
@@ -21,7 +22,7 @@
 //! the tree and the overlap factors see the paper's three task classes.
 
 use crate::input::TaskClass;
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// How a reduce's shuffle-sort duration is determined.
@@ -100,7 +101,7 @@ impl Segment {
 }
 
 /// The constructed timeline.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Timeline {
     /// All task segments, in placement order.
     pub segments: Vec<Segment>,
@@ -113,28 +114,9 @@ impl Timeline {
     pub fn makespan(&self) -> f64 {
         self.segments.iter().map(|s| s.end).fold(0.0, f64::max)
     }
-
-    /// Segments belonging to one job.
-    pub fn job_segments(&self, job: u32) -> impl Iterator<Item = &Segment> {
-        self.segments.iter().filter(move |s| s.job == job)
-    }
-
-    /// First start time of a job's tasks (FIFO queueing offset).
-    pub fn job_start(&self, job: u32) -> f64 {
-        self.job_segments(job)
-            .map(|s| s.start)
-            .fold(f64::INFINITY, f64::min)
-    }
 }
 
-/// One node's container pool: a min-heap of container-free times.
-struct NodePool {
-    id: u32,
-    free_at: BinaryHeap<std::cmp::Reverse<OrdF64>>,
-    assigned: u32,
-}
-
-/// Total-ordered f64 wrapper for the heap.
+/// Total-ordered f64 wrapper for the heaps.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct OrdF64(f64);
 impl Eq for OrdF64 {}
@@ -149,124 +131,150 @@ impl Ord for OrdF64 {
     }
 }
 
-impl NodePool {
-    fn earliest(&self) -> f64 {
-        self.free_at.peek().map(|r| r.0 .0).unwrap_or(f64::INFINITY)
+/// The node pools Algorithm 1 places tasks on.
+#[derive(Debug, Default)]
+struct Pools {
+    /// Per node, a min-heap of its containers' free times.
+    free_at: Vec<BinaryHeap<Reverse<OrdF64>>>,
+    /// `min(TL)` at the root: nodes keyed by (earliest free time, tasks
+    /// assigned, id) — the node with the lowest occupancy rate, ties
+    /// broken by assignment count then id.
+    order: BinaryHeap<Reverse<(OrdF64, u32, u32)>>,
+}
+
+impl Pools {
+    /// Every container of every node free at time 0.
+    fn reset(&mut self, capacities: &[u32]) {
+        self.free_at.resize_with(capacities.len(), BinaryHeap::new);
+        self.order.clear();
+        for (id, (pool, &cap)) in self.free_at.iter_mut().zip(capacities).enumerate() {
+            pool.clear();
+            pool.extend((0..cap).map(|_| Reverse(OrdF64(0.0))));
+            self.order.push(Reverse((OrdF64(0.0), 0, id as u32)));
+        }
     }
 
-    fn take(&mut self) -> f64 {
-        self.assigned += 1;
-        self.free_at.pop().expect("pool is never empty").0 .0
+    /// `min(TL)` and the time its earliest container frees.
+    fn min(&self) -> (u32, f64) {
+        let Reverse((free, _, node)) = *self.order.peek().expect("at least one node");
+        (node, free.0)
     }
 
-    fn give_back(&mut self, free_at: f64) {
-        self.free_at.push(std::cmp::Reverse(OrdF64(free_at)));
+    /// Hold `min(TL)`'s earliest-free container until `end`.
+    fn hold_until(&mut self, end: f64) {
+        let mut root = self.order.peek_mut().expect("at least one node");
+        let Reverse((_, assigned, node)) = *root;
+        let pool = &mut self.free_at[node as usize];
+        *pool.peek_mut().expect("pool is never empty") = Reverse(OrdF64(end));
+        let earliest = pool.peek().expect("pool is never empty").0;
+        *root = Reverse((earliest, assigned + 1, node));
     }
 }
 
-/// `min(TL)`: the node with the lowest occupancy rate — the one whose pool
-/// frees earliest, ties broken by assignment count then id.
-fn pick_node(pools: &[NodePool]) -> usize {
-    pools
-        .iter()
-        .enumerate()
-        .min_by(|(_, a), (_, b)| {
-            a.earliest()
-                .total_cmp(&b.earliest())
-                .then(a.assigned.cmp(&b.assigned))
-                .then(a.id.cmp(&b.id))
-        })
-        .map(|(i, _)| i)
-        .expect("at least one node")
+/// Builds timelines into storage it keeps, so that a caller rebuilding
+/// one many times (the solver's A2, once per iteration) refills the node
+/// pools and segments instead of allocating them. Each build equals
+/// [`build_timeline`] on the same input, bit for bit.
+#[derive(Debug, Default)]
+pub struct TimelineBuilder {
+    pools: Pools,
+    /// The current job's maps placed on each node.
+    maps_on: Vec<u32>,
+    timeline: Timeline,
+}
+
+impl TimelineBuilder {
+    /// Build the timeline for `jobs` (in FIFO submission order) on `cfg`,
+    /// in place of the previous one.
+    pub fn build(&mut self, cfg: &TimelineConfig, jobs: &[TimelineJob]) -> &Timeline {
+        assert!(!cfg.capacities.is_empty());
+        assert!(
+            cfg.capacities.iter().all(|&c| c > 0),
+            "empty container pool"
+        );
+        let TimelineBuilder {
+            pools,
+            maps_on,
+            timeline,
+        } = self;
+        pools.reset(&cfg.capacities);
+        maps_on.resize(cfg.capacities.len(), 0);
+        timeline.num_nodes = cfg.capacities.len();
+        let segments = &mut timeline.segments;
+        segments.clear();
+
+        for (jid, job) in jobs.iter().enumerate() {
+            let jid = jid as u32;
+            // Lines 4–6: place maps on the least-occupied nodes.
+            maps_on.fill(0);
+            let (mut first_end, mut last_end) = (f64::INFINITY, 0.0f64);
+            for i in 0..job.num_maps {
+                let (node, st) = pools.min();
+                let et = st + job.map_duration;
+                pools.hold_until(et);
+                maps_on[node as usize] += 1;
+                segments.push(Segment {
+                    job: jid,
+                    class: TaskClass::Map,
+                    index: i,
+                    node,
+                    start: st,
+                    end: et,
+                });
+                first_end = first_end.min(et);
+                last_end = last_end.max(et);
+            }
+
+            // Lines 7–11: the slow-start border.
+            let border = if job.num_maps == 0 {
+                0.0
+            } else if cfg.slow_start {
+                first_end
+            } else {
+                last_end
+            };
+
+            // Lines 12–21: place reduces.
+            for i in 0..job.num_reduces {
+                let (node, free) = pools.min();
+                let st = free.max(border);
+                let shuffle_d = match job.shuffle {
+                    ShuffleSpec::Fixed(d) => d,
+                    ShuffleSpec::PerRemoteMap { sd, base } => {
+                        let remote = job.num_maps - maps_on[node as usize];
+                        base + remote as f64 * sd / job.num_reduces.max(1) as f64
+                    }
+                };
+                let ss_end = st + shuffle_d;
+                let et = ss_end + job.merge_duration;
+                pools.hold_until(et);
+                segments.push(Segment {
+                    job: jid,
+                    class: TaskClass::ShuffleSort,
+                    index: i,
+                    node,
+                    start: st,
+                    end: ss_end,
+                });
+                segments.push(Segment {
+                    job: jid,
+                    class: TaskClass::Merge,
+                    index: i,
+                    node,
+                    start: ss_end,
+                    end: et,
+                });
+            }
+        }
+        timeline
+    }
 }
 
 /// Build the timeline for `jobs` (in FIFO submission order) on `cfg`.
 pub fn build_timeline(cfg: &TimelineConfig, jobs: &[TimelineJob]) -> Timeline {
-    assert!(!cfg.capacities.is_empty());
-    assert!(
-        cfg.capacities.iter().all(|&c| c > 0),
-        "empty container pool"
-    );
-    let mut pools: Vec<NodePool> = cfg
-        .capacities
-        .iter()
-        .enumerate()
-        .map(|(i, &cap)| NodePool {
-            id: i as u32,
-            free_at: (0..cap).map(|_| std::cmp::Reverse(OrdF64(0.0))).collect(),
-            assigned: 0,
-        })
-        .collect();
-    let mut segments = Vec::new();
-
-    for (jid, job) in jobs.iter().enumerate() {
-        let jid = jid as u32;
-        // Lines 4–6: place maps on the least-occupied nodes.
-        let mut map_nodes = Vec::with_capacity(job.num_maps as usize);
-        let mut map_ends = Vec::with_capacity(job.num_maps as usize);
-        for i in 0..job.num_maps {
-            let n = pick_node(&pools);
-            let st = pools[n].take();
-            let et = st + job.map_duration;
-            pools[n].give_back(et);
-            segments.push(Segment {
-                job: jid,
-                class: TaskClass::Map,
-                index: i,
-                node: n as u32,
-                start: st,
-                end: et,
-            });
-            map_nodes.push(n as u32);
-            map_ends.push(et);
-        }
-
-        // Lines 7–11: the slow-start border.
-        let border = if job.num_maps == 0 {
-            0.0
-        } else if cfg.slow_start {
-            map_ends.iter().copied().fold(f64::INFINITY, f64::min)
-        } else {
-            map_ends.iter().copied().fold(0.0, f64::max)
-        };
-
-        // Lines 12–21: place reduces.
-        for i in 0..job.num_reduces {
-            let n = pick_node(&pools);
-            let free = pools[n].take();
-            let st = free.max(border);
-            let shuffle_d = match job.shuffle {
-                ShuffleSpec::Fixed(d) => d,
-                ShuffleSpec::PerRemoteMap { sd, base } => {
-                    let remote = map_nodes.iter().filter(|&&mn| mn != n as u32).count();
-                    base + remote as f64 * sd / job.num_reduces.max(1) as f64
-                }
-            };
-            let ss_end = st + shuffle_d;
-            let et = ss_end + job.merge_duration;
-            pools[n].give_back(et);
-            segments.push(Segment {
-                job: jid,
-                class: TaskClass::ShuffleSort,
-                index: i,
-                node: n as u32,
-                start: st,
-                end: ss_end,
-            });
-            segments.push(Segment {
-                job: jid,
-                class: TaskClass::Merge,
-                index: i,
-                node: n as u32,
-                start: ss_end,
-                end: et,
-            });
-        }
-    }
-    Timeline {
-        segments,
-        num_nodes: cfg.capacities.len(),
-    }
+    let mut builder = TimelineBuilder::default();
+    builder.build(cfg, jobs);
+    builder.timeline
 }
 
 #[cfg(test)]
@@ -376,8 +384,15 @@ mod tests {
             shuffle: ShuffleSpec::Fixed(0.0),
         };
         let tl = build_timeline(&cfg, &[job.clone(), job]);
-        assert_eq!(tl.job_start(0), 0.0);
-        assert_eq!(tl.job_start(1), 10.0);
+        let first_start = |j| {
+            tl.segments
+                .iter()
+                .filter(|s| s.job == j)
+                .map(|s| s.start)
+                .fold(f64::INFINITY, f64::min)
+        };
+        assert_eq!(first_start(0), 0.0);
+        assert_eq!(first_start(1), 10.0);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! wave as a balanced binary tree; `balance = false` (for the §5.2 depth
 //! ablation) chains wave members left-deep.
 
-use crate::timeline::{Segment, Timeline};
+use crate::timeline::Timeline;
 
 /// A binary precedence tree. Leaves index into the timeline's segment
 /// vector.
@@ -103,29 +103,130 @@ impl PrecTree {
     }
 }
 
+/// Sort `keys` — `(start, end, segment index)` — into wave order, append
+/// their segment indices to `members`, and push the offset in `members`
+/// at which each wave begins onto `bounds`. The index breaks every tie, so
+/// the order is total. Keys in timeline order are long sorted runs (a
+/// job's maps are placed at non-decreasing starts), which the stable sort
+/// merges in about linear time.
+fn group(keys: &mut [(f64, f64, usize)], members: &mut Vec<usize>, bounds: &mut Vec<usize>) {
+    keys.sort_by(|a, b| {
+        a.0.total_cmp(&b.0)
+            .then(a.1.total_cmp(&b.1))
+            .then(a.2.cmp(&b.2))
+    });
+    let mut wave_min_end = f64::INFINITY;
+    for (k, &(start, end, i)) in keys.iter().enumerate() {
+        if k == 0 || start >= wave_min_end - 1e-9 {
+            bounds.push(members.len());
+            wave_min_end = end;
+        } else {
+            wave_min_end = wave_min_end.min(end);
+        }
+        members.push(i);
+    }
+}
+
 /// Group segment indices into waves (see module docs). Segments must be
 /// the indices to consider, in any order.
-pub fn waves(tl: &Timeline, mut idx: Vec<usize>) -> Vec<Vec<usize>> {
-    idx.sort_by(|&a, &b| {
-        let (sa, sb) = (&tl.segments[a], &tl.segments[b]);
-        sa.start
-            .total_cmp(&sb.start)
-            .then(sa.end.total_cmp(&sb.end))
-            .then(a.cmp(&b))
-    });
-    let mut out: Vec<Vec<usize>> = Vec::new();
-    let mut wave_min_end = f64::INFINITY;
-    for i in idx {
-        let s: &Segment = &tl.segments[i];
-        if out.is_empty() || s.start >= wave_min_end - 1e-9 {
-            out.push(vec![i]);
-            wave_min_end = s.end;
-        } else {
-            out.last_mut().expect("non-empty").push(i);
-            wave_min_end = wave_min_end.min(s.end);
+pub fn waves(tl: &Timeline, idx: Vec<usize>) -> Vec<Vec<usize>> {
+    let mut keys: Vec<(f64, f64, usize)> = idx
+        .into_iter()
+        .map(|i| (tl.segments[i].start, tl.segments[i].end, i))
+        .collect();
+    let (mut members, mut bounds) = (Vec::with_capacity(keys.len()), Vec::new());
+    group(&mut keys, &mut members, &mut bounds);
+    bounds.push(members.len());
+    bounds
+        .windows(2)
+        .map(|w| members[w[0]..w[1]].to_vec())
+        .collect()
+}
+
+/// Every job's waves, in flat storage that a caller regrouping them many
+/// times (the solver, once per A2–A6 iteration) refills instead of
+/// allocating. Job `j`'s waves are those [`waves`] makes of `j`'s
+/// segments.
+#[derive(Debug, Default)]
+pub struct Waves {
+    /// Sort keys of the job being grouped.
+    keys: Vec<(f64, f64, usize)>,
+    /// Segment indices in wave order, job by job.
+    members: Vec<usize>,
+    /// Offset in `members` of each wave's first member, then
+    /// `members.len()`.
+    bounds: Vec<usize>,
+    /// Index in `bounds` of each job's first wave, then the wave count.
+    jobs: Vec<usize>,
+    /// Each job's first start time (∞ for a job without segments).
+    starts: Vec<f64>,
+}
+
+impl Waves {
+    /// Group the waves of jobs `0..num_jobs` on `tl`, in place of the
+    /// previous ones. Segments are placed job by job, so each job's
+    /// segments must form one contiguous range, in job order.
+    pub fn rebuild(&mut self, tl: &Timeline, num_jobs: usize) {
+        self.members.clear();
+        self.bounds.clear();
+        self.jobs.clear();
+        self.starts.clear();
+        let mut lo = 0;
+        for j in 0..num_jobs {
+            self.keys.clear();
+            let mut start = f64::INFINITY;
+            for (i, s) in tl.segments.iter().enumerate().skip(lo) {
+                if s.job as usize != j {
+                    break;
+                }
+                self.keys.push((s.start, s.end, i));
+                start = start.min(s.start);
+            }
+            lo += self.keys.len();
+            self.jobs.push(self.bounds.len());
+            self.starts.push(start);
+            group(&mut self.keys, &mut self.members, &mut self.bounds);
         }
+        assert_eq!(
+            lo,
+            tl.segments.len(),
+            "each job's segments form one contiguous range, in job order"
+        );
+        self.jobs.push(self.bounds.len());
+        self.bounds.push(self.members.len());
     }
-    out
+
+    /// Job `job`'s waves in time order, each its members' segment
+    /// indices in wave order.
+    pub fn job(&self, job: usize) -> impl DoubleEndedIterator<Item = &[usize]> + Clone {
+        self.bounds[self.jobs[job]..=self.jobs[job + 1]]
+            .windows(2)
+            .map(|w| &self.members[w[0]..w[1]])
+    }
+
+    /// Job `job`'s first start time — its FIFO queueing offset (∞ for a
+    /// job without segments).
+    pub fn job_start(&self, job: usize) -> f64 {
+        self.starts[job]
+    }
+
+    /// Depth of the tree [`build_tree`] builds over job `job`'s segments,
+    /// read off its waves (`None` for a job without segments). A balanced
+    /// wave of `w` members has depth `1 + ⌈log₂ w⌉`, a left-deep one `w`,
+    /// and each S level adds one to the deeper of its wave and the rest of
+    /// the chain.
+    pub(crate) fn tree_depth(&self, job: usize, balance: bool) -> Option<usize> {
+        self.job(job)
+            .rev()
+            .map(|w| {
+                if balance {
+                    1 + w.len().next_power_of_two().trailing_zeros() as usize
+                } else {
+                    w.len()
+                }
+            })
+            .reduce(|rest, wave| 1 + wave.max(rest))
+    }
 }
 
 /// Build a P-subtree over one wave.
@@ -247,6 +348,52 @@ mod tests {
         assert_eq!(balanced.depth(), 7); // ⌈log2 64⌉ + 1
         assert_eq!(chain.depth(), 64);
         assert!(balanced.depth() < chain.depth());
+    }
+
+    #[test]
+    fn wave_depths_equal_the_built_trees() {
+        let job = |num_maps, num_reduces| TimelineJob {
+            num_maps,
+            num_reduces,
+            map_duration: 10.0,
+            merge_duration: 6.0,
+            shuffle: ShuffleSpec::Fixed(3.0),
+        };
+        let depths = |tl: &Timeline, ws: &Waves, j: usize, balance: bool| {
+            let want = build_tree(tl, Some(j as u32), balance).map(|t| t.depth());
+            assert_eq!(
+                ws.tree_depth(j, balance),
+                want,
+                "job {j}, balance {balance}"
+            );
+            want
+        };
+        let mut ws = Waves::default();
+        for w in [1u32, 2, 3, 64, 65] {
+            // One wave of `w` maps.
+            let tl = build_timeline(&TimelineConfig::homogeneous(w as usize, 1), &[job(w, 0)]);
+            ws.rebuild(&tl, 1);
+            assert_eq!(
+                ws.job(0).map(<[usize]>::len).collect::<Vec<_>>(),
+                [w as usize]
+            );
+            let log2 = (w as f64).log2().ceil() as usize;
+            assert_eq!(depths(&tl, &ws, 0, true), Some(1 + log2));
+            assert_eq!(depths(&tl, &ws, 0, false), Some(w as usize));
+            // S-chains of waves, over several jobs and one without tasks.
+            let jobs = [job(w, 0), job(2 * w + 1, 3), job(0, 0), job(w, 2)];
+            for per_node in [1, 2] {
+                let cfg = TimelineConfig::homogeneous(w as usize, per_node);
+                let tl = build_timeline(&cfg, &jobs);
+                ws.rebuild(&tl, jobs.len());
+                for j in 0..jobs.len() {
+                    for balance in [true, false] {
+                        depths(&tl, &ws, j, balance);
+                    }
+                }
+                assert_eq!(ws.tree_depth(2, true), None);
+            }
+        }
     }
 
     #[test]

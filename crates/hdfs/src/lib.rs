@@ -1,8 +1,8 @@
 //! # hdfs-sim — HDFS substrate simulator
 //!
 //! Models the parts of HDFS that the MapReduce performance model and the
-//! cluster simulator depend on: cluster [`Topology`] (nodes, racks,
-//! distances), replicated [`Block`]s, the [`Namespace`] of files, HDFS's
+//! cluster simulator depend on: cluster [`Topology`] (nodes and racks),
+//! replicated [`Block`]s, the [`Namespace`] of files, HDFS's
 //! default replica [`placement`], and [`InputSplit`] generation (one split
 //! per block, with replica hosts for locality-aware scheduling).
 

@@ -81,20 +81,6 @@ impl Namespace {
         );
         &self.files[name]
     }
-
-    /// Number of files.
-    pub fn num_files(&self) -> usize {
-        self.files.len()
-    }
-
-    /// Total number of block replicas stored on `node` across all files.
-    pub fn replicas_on(&self, node: NodeId) -> usize {
-        self.files
-            .values()
-            .flat_map(|f| &f.blocks)
-            .filter(|b| b.is_local_to(node))
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -134,7 +120,6 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(9);
         let f = ns.create_file(&topo, "/empty", 0, 128, None, &mut rng);
         assert!(f.blocks.is_empty());
-        assert_eq!(ns.num_files(), 1);
     }
 
     #[test]
@@ -142,10 +127,10 @@ mod tests {
         let topo = Topology::single_rack(3);
         let mut ns = Namespace::new(3);
         let mut rng = SmallRng::seed_from_u64(10);
-        ns.create_file(&topo, "/a", 900, 300, None, &mut rng);
+        let f = ns.create_file(&topo, "/a", 900, 300, None, &mut rng);
         // Replication 3 on 3 nodes: every node holds every block.
         for n in topo.nodes() {
-            assert_eq!(ns.replicas_on(n), 3);
+            assert!(f.blocks.iter().all(|b| b.is_local_to(n)));
         }
     }
 

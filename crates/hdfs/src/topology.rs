@@ -1,5 +1,5 @@
-//! Cluster topology: nodes grouped into racks, with HDFS-style network
-//! distances used by block placement and locality-aware scheduling.
+//! Cluster topology: nodes grouped into racks, as block placement and
+//! locality-aware scheduling see them.
 
 use std::fmt;
 
@@ -81,18 +81,6 @@ impl Topology {
         &self.rack_nodes[rack.0 as usize]
     }
 
-    /// HDFS-style network distance: 0 = same node, 2 = same rack,
-    /// 4 = different rack.
-    pub fn distance(&self, a: NodeId, b: NodeId) -> u32 {
-        if a == b {
-            0
-        } else if self.rack_of(a) == self.rack_of(b) {
-            2
-        } else {
-            4
-        }
-    }
-
     /// Whether two nodes share a rack.
     pub fn same_rack(&self, a: NodeId, b: NodeId) -> bool {
         self.rack_of(a) == self.rack_of(b)
@@ -108,18 +96,17 @@ mod tests {
         let t = Topology::single_rack(4);
         assert_eq!(t.num_nodes(), 4);
         assert!(t.nodes().all(|n| t.rack_of(n) == RackId(0)));
-        assert_eq!(t.distance(NodeId(0), NodeId(0)), 0);
-        assert_eq!(t.distance(NodeId(0), NodeId(3)), 2);
+        assert!(t.same_rack(NodeId(0), NodeId(3)));
     }
 
     #[test]
-    fn multi_rack_distances() {
+    fn multi_rack_layout() {
         let t = Topology::with_racks(&[2, 3]);
         assert_eq!(t.num_nodes(), 5);
         assert_eq!(t.rack_of(NodeId(1)), RackId(0));
         assert_eq!(t.rack_of(NodeId(2)), RackId(1));
-        assert_eq!(t.distance(NodeId(0), NodeId(1)), 2);
-        assert_eq!(t.distance(NodeId(1), NodeId(2)), 4);
+        assert!(t.same_rack(NodeId(0), NodeId(1)));
+        assert!(!t.same_rack(NodeId(1), NodeId(2)));
         assert!(t.same_rack(NodeId(2), NodeId(4)));
         assert_eq!(
             t.nodes_in_rack(RackId(1)),
