@@ -1,8 +1,8 @@
 //! Gates on the committed performance metadata: the repo-root
 //! `BENCH_TRAJECTORY.json` must parse and keep its invariants, and
-//! every committed baseline file must correspond to a declared bench
-//! target (an orphan baseline would silently pass the coverage gate
-//! while gating nothing).
+//! every committed baseline file (of `mr2-bench` and `mr2-serve`) must
+//! correspond to a declared bench target (an orphan baseline would
+//! silently pass the coverage gate while gating nothing).
 
 use std::path::{Path, PathBuf};
 
@@ -78,9 +78,18 @@ fn trajectory_entries_are_well_formed_and_monotone() {
 fn every_committed_baseline_has_a_bench_target() {
     // A baselines/<name>.json with no [[bench]] target named <name>
     // never runs under the coverage gate: it would assert nothing while
-    // looking like it does. Parse the manifest's [[bench]] names and
-    // require a target per baseline file.
-    let manifest_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
+    // looking like it does. For every crate that commits baselines,
+    // parse the manifest's [[bench]] names and require a target per
+    // baseline file.
+    for krate in ["crates/bench", "crates/serve"] {
+        let checked = check_baselines(&repo_root().join(krate));
+        assert!(checked > 0, "no committed baselines found in {krate}");
+    }
+}
+
+/// Check one crate's committed baselines against its bench targets;
+/// returns how many baselines it checked.
+fn check_baselines(manifest_dir: &Path) -> usize {
     let manifest = std::fs::read_to_string(manifest_dir.join("Cargo.toml")).unwrap();
     let mut targets = Vec::new();
     let mut in_bench = false;
@@ -99,7 +108,11 @@ fn every_committed_baseline_has_a_bench_target() {
             }
         }
     }
-    assert!(!targets.is_empty(), "no [[bench]] targets parsed");
+    assert!(
+        !targets.is_empty(),
+        "no [[bench]] targets parsed in {}",
+        manifest_dir.display()
+    );
 
     let baselines = manifest_dir.join("benches").join("baselines");
     let mut checked = 0;
@@ -124,5 +137,5 @@ fn every_committed_baseline_has_a_bench_target() {
         );
         checked += 1;
     }
-    assert!(checked > 0, "no committed baselines found");
+    checked
 }

@@ -11,6 +11,12 @@
 //! 2^53, which covers every field the API carries (byte sizes, seeds,
 //! counts, timestamps). Rendering is compact; non-finite numbers render
 //! as `null` (JSON has no NaN/Infinity).
+//!
+//! Hot replies skip the tree: [`write_object`] appends an object's
+//! members straight to a `String` through [`ObjectWriter`] (and arrays
+//! through [`ArrayWriter`]), with the number and string rendering
+//! [`Json::render`] uses, so a writer that emits a tree's members in its
+//! key order produces the tree's bytes.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -228,6 +234,150 @@ fn render_string(s: &str, out: &mut String) {
         }
     }
     out.push('"');
+}
+
+/// Append one JSON object to `out`, its members written by `f`.
+pub fn write_object(out: &mut String, f: impl FnOnce(&mut ObjectWriter<'_>)) {
+    out.push('{');
+    f(&mut ObjectWriter { out, last: None });
+    out.push('}');
+}
+
+/// Append one JSON array to `out`, its items written by `f`.
+fn write_array(out: &mut String, f: impl FnOnce(&mut ArrayWriter<'_>)) {
+    out.push('[');
+    f(&mut ArrayWriter { out, empty: true });
+    out.push(']');
+}
+
+/// Writes an object's members in the order given, which must be
+/// ascending byte order of the keys — the order a [`Json::Obj`] renders
+/// in, so the bytes match the tree's. Debug builds assert the order.
+/// Keys are field names, hence `'static`. Integers take the `as f64`
+/// cast of `Json::from`, so values past 2^53 round as they do in a tree.
+pub struct ObjectWriter<'a> {
+    out: &'a mut String,
+    last: Option<&'static str>,
+}
+
+impl ObjectWriter<'_> {
+    fn key(&mut self, key: &'static str) -> &mut String {
+        debug_assert!(
+            self.last.is_none_or(|last| last < key),
+            "object keys out of order: `{key}` after `{}`",
+            self.last.unwrap_or_default()
+        );
+        if self.last.is_some() {
+            self.out.push(',');
+        }
+        self.last = Some(key);
+        render_string(key, self.out);
+        self.out.push(':');
+        self.out
+    }
+
+    /// The output's length so far: where a member written later would
+    /// start, comma included.
+    pub fn offset(&self) -> usize {
+        self.out.len()
+    }
+
+    /// A number member (non-finite → `null`).
+    pub fn num(&mut self, key: &'static str, v: f64) -> &mut Self {
+        render_number(v, self.key(key));
+        self
+    }
+
+    /// An integer member.
+    pub fn uint(&mut self, key: &'static str, v: u64) -> &mut Self {
+        self.num(key, v as f64)
+    }
+
+    /// A number member, or `null` when absent.
+    pub fn opt_num(&mut self, key: &'static str, v: Option<f64>) -> &mut Self {
+        match v {
+            Some(v) => self.num(key, v),
+            None => self.null(key),
+        }
+    }
+
+    /// A string member.
+    pub fn str(&mut self, key: &'static str, v: &str) -> &mut Self {
+        render_string(v, self.key(key));
+        self
+    }
+
+    /// A boolean member.
+    pub fn bool(&mut self, key: &'static str, v: bool) -> &mut Self {
+        self.key(key).push_str(if v { "true" } else { "false" });
+        self
+    }
+
+    /// A `null` member.
+    pub fn null(&mut self, key: &'static str) -> &mut Self {
+        self.key(key).push_str("null");
+        self
+    }
+
+    /// A member whose value is an existing tree.
+    pub fn json(&mut self, key: &'static str, v: &Json) -> &mut Self {
+        v.render_into(self.key(key));
+        self
+    }
+
+    /// A nested object member, its members written by `f`.
+    pub fn object(
+        &mut self,
+        key: &'static str,
+        f: impl FnOnce(&mut ObjectWriter<'_>),
+    ) -> &mut Self {
+        write_object(self.key(key), f);
+        self
+    }
+
+    /// A nested array member, its items written by `f`.
+    pub fn array(&mut self, key: &'static str, f: impl FnOnce(&mut ArrayWriter<'_>)) -> &mut Self {
+        write_array(self.key(key), f);
+        self
+    }
+}
+
+/// Writes an array's items in order; see [`ObjectWriter`].
+pub struct ArrayWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl ArrayWriter<'_> {
+    fn item(&mut self) -> &mut String {
+        if !std::mem::take(&mut self.empty) {
+            self.out.push(',');
+        }
+        self.out
+    }
+
+    /// A number item (non-finite → `null`).
+    pub fn num(&mut self, v: f64) -> &mut Self {
+        render_number(v, self.item());
+        self
+    }
+
+    /// An integer item.
+    pub fn uint(&mut self, v: u64) -> &mut Self {
+        self.num(v as f64)
+    }
+
+    /// A string item.
+    pub fn str(&mut self, v: &str) -> &mut Self {
+        render_string(v, self.item());
+        self
+    }
+
+    /// An object item, its members written by `f`.
+    pub fn object(&mut self, f: impl FnOnce(&mut ObjectWriter<'_>)) -> &mut Self {
+        write_object(self.item(), f);
+        self
+    }
 }
 
 struct Parser<'a> {
@@ -526,6 +676,62 @@ mod tests {
         let deep = "[".repeat(100) + &"]".repeat(100);
         let err = Json::parse(&deep).unwrap_err();
         assert!(err.message.contains("nesting"));
+    }
+
+    #[test]
+    fn writer_renders_the_trees_bytes() {
+        let tree = Json::obj([
+            ("big", Json::from(9_007_199_254_740_993u64)),
+            ("deep", Json::obj([("ok", true.into()), ("x", Json::Null)])),
+            ("inf", Json::num(f64::INFINITY)),
+            (
+                "list",
+                Json::Arr(vec![
+                    Json::num(0.1 + 0.2),
+                    Json::from(u64::MAX),
+                    Json::str("tab\there"),
+                    Json::obj([("k", Json::num(-0.0))]),
+                ]),
+            ),
+            ("name", Json::str("sweep-α \"q\" \u{1}")),
+            ("none", Json::Null),
+            ("off", false.into()),
+            ("tree", Json::Arr(vec![])),
+        ]);
+        let mut out = String::from("prefix:");
+        write_object(&mut out, |o| {
+            o.uint("big", 9_007_199_254_740_993)
+                .object("deep", |o| {
+                    o.bool("ok", true).null("x");
+                })
+                .opt_num("inf", Some(f64::INFINITY))
+                .array("list", |a| {
+                    a.num(0.1 + 0.2)
+                        .uint(u64::MAX)
+                        .str("tab\there")
+                        .object(|o| {
+                            o.num("k", -0.0);
+                        });
+                })
+                .str("name", "sweep-α \"q\" \u{1}")
+                .opt_num("none", None)
+                .bool("off", false)
+                .json("tree", &Json::Arr(vec![]));
+        });
+        assert_eq!(out, format!("prefix:{}", tree.render()));
+        let mut empty = String::new();
+        write_object(&mut empty, |_| {});
+        write_array(&mut empty, |_| {});
+        assert_eq!(empty, "{}[]");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "object keys out of order")]
+    fn writer_refuses_keys_out_of_order() {
+        write_object(&mut String::new(), |o| {
+            o.num("b", 1.0).num("a", 2.0);
+        });
     }
 
     #[test]

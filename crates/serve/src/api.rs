@@ -30,7 +30,7 @@ use mr2_scenario::{
     ResolvedEntry, Scenario, SearchSpace, SloMetric, SloSpec, SweepMode, SweepResult, WorkloadMix,
 };
 
-use crate::json::Json;
+use crate::json::{write_object, ArrayWriter, Json, ObjectWriter};
 
 /// The wire API version stamped on every JSON reply.
 pub const API_VERSION: &str = "v1";
@@ -200,16 +200,17 @@ pub fn stamp_reply(body: &mut Json, deprecations: &[&'static str]) {
                 Json::Arr(
                     deprecations
                         .iter()
-                        .map(|f| {
-                            Json::str(format!(
-                                "field `{f}` is deprecated; describe the workload with `mix`"
-                            ))
-                        })
+                        .map(|f| Json::str(deprecation(f)))
                         .collect(),
                 ),
             );
         }
     }
+}
+
+/// The `deprecations` entry for one legacy field.
+fn deprecation(field: &str) -> String {
+    format!("field `{field}` is deprecated; describe the workload with `mix`")
 }
 
 /// A decoded `POST /v1/estimate` body: one fully concrete point plus
@@ -1148,13 +1149,7 @@ pub fn point_json(p: &PointResult) -> Json {
         ("nodes", p.point.nodes.into()),
         ("block_mb", p.point.block_mb.into()),
         ("container_mb", u64::from(p.point.container_mb).into()),
-        (
-            "scheduler",
-            Json::str(match p.point.scheduler {
-                SchedulerPolicy::CapacityFifo => "capacity_fifo",
-                SchedulerPolicy::Fair => "fair",
-            }),
-        ),
+        ("scheduler", Json::str(scheduler_name(p.point.scheduler))),
         ("mix", mix_json(&p.point.mix.entries)),
         ("total_jobs", p.point.total_jobs().into()),
         ("arrivals", arrivals_json(&p.point.arrivals)),
@@ -1204,24 +1199,8 @@ fn bands_json(sweep: &SweepResult) -> (Json, Json) {
     (Json::Arr(bands), Json::Arr(per_class))
 }
 
-/// Encode a whole sweep: points in expansion order plus the aggregate
-/// and per-class error bands (present only when both backends ran).
-pub fn sweep_json(sweep: &SweepResult) -> Json {
-    let (bands, per_class) = bands_json(sweep);
-    Json::obj([
-        ("name", Json::str(sweep.name.clone())),
-        ("num_points", sweep.points.len().into()),
-        (
-            "points",
-            Json::Arr(sweep.points.iter().map(point_json).collect()),
-        ),
-        ("error_bands", bands),
-        ("class_error_bands", per_class),
-    ])
-}
-
 /// The summary tail line of a streaming (`"stream": true`) scenario
-/// reply: everything [`sweep_json`] carries except the per-point array
+/// reply: everything [`sweep_reply`] carries except the per-point array
 /// — those already went out as their own NDJSON lines — plus
 /// `"done": true` so a client can tell a complete stream from one cut
 /// short.
@@ -1238,47 +1217,240 @@ pub fn sweep_tail_json(sweep: &SweepResult) -> Json {
     tail
 }
 
-/// Encode a capacity plan: whether the SLO is satisfiable inside the
+/// The scheduler's wire name.
+fn scheduler_name(s: SchedulerPolicy) -> &'static str {
+    match s {
+        SchedulerPolicy::CapacityFifo => "capacity_fifo",
+        SchedulerPolicy::Fair => "fair",
+    }
+}
+
+/// A success reply written by the ordered writer ([`write_object`]),
+/// with the byte offset where its `debug` member belongs in key order:
+/// the debug breakdown includes the encode's own span, so it can only
+/// be attached once the body is written.
+#[derive(Debug, Clone)]
+pub struct Reply {
+    /// The reply object, `api_version` stamped.
+    pub body: String,
+    debug_at: usize,
+}
+
+impl Reply {
+    /// Insert `"debug": <debug>` at its sorted place.
+    pub fn attach_debug(&mut self, debug: &Json) {
+        let member = format!(",\"debug\":{}", debug.render());
+        self.body.insert_str(self.debug_at, &member);
+    }
+}
+
+/// Room for a typical point reply, so writing one allocates once.
+const REPLY_CAPACITY: usize = 1024;
+
+/// Write an `api_version`-stamped reply object. `head` writes the
+/// members that sort between `api_version` and `debug`, `rest` the
+/// members after `deprecations`.
+fn reply(
+    deprecations: &[&'static str],
+    head: impl FnOnce(&mut ObjectWriter<'_>),
+    rest: impl FnOnce(&mut ObjectWriter<'_>),
+) -> Reply {
+    let mut body = String::with_capacity(REPLY_CAPACITY);
+    let mut debug_at = 0;
+    write_object(&mut body, |o| {
+        o.str("api_version", API_VERSION);
+        head(o);
+        debug_at = o.offset();
+        if !deprecations.is_empty() {
+            o.array("deprecations", |a| {
+                for f in deprecations {
+                    a.str(&deprecation(f));
+                }
+            });
+        }
+        rest(o);
+    });
+    Reply { body, debug_at }
+}
+
+/// The `/v1/estimate` reply: the bytes of [`point_json`] stamped by
+/// [`stamp_reply`] and rendered, written without the tree.
+pub fn estimate_reply(p: &PointResult, deprecations: &[&'static str]) -> Reply {
+    reply(deprecations, |o| point_head(o, p), |o| point_tail(o, p))
+}
+
+/// One line of a streamed sweep: the point object and a newline.
+pub fn sweep_line(p: &PointResult) -> String {
+    let mut line = String::with_capacity(REPLY_CAPACITY);
+    write_object(&mut line, |o| point_members(o, p));
+    line.push('\n');
+    line
+}
+
+/// The non-streamed `/v1/scenario` reply: points in expansion order
+/// plus the aggregate and per-class error bands (present only when both
+/// backends ran).
+pub fn sweep_reply(sweep: &SweepResult) -> Reply {
+    let (bands, per_class) = bands_json(sweep);
+    reply(
+        &[],
+        |o| {
+            o.json("class_error_bands", &per_class);
+        },
+        |o| {
+            o.json("error_bands", &bands)
+                .str("name", &sweep.name)
+                .uint("num_points", sweep.points.len() as u64)
+                .array("points", |a| {
+                    for p in &sweep.points {
+                        a.object(|o| point_members(o, p));
+                    }
+                });
+        },
+    )
+}
+
+/// The `/v1/plan` reply: whether the SLO is satisfiable inside the
 /// search range, the chosen (cheapest satisfying) node count, the
 /// predicted metric there, the full analytic model point at that
 /// configuration — its `open` object carries the knee and saturation
 /// rates — and the bisection probe trail in solve order.
-pub fn plan_json(req: &PlanRequest, result: &PlanResult) -> Json {
-    let probes: Vec<Json> = result
-        .probes
-        .iter()
-        .map(|p| {
-            Json::obj([
-                ("nodes", p.nodes.into()),
-                ("predicted", Json::num(p.predicted)),
-                ("satisfies", p.satisfies.into()),
-            ])
-        })
-        .collect();
+pub fn plan_reply(req: &PlanRequest, result: &PlanResult, deprecations: &[&'static str]) -> Reply {
     let resolved = req.mix.resolve(result.nodes);
-    Json::obj([
-        ("feasible", result.feasible.into()),
-        ("nodes", result.nodes.into()),
-        ("predicted", Json::num(result.predicted)),
-        (
-            "slo",
-            Json::obj([
-                ("metric", Json::str(req.slo.metric.name())),
-                ("threshold", Json::num(req.slo.threshold)),
-            ]),
-        ),
-        ("arrival_rate", Json::num(req.arrival_rate)),
-        (
-            "search",
-            Json::obj([
-                ("min_nodes", req.search.min_nodes.into()),
-                ("max_nodes", req.search.max_nodes.into()),
-            ]),
-        ),
-        ("mix", mix_json(&resolved.entries)),
-        ("model", model_json(&result.point, &resolved.entries)),
-        ("probes", Json::Arr(probes)),
-    ])
+    reply(
+        deprecations,
+        |o| {
+            o.num("arrival_rate", req.arrival_rate);
+        },
+        |o| {
+            o.bool("feasible", result.feasible)
+                .array("mix", |a| mix_items(a, &resolved.entries))
+                .object("model", |o| {
+                    model_members(o, &result.point, &resolved.entries)
+                })
+                .uint("nodes", result.nodes as u64)
+                .num("predicted", result.predicted)
+                .array("probes", |a| {
+                    for p in &result.probes {
+                        a.object(|o| {
+                            o.uint("nodes", p.nodes as u64)
+                                .num("predicted", p.predicted)
+                                .bool("satisfies", p.satisfies);
+                        });
+                    }
+                })
+                .object("search", |o| {
+                    o.uint("max_nodes", req.search.max_nodes as u64)
+                        .uint("min_nodes", req.search.min_nodes as u64);
+                })
+                .object("slo", |o| {
+                    o.str("metric", req.slo.metric.name())
+                        .num("threshold", req.slo.threshold);
+                });
+        },
+    )
+}
+
+/// A point object's members, as [`point_json`] encodes them.
+fn point_members(o: &mut ObjectWriter<'_>, p: &PointResult) {
+    point_head(o, p);
+    point_tail(o, p);
+}
+
+/// The point members that sort before `debug` and `deprecations`.
+fn point_head(o: &mut ObjectWriter<'_>, p: &PointResult) {
+    let pt = &p.point;
+    o.opt_num("arrival_rate", pt.arrival_rate);
+    match &pt.arrivals {
+        ArrivalSchedule::Batch => o.str("arrivals", "batch"),
+        ArrivalSchedule::Staggered { interval_ms } => o.object("arrivals", |o| {
+            o.uint("staggered_ms", *interval_ms);
+        }),
+        ArrivalSchedule::Trace { offsets_ms } => o.object("arrivals", |o| {
+            o.array("trace_ms", |a| {
+                for &offset in offsets_ms {
+                    a.uint(offset);
+                }
+            });
+        }),
+    };
+    o.uint("block_mb", pt.block_mb)
+        .uint("container_mb", u64::from(pt.container_mb));
+}
+
+/// The point members that sort after `debug` and `deprecations`.
+fn point_tail(o: &mut ObjectWriter<'_>, p: &PointResult) {
+    let pt = &p.point;
+    o.opt_num("estimate", p.estimate())
+        .str("estimator", pt.estimator.name())
+        .uint("index", pt.index as u64)
+        .num("map_failure_prob", pt.map_failure_prob)
+        .opt_num("measured", p.measured())
+        .array("mix", |a| mix_items(a, &pt.mix.entries));
+    match &p.model {
+        Some(m) => o.object("model", |o| model_members(o, m, &pt.mix.entries)),
+        None => o.null("model"),
+    };
+    o.uint("nodes", pt.nodes as u64)
+        .str("scheduler", scheduler_name(pt.scheduler))
+        .uint("seed", pt.seed);
+    match &p.sim {
+        Some(s) => o.object("sim", |o| {
+            o.num("makespan", s.makespan)
+                .num("mean_response", s.mean_response)
+                .num("median_response", s.median_response)
+                .array("per_class_median", |a| {
+                    for &v in &s.per_class_median {
+                        a.num(v);
+                    }
+                })
+                .uint("reps", s.reps as u64);
+        }),
+        None => o.null("sim"),
+    };
+    o.num("slow_node_factor", pt.slow_node_factor)
+        .uint("total_jobs", pt.total_jobs() as u64);
+}
+
+/// A resolved mix's entries, as [`mix_json`] encodes them.
+fn mix_items(a: &mut ArrayWriter<'_>, entries: &[ResolvedEntry]) {
+    for e in entries {
+        a.object(|o| {
+            o.uint("count", e.count as u64)
+                .uint("input_bytes", e.input_bytes)
+                .str("job", e.job.name())
+                .uint("reduces", u64::from(e.reduces))
+                .uint("submit_offset_ms", e.submit_offset_ms);
+        });
+    }
+}
+
+/// An analytic point's members, as [`model_json`] encodes them.
+fn model_members(o: &mut ObjectWriter<'_>, m: &ModelPoint, entries: &[ResolvedEntry]) {
+    o.num("aria", m.aria)
+        .num("fork_join", m.fork_join)
+        .num("herodotou", m.herodotou)
+        .num("makespan", m.makespan);
+    match m.open {
+        Some(open) => o.object("open", |o| {
+            o.num("bottleneck_utilization", open.bottleneck_utilization)
+                .num("knee_rate", open.knee_rate)
+                .num("saturation_rate", open.saturation_rate);
+        }),
+        None => o.null("open"),
+    };
+    o.array("per_class", |a| {
+        for (c, e) in m.per_class.iter().zip(entries) {
+            a.object(|o| {
+                o.num("aria", c.aria)
+                    .str("class", &e.label())
+                    .num("fork_join", c.fork_join)
+                    .num("herodotou", c.herodotou)
+                    .num("tripathi", c.tripathi);
+            });
+        }
+    })
+    .num("tripathi", m.tripathi);
 }
 
 /// Fraction of resolved lookups answered from a ready entry (0 when
@@ -1309,6 +1481,226 @@ pub fn cache_stats_json(s: &CacheStats) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    use mr2_scenario::{ResolvedMix, SimResult};
+
+    /// The tree form of [`sweep_reply`] before stamping: the byte-identity
+    /// reference for the writer.
+    fn sweep_json(sweep: &SweepResult) -> Json {
+        let (bands, per_class) = bands_json(sweep);
+        Json::obj([
+            ("name", Json::str(sweep.name.clone())),
+            ("num_points", sweep.points.len().into()),
+            (
+                "points",
+                Json::Arr(sweep.points.iter().map(point_json).collect()),
+            ),
+            ("error_bands", bands),
+            ("class_error_bands", per_class),
+        ])
+    }
+
+    /// The tree form of [`plan_reply`] before stamping: the byte-identity
+    /// reference for the writer.
+    fn plan_json(req: &PlanRequest, result: &PlanResult) -> Json {
+        let probes: Vec<Json> = result
+            .probes
+            .iter()
+            .map(|p| {
+                Json::obj([
+                    ("nodes", p.nodes.into()),
+                    ("predicted", Json::num(p.predicted)),
+                    ("satisfies", p.satisfies.into()),
+                ])
+            })
+            .collect();
+        let resolved = req.mix.resolve(result.nodes);
+        Json::obj([
+            ("feasible", result.feasible.into()),
+            ("nodes", result.nodes.into()),
+            ("predicted", Json::num(result.predicted)),
+            (
+                "slo",
+                Json::obj([
+                    ("metric", Json::str(req.slo.metric.name())),
+                    ("threshold", Json::num(req.slo.threshold)),
+                ]),
+            ),
+            ("arrival_rate", Json::num(req.arrival_rate)),
+            (
+                "search",
+                Json::obj([
+                    ("min_nodes", req.search.min_nodes.into()),
+                    ("max_nodes", req.search.max_nodes.into()),
+                ]),
+            ),
+            ("mix", mix_json(&resolved.entries)),
+            ("model", model_json(&result.point, &resolved.entries)),
+            ("probes", Json::Arr(probes)),
+        ])
+    }
+
+    /// A splitmix64 stream for the synthetic replies.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// A float of any sign and magnitude; integral, or non-finite,
+        /// now and then.
+        fn f64(&mut self) -> f64 {
+            match self.below(8) {
+                0 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][self.below(3) as usize],
+                1 => self.below(1 << 20) as f64,
+                2 => -0.0,
+                3 => f64::from_bits(self.next() >> 2),
+                _ => self.next() as f64 / u64::MAX as f64 * 10f64.powi(self.below(16) as i32 - 6),
+            }
+        }
+
+        /// An integer past 2^53 (where `as f64` rounds) about half the
+        /// time.
+        fn u64(&mut self) -> u64 {
+            if self.below(2) == 0 {
+                self.next() | 1 << 53
+            } else {
+                self.below(1 << 20)
+            }
+        }
+    }
+
+    const JOBS: [JobKind; 3] = [JobKind::WordCount, JobKind::TeraSort, JobKind::Grep];
+
+    fn synthetic_model(rng: &mut Rng, classes: usize, open: bool) -> ModelPoint {
+        ModelPoint {
+            fork_join: rng.f64(),
+            tripathi: rng.f64(),
+            aria: rng.f64(),
+            herodotou: rng.f64(),
+            makespan: rng.f64(),
+            per_class: (0..classes)
+                .map(|_| mr2_model::ClassPoint {
+                    fork_join: rng.f64(),
+                    tripathi: rng.f64(),
+                    aria: rng.f64(),
+                    herodotou: rng.f64(),
+                })
+                .collect(),
+            open: open.then(|| mr2_model::OpenMetrics {
+                bottleneck_utilization: rng.f64(),
+                knee_rate: rng.f64(),
+                saturation_rate: rng.f64(),
+            }),
+        }
+    }
+
+    /// A point with one to three classes, any arrival schedule, an
+    /// optional open rate, model and simulator results present or not.
+    fn synthetic_point(rng: &mut Rng, index: usize) -> PointResult {
+        let entries: Vec<ResolvedEntry> = (0..1 + rng.below(3))
+            .map(|_| ResolvedEntry {
+                job: JOBS[rng.below(3) as usize],
+                input_bytes: rng.u64(),
+                count: 1 + rng.below(4) as usize,
+                reduces: rng.next() as u32,
+                submit_offset_ms: rng.u64(),
+            })
+            .collect();
+        let jobs: usize = entries.iter().map(|e| e.count).sum();
+        let arrivals = match rng.below(3) {
+            0 => ArrivalSchedule::Batch,
+            1 => ArrivalSchedule::Staggered {
+                interval_ms: rng.u64(),
+            },
+            _ => ArrivalSchedule::Trace {
+                offsets_ms: (0..jobs).map(|_| rng.u64()).collect(),
+            },
+        };
+        let arrival_rate = (rng.below(3) == 0).then(|| rng.f64());
+        let model = (rng.below(4) != 0)
+            .then(|| synthetic_model(rng, entries.len(), arrival_rate.is_some()));
+        let sim = (rng.below(2) == 0).then(|| SimResult {
+            median_response: rng.f64(),
+            mean_response: rng.f64(),
+            makespan: rng.f64(),
+            per_class_median: entries.iter().map(|_| rng.f64()).collect(),
+            reps: 1 + rng.below(9) as usize,
+        });
+        PointResult {
+            point: EvalPoint {
+                index,
+                nodes: 1 + rng.below(64) as usize,
+                block_mb: rng.u64(),
+                container_mb: rng.next() as u32,
+                scheduler: [SchedulerPolicy::CapacityFifo, SchedulerPolicy::Fair]
+                    [rng.below(2) as usize],
+                mix: ResolvedMix { entries },
+                arrivals,
+                arrival_rate,
+                map_failure_prob: rng.f64(),
+                slow_node_factor: rng.f64(),
+                estimator: EstimatorKind::ALL[rng.below(4) as usize],
+                seed: rng.u64(),
+            },
+            model,
+            sim,
+        }
+    }
+
+    /// A `debug` object shaped like the server's, from a made-up trace.
+    fn synthetic_debug(rng: &mut Rng) -> Json {
+        let ms = |rng: &mut Rng| Duration::from_nanos(rng.below(1 << 30));
+        let span = |id, parent, name, rng: &mut Rng| mr2_obs::TraceSpan {
+            id,
+            parent,
+            name,
+            start: ms(rng),
+            duration: ms(rng),
+        };
+        debug_json(&mr2_obs::Trace {
+            request_id: rng.u64(),
+            label: "/v1/estimate",
+            wall: ms(rng),
+            spans: vec![
+                span(1, Some(0), "point.model", rng),
+                span(2, Some(0), "response.encode", rng),
+                span(0, None, "serve.request", rng),
+            ],
+            dropped: 0,
+        })
+    }
+
+    const DEPRECATIONS: [&[&str]; 3] =
+        [&[], &["job"], &["job", "input_bytes", "n_jobs", "reduces"]];
+
+    /// The tree reference of a reply: `tree` with `debug` attached and
+    /// stamped, rendered.
+    fn stamped(mut tree: Json, debug: Option<&Json>, deprecations: &[&'static str]) -> String {
+        if let (Json::Obj(map), Some(debug)) = (&mut tree, debug) {
+            map.insert("debug".into(), debug.clone());
+        }
+        stamp_reply(&mut tree, deprecations);
+        tree.render()
+    }
+
+    /// The writer's reply with `debug` attached.
+    fn written(mut reply: Reply, debug: Option<&Json>) -> String {
+        if let Some(debug) = debug {
+            reply.attach_debug(debug);
+        }
+        reply.body
+    }
 
     #[test]
     fn estimate_request_defaults_mirror_scenario_new() {
@@ -1638,9 +2030,7 @@ mod tests {
         .unwrap()
         .scenario;
         let sweep = run_scenario(&s, &ResultCache::new(), &RunnerConfig::serial());
-        let v = sweep_json(&sweep);
-        let text = v.render();
-        let back = Json::parse(&text).unwrap();
+        let back = Json::parse(&sweep_reply(&sweep).body).unwrap();
         assert_eq!(back.get("num_points").unwrap().as_u64(), Some(1));
         let pt = &back.get("points").unwrap().as_arr().unwrap()[0];
         assert!(pt.get("estimate").unwrap().as_f64().unwrap() > 0.0);
@@ -1856,5 +2246,146 @@ mod tests {
             .contains("batch arrivals"),
             "an open rate replaces, not overlays, a schedule"
         );
+    }
+
+    #[test]
+    fn written_point_replies_match_the_tree_byte_for_byte() {
+        let mut rng = Rng(21);
+        let mut seen = [0usize; 10];
+        for i in 0..600 {
+            let p = synthetic_point(&mut rng, i);
+            let debug = (rng.below(3) == 0).then(|| synthetic_debug(&mut rng));
+            let deprecations = DEPRECATIONS[rng.below(3) as usize];
+            assert_eq!(
+                written(estimate_reply(&p, deprecations), debug.as_ref()),
+                stamped(point_json(&p), debug.as_ref(), deprecations),
+                "estimate reply {i}"
+            );
+            assert_eq!(
+                sweep_line(&p),
+                point_json(&p).render() + "\n",
+                "sweep line {i}"
+            );
+            let classes = p.point.mix.entries.len();
+            let features = [
+                classes == 1,
+                classes == 3,
+                p.point.arrivals != ArrivalSchedule::Batch,
+                matches!(p.point.arrivals, ArrivalSchedule::Trace { .. }),
+                p.model.as_ref().is_some_and(|m| m.open.is_some()),
+                p.model.is_none(),
+                p.sim.is_some(),
+                debug.is_some() && !deprecations.is_empty(),
+                p.point.map_failure_prob.is_nan(),
+                p.point.seed > 1 << 53,
+            ];
+            for (n, hit) in seen.iter_mut().zip(features) {
+                *n += usize::from(hit);
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "every shape covered: {seen:?}");
+    }
+
+    #[test]
+    fn written_sweep_and_plan_replies_match_the_tree_byte_for_byte() {
+        let mut rng = Rng(56);
+        for i in 0..60 {
+            let sweep = SweepResult {
+                name: ["adhoc", "sweep-α \"q\"\n", ""][i % 3].to_string(),
+                points: (0..rng.below(5) as usize)
+                    .map(|index| {
+                        // Error bands need a positive measured time.
+                        let mut p = synthetic_point(&mut rng, index);
+                        if let Some(sim) = &mut p.sim {
+                            sim.median_response = 1.0 + rng.below(1 << 20) as f64 / 7.0;
+                            for m in &mut sim.per_class_median {
+                                *m = 1.0 + rng.below(1 << 20) as f64 / 3.0;
+                            }
+                        }
+                        p
+                    })
+                    .collect(),
+            };
+            let debug = (rng.below(2) == 0).then(|| synthetic_debug(&mut rng));
+            assert_eq!(
+                written(sweep_reply(&sweep), debug.as_ref()),
+                stamped(sweep_json(&sweep), debug.as_ref(), &[]),
+                "sweep reply {i}"
+            );
+
+            let entries: Vec<MixEntry> = (0..1 + rng.below(3))
+                .map(|_| MixEntry {
+                    job: JOBS[rng.below(3) as usize],
+                    input_bytes: rng.u64(),
+                    count: 1 + rng.below(4) as usize,
+                    reduces: [
+                        ReducePolicy::PerNode,
+                        ReducePolicy::Fixed(rng.next() as u32),
+                    ][rng.below(2) as usize],
+                    submit_offset_ms: rng.u64(),
+                })
+                .collect();
+            let classes = entries.len();
+            let mut req = PlanRequest::new(
+                WorkloadMix::new(entries),
+                rng.f64(),
+                SloSpec {
+                    metric: [
+                        SloMetric::Response,
+                        SloMetric::Makespan,
+                        SloMetric::Utilization,
+                    ][rng.below(3) as usize],
+                    threshold: rng.f64(),
+                },
+            );
+            req.search = SearchSpace {
+                min_nodes: rng.u64() as usize,
+                max_nodes: rng.u64() as usize,
+            };
+            let open = rng.below(4) != 0;
+            let result = PlanResult {
+                feasible: rng.below(2) == 0,
+                nodes: 1 + rng.below(64) as usize,
+                predicted: rng.f64(),
+                point: synthetic_model(&mut rng, classes, open),
+                probes: (0..rng.below(8))
+                    .map(|_| mr2_scenario::PlanProbe {
+                        nodes: rng.u64() as usize,
+                        predicted: rng.f64(),
+                        satisfies: rng.below(2) == 0,
+                    })
+                    .collect(),
+            };
+            let deprecations = DEPRECATIONS[rng.below(3) as usize];
+            assert_eq!(
+                written(plan_reply(&req, &result, deprecations), debug.as_ref()),
+                stamped(plan_json(&req, &result), debug.as_ref(), deprecations),
+                "plan reply {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn written_replies_of_a_real_sweep_match_the_tree() {
+        use mr2_scenario::{run_scenario, ResultCache, RunnerConfig};
+        let s = parse_scenario_request(
+            r#"{"nodes":[2,3],"arrival_rate":[null,0.001],
+                "mixes":[[{"job":"wordcount","input_bytes":268435456},
+                          {"job":"grep","input_bytes":268435456,"submit_offset_ms":9}]],
+                "backends":{"analytic":true,"simulator":1}}"#,
+        )
+        .unwrap()
+        .scenario;
+        let sweep = run_scenario(&s, &ResultCache::new(), &RunnerConfig::serial());
+        assert_eq!(
+            sweep_reply(&sweep).body,
+            stamped(sweep_json(&sweep), None, &[])
+        );
+        for p in &sweep.points {
+            assert_eq!(
+                estimate_reply(p, &["n_jobs"]).body,
+                stamped(point_json(p), None, &["n_jobs"])
+            );
+        }
     }
 }

@@ -208,6 +208,13 @@ impl RequestParser {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// Whether the buffer holds a largest-possible request's worth of
+    /// bytes (`MAX_HEAD + MAX_BODY`): the event loop stops feeding it until
+    /// requests drain it, so pipelined bytes wait in the socket.
+    pub fn is_full(&self) -> bool {
+        self.buf.len() >= MAX_HEAD + MAX_BODY
+    }
+
     /// Whether any unconsumed bytes are buffered (a pipelined next
     /// request, or a partial one).
     pub fn has_buffered(&self) -> bool {

@@ -5,4 +5,4 @@
 //! same parser — and is re-exported here so the service's modules (and
 //! external users of `mr2_serve::json`) keep their paths.
 
-pub use mr2_scenario::json::{Json, JsonError};
+pub use mr2_scenario::json::{write_object, ArrayWriter, Json, JsonError, ObjectWriter};

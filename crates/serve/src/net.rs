@@ -62,6 +62,8 @@ pub const EV_WRITE: u32 = 0x004;
 
 const EPOLLIN: u32 = 0x001;
 const EPOLLOUT: u32 = 0x004;
+const EPOLLERR: u32 = 0x008;
+const EPOLLHUP: u32 = 0x010;
 const EPOLLRDHUP: u32 = 0x2000;
 
 /// One readiness notification: which fd (by the caller's token) and
@@ -83,6 +85,11 @@ impl Event {
     pub fn writable(&self) -> bool {
         self.ready & EV_WRITE != 0
     }
+    /// Errored or hung up in both directions (a reset peer): reported
+    /// whatever the interest, and nothing more can be sent or received.
+    pub fn hung_up(&self) -> bool {
+        self.ready & (EPOLLERR | EPOLLHUP) != 0
+    }
 }
 
 /// An epoll instance plus a reusable event buffer.
@@ -93,11 +100,14 @@ pub struct Epoll {
 }
 
 /// Interest bitmask helper: build the kernel-facing mask from the
-/// loop-facing `EV_*` bits, always registering for peer-hangup.
+/// loop-facing `EV_*` bits. Peer half-close (`EPOLLRDHUP`) is asked
+/// for only with read interest: it stays ready once the peer shuts its
+/// write side, so a connection the loop is not reading would wake every
+/// wait. Errors and hang-ups are reported whatever the mask.
 fn kernel_mask(interest: u32) -> u32 {
-    let mut mask = EPOLLRDHUP;
+    let mut mask = 0;
     if interest & EV_READ != 0 {
-        mask |= EPOLLIN;
+        mask |= EPOLLIN | EPOLLRDHUP;
     }
     if interest & EV_WRITE != 0 {
         mask |= EPOLLOUT;
@@ -313,5 +323,33 @@ mod tests {
 
         ep.delete(server.as_raw_fd()).unwrap();
         assert!(ep.wait(0).unwrap().is_empty());
+    }
+
+    #[test]
+    fn half_close_wakes_only_readers_and_a_reset_wakes_everyone() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut server, _) = listener.accept().unwrap();
+        server.set_nonblocking(true).unwrap();
+        let mut ep = Epoll::new().unwrap();
+        ep.add(server.as_raw_fd(), 9, EV_READ).unwrap();
+
+        // A half-close is readable and stays so; without read interest
+        // it must not be reported at all, or every wait would return at
+        // once.
+        client.shutdown(std::net::Shutdown::Write).unwrap();
+        let events = ep.wait(1000).unwrap();
+        assert!(events[0].readable() && !events[0].hung_up());
+        ep.modify(server.as_raw_fd(), 9, 0).unwrap();
+        assert!(ep.wait(0).unwrap().is_empty());
+
+        // A peer that closes with unread bytes resets the connection,
+        // which is reported even without interest.
+        server.write_all(b"unread").unwrap();
+        client.peek(&mut [0u8; 1]).unwrap();
+        drop(client);
+        let events = ep.wait(1000).unwrap();
+        assert_eq!(events.len(), 1);
+        assert!(events[0].hung_up());
     }
 }

@@ -174,32 +174,60 @@ impl Default for ServeConfig {
     }
 }
 
-/// Request-layer metric handles. Per-route and per-state series go
-/// through the registry's read-lock lookup on each touch (negligible
-/// next to an evaluation); unlabelled series are cached in `OnceLock`
-/// statics.
+/// Request-layer metric handles, each resolved once and cached in a
+/// `OnceLock` static. A registry lookup builds a label key, takes the
+/// registry's read lock and clones a handle: on a cache-hit estimate,
+/// the dozen a request used to make cost about a tenth of the request.
+/// Labelled series are cached per label value, so each series still
+/// appears in `/metrics` at its first use; the route table and the
+/// connection state machine bound the label values.
 mod metrics {
-    use super::obs;
+    use std::sync::OnceLock;
 
-    pub fn requests(method: &str, path: &str, status: u16) -> obs::Counter {
-        obs::counter_with(
-            "mr2_http_requests_total",
-            "HTTP requests served, by method, route, and status.",
-            &[
-                ("method", method),
-                ("path", path),
-                ("status", &status.to_string()),
-            ],
-        )
-    }
+    use super::{obs, state_name, ConnState, RouteLabels, ALL_STATES, METHOD_LABELS, ROUTES};
 
-    pub fn latency(path: &str) -> obs::Histogram {
-        obs::histogram_with(
-            "mr2_http_request_seconds",
-            "Request handling latency, parse to response built, by route.",
-            &[("path", path)],
-            obs::Buckets::TIME,
-        )
+    /// The statuses requests are answered with: each (method, path)
+    /// label pair caches one counter per status, and any other status
+    /// takes a registry lookup.
+    const STATUSES: [u16; 8] = [200, 400, 401, 404, 405, 422, 500, 503];
+    /// Path label values: the route table's paths, then `other`.
+    const PATHS: usize = ROUTES.len() + 1;
+
+    /// Count one request (`mr2_http_requests_total`) and observe its
+    /// handling latency (`mr2_http_request_seconds`).
+    pub fn request(labels: RouteLabels, status: u16, seconds: f64) {
+        type ByStatus = [OnceLock<obs::Counter>; STATUSES.len()];
+        static REQUESTS: [[ByStatus; PATHS]; METHOD_LABELS.len()] =
+            [const { [const { [const { OnceLock::new() }; STATUSES.len()] }; PATHS] };
+                METHOD_LABELS.len()];
+        static LATENCY: [OnceLock<obs::Histogram>; PATHS] = [const { OnceLock::new() }; PATHS];
+        let counter = || {
+            obs::counter_with(
+                "mr2_http_requests_total",
+                "HTTP requests served, by method, route, and status.",
+                &[
+                    ("method", labels.method_label()),
+                    ("path", labels.path_label()),
+                    ("status", &status.to_string()),
+                ],
+            )
+        };
+        match STATUSES.iter().position(|&s| s == status) {
+            Some(i) => REQUESTS[labels.method][labels.path][i]
+                .get_or_init(counter)
+                .inc(),
+            None => counter().inc(),
+        }
+        LATENCY[labels.path]
+            .get_or_init(|| {
+                obs::histogram_with(
+                    "mr2_http_request_seconds",
+                    "Request handling latency, parse to response built, by route.",
+                    &[("path", labels.path_label())],
+                    obs::Buckets::TIME,
+                )
+            })
+            .observe(seconds);
     }
 
     pub fn requests_served() -> &'static obs::Counter {
@@ -253,21 +281,29 @@ mod metrics {
         })
     }
 
-    pub fn conn_state(state: &str) -> obs::Gauge {
-        obs::gauge_with(
-            "mr2_serve_connection_states",
-            "Open connections by state machine state.",
-            &[("state", state)],
-        )
+    pub fn conn_state(state: ConnState) -> &'static obs::Gauge {
+        static G: [OnceLock<obs::Gauge>; ALL_STATES.len()] =
+            [const { OnceLock::new() }; ALL_STATES.len()];
+        G[state as usize].get_or_init(|| {
+            obs::gauge_with(
+                "mr2_serve_connection_states",
+                "Open connections by state machine state.",
+                &[("state", state_name(state))],
+            )
+        })
     }
 
-    pub fn conn_state_seconds(state: &str) -> obs::Histogram {
-        obs::histogram_with(
-            "mr2_serve_connection_state_seconds",
-            "Time connections spent in each state before transitioning.",
-            &[("state", state)],
-            obs::Buckets::TIME,
-        )
+    pub fn conn_state_seconds(state: ConnState) -> &'static obs::Histogram {
+        static H: [OnceLock<obs::Histogram>; ALL_STATES.len()] =
+            [const { OnceLock::new() }; ALL_STATES.len()];
+        H[state as usize].get_or_init(|| {
+            obs::histogram_with(
+                "mr2_serve_connection_state_seconds",
+                "Time connections spent in each state before transitioning.",
+                &[("state", state_name(state))],
+                obs::Buckets::TIME,
+            )
+        })
     }
 
     pub fn workers_total() -> &'static obs::Gauge {
@@ -706,7 +742,7 @@ impl EventLoop {
         // Touch every state series so a scrape sees the full family
         // from the first request on.
         for s in ALL_STATES {
-            metrics::conn_state(state_name(s)).add(0.0);
+            metrics::conn_state(s).add(0.0);
         }
         let stall_budget = self.state.cfg.loop_stall_budget;
         'events: loop {
@@ -828,7 +864,7 @@ impl EventLoop {
             interest: EV_READ,
         });
         metrics::open_connections().inc();
-        metrics::conn_state(state_name(ConnState::ReadHead)).inc();
+        metrics::conn_state(ConnState::ReadHead).inc();
     }
 
     fn close_slot(&mut self, slot: usize) {
@@ -836,9 +872,8 @@ impl EventLoop {
             return;
         };
         let _ = self.epoll.delete(conn.stream.as_raw_fd());
-        metrics::conn_state(state_name(conn.state)).dec();
-        metrics::conn_state_seconds(state_name(conn.state))
-            .observe(conn.state_since.elapsed().as_secs_f64());
+        metrics::conn_state(conn.state).dec();
+        metrics::conn_state_seconds(conn.state).observe(conn.state_since.elapsed().as_secs_f64());
         metrics::open_connections().dec();
         self.free.push(slot);
         // `conn.stream` drops here, closing the fd.
@@ -852,10 +887,9 @@ impl EventLoop {
         if conn.state == new {
             return;
         }
-        metrics::conn_state(state_name(conn.state)).dec();
-        metrics::conn_state_seconds(state_name(conn.state))
-            .observe(conn.state_since.elapsed().as_secs_f64());
-        metrics::conn_state(state_name(new)).inc();
+        metrics::conn_state(conn.state).dec();
+        metrics::conn_state_seconds(conn.state).observe(conn.state_since.elapsed().as_secs_f64());
+        metrics::conn_state(new).inc();
         conn.state = new;
         conn.state_since = Instant::now();
     }
@@ -865,9 +899,18 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };
+        if ev.hung_up() && (conn.peer_closed || conn.parser.is_full()) {
+            // The loop is not reading this connection, so no read can
+            // fail on the reset: close as a failed read would.
+            self.close_slot(slot);
+            return;
+        }
         if ev.readable() && !conn.peer_closed {
             let mut scratch = [0u8; READ_CHUNK];
-            loop {
+            // A full parser holds a request a worker has yet to finish
+            // and the largest request that may follow it: leave further
+            // bytes in the socket, where TCP flow control pushes back.
+            while !conn.parser.is_full() {
                 match conn.stream.read(&mut scratch) {
                     Ok(0) => {
                         conn.peer_closed = true;
@@ -1107,7 +1150,7 @@ impl EventLoop {
             _ => Some(Instant::now() + request_timeout),
         };
         let mut interest = 0;
-        if !conn.peer_closed {
+        if !conn.peer_closed && !conn.parser.is_full() {
             interest |= EV_READ;
         }
         if !drained {
@@ -1194,9 +1237,7 @@ fn finish_request(
     state: &State,
 ) {
     let latency = started.elapsed();
-    let path = canonical_path(&req.path);
-    metrics::requests(&req.method, path, resp.status).inc();
-    metrics::latency(path).observe(latency.as_secs_f64());
+    metrics::request(RouteLabels::of(req), resp.status, latency.as_secs_f64());
     metrics::requests_served().inc();
     if state.cfg.access_log {
         eprintln!(
@@ -1287,8 +1328,7 @@ fn stream_scenario(
             &state.cfg.runner,
             &|pr: PointResult| {
                 progress.point_done(&pr);
-                let mut line = api::point_json(&pr).render();
-                line.push('\n');
+                let line = api::sweep_line(&pr);
                 done.send(&job, chunk(line.as_bytes()), None);
             },
         )
@@ -1347,6 +1387,17 @@ impl Response {
     fn ok(mut body: Json, deprecations: &[&'static str]) -> Response {
         api::stamp_reply(&mut body, deprecations);
         Response::json(200, body.render())
+    }
+
+    /// Finish the request's trace (when `traced`) and send a written
+    /// reply, with the trace breakdown under `"debug"` when asked for.
+    fn reply(mut reply: api::Reply, traced: bool, debug: bool) -> Response {
+        if let Some(trace) = traced.then(obs::finish_trace).flatten() {
+            if debug {
+                reply.attach_debug(&api::debug_json(&trace));
+            }
+        }
+        Response::json(200, reply.body)
     }
 }
 
@@ -1416,15 +1467,42 @@ const ROUTES: &[(&str, &str, Endpoint)] = &[
     ("POST", "/v1/plan", Endpoint::Worker(Eval::Plan)),
 ];
 
-/// The canonical route path used as the metric label — known paths
-/// stay themselves, everything else collapses to `other` so a client
-/// probing random paths can't mint unbounded label values.
-fn canonical_path(path: &str) -> &'static str {
-    ROUTES
-        .iter()
-        .find(|(_, p, _)| *p == path)
-        .map(|&(_, p, _)| p)
-        .unwrap_or("other")
+/// The `method` label values: the route table's methods, then `other`.
+const METHOD_LABELS: [&str; 3] = ["GET", "POST", "other"];
+
+/// A request's metric labels, as indices into [`METHOD_LABELS`] and
+/// into [`ROUTES`] for the path (`ROUTES.len()` stands for `other`).
+/// Methods and paths the route table does not name collapse to
+/// `other`, so a client sending random ones can't mint unbounded label
+/// values.
+#[derive(Clone, Copy)]
+struct RouteLabels {
+    method: usize,
+    path: usize,
+}
+
+impl RouteLabels {
+    fn of(req: &Request) -> RouteLabels {
+        let other_method = METHOD_LABELS.len() - 1;
+        RouteLabels {
+            method: METHOD_LABELS[..other_method]
+                .iter()
+                .position(|m| *m == req.method)
+                .unwrap_or(other_method),
+            path: ROUTES
+                .iter()
+                .position(|(_, p, _)| *p == req.path)
+                .unwrap_or(ROUTES.len()),
+        }
+    }
+
+    fn method_label(self) -> &'static str {
+        METHOD_LABELS[self.method]
+    }
+
+    fn path_label(self) -> &'static str {
+        ROUTES.get(self.path).map_or("other", |&(_, p, _)| p)
+    }
 }
 
 /// The request's endpoint, or the routing error it earns: the same path
@@ -1539,13 +1617,6 @@ fn profile_response(req: &Request, _: &State) -> Response {
     }
 }
 
-/// Insert the trace breakdown into a reply object under `"debug"`.
-fn attach_debug(body: &mut Json, trace: &obs::Trace) {
-    if let Json::Obj(map) = body {
-        map.insert("debug".into(), api::debug_json(trace));
-    }
-}
-
 fn estimate_response(req: &Request, state: &State, request_id: u64) -> Response {
     match std::str::from_utf8(&req.body)
         .map_err(|_| "body is not UTF-8".to_string())
@@ -1561,18 +1632,13 @@ fn estimate_response(req: &Request, state: &State, request_id: u64) -> Response 
             // nests the evaluation spans (point.model, point.sim) and
             // the encode span into the breakdown tree.
             let traced = obs::begin_trace(request_id, "/v1/estimate");
-            let mut body = {
+            let reply = {
                 let _root = obs::span("serve.request");
                 let result: PointResult = evaluate_point(&r.point, &r.backends, &state.cache);
                 let _enc = obs::span("response.encode");
-                api::point_json(&result)
+                api::estimate_reply(&result, &r.deprecations)
             };
-            if let Some(trace) = traced.then(obs::finish_trace).flatten() {
-                if r.debug {
-                    attach_debug(&mut body, &trace);
-                }
-            }
-            Response::ok(body, &r.deprecations)
+            Response::reply(reply, traced, r.debug)
         }
         Err(e) => Response::error(ApiError::from_parse(e)),
     }
@@ -1598,7 +1664,7 @@ fn scenario_response(r: &api::ScenarioRequest, state: &State, request_id: u64) -
     // The sweep also registers with the jobs registry so
     // GET /v1/jobs can watch its progress mid-flight.
     let traced = obs::begin_trace(request_id, "/v1/scenario");
-    let mut body = {
+    let reply = {
         let _root = obs::span("serve.request");
         let progress = state.jobs.register(
             request_id,
@@ -1614,14 +1680,9 @@ fn scenario_response(r: &api::ScenarioRequest, state: &State, request_id: u64) -
         };
         drop(progress);
         let _enc = obs::span("response.encode");
-        api::sweep_json(&sweep)
+        api::sweep_reply(&sweep)
     };
-    if let Some(trace) = traced.then(obs::finish_trace).flatten() {
-        if r.debug {
-            attach_debug(&mut body, &trace);
-        }
-    }
-    Response::ok(body, &[])
+    Response::reply(reply, traced, r.debug)
 }
 
 fn plan_response(req: &Request, state: &State, request_id: u64) -> Response {
@@ -1645,17 +1706,12 @@ fn plan_response(req: &Request, state: &State, request_id: u64) -> Response {
             };
             match result {
                 Ok(result) => {
-                    let mut body = {
+                    let reply = {
                         let _enc = obs::span("response.encode");
-                        api::plan_json(&r.plan, &result)
+                        api::plan_reply(&r.plan, &result, &r.deprecations)
                     };
                     drop(root);
-                    if let Some(trace) = traced.then(obs::finish_trace).flatten() {
-                        if r.debug {
-                            attach_debug(&mut body, &trace);
-                        }
-                    }
-                    Response::ok(body, &r.deprecations)
+                    Response::reply(reply, traced, r.debug)
                 }
                 Err(e) => {
                     drop(root);
@@ -1667,5 +1723,29 @@ fn plan_response(req: &Request, state: &State, request_id: u64) -> Response {
             }
         }
         Err(e) => Response::error(ApiError::from_parse(e)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_route_method_keeps_its_metric_label() {
+        for (method, path, _) in ROUTES {
+            let req = Request {
+                method: method.to_string(),
+                path: path.to_string(),
+                query: String::new(),
+                body: Vec::new(),
+                keep_alive: true,
+                authorization: None,
+            };
+            let labels = RouteLabels::of(&req);
+            assert_eq!(
+                (labels.method_label(), labels.path_label()),
+                (*method, *path)
+            );
+        }
     }
 }

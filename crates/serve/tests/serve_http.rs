@@ -6,7 +6,7 @@
 //! the `/metrics` exposition spans every instrumented layer and
 //! `"debug": true` replies carry a span breakdown bounded by wall time.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
@@ -1508,5 +1508,112 @@ fn slow_request_is_reconstructable_from_trace_jobs_and_profile() {
     let (status, body) = request(handle.addr, "GET", "/debug/profile?reset=1", "");
     assert_eq!(status, 200);
     assert_eq!(body, "profile reset\n");
+    handle.shutdown();
+}
+
+/// A connection whose request a worker holds stops being read once its
+/// parser holds a largest-possible request: a client pipelining behind
+/// it meets TCP flow control instead of growing the server's memory,
+/// and the held request's reply still arrives whole.
+#[test]
+fn pipelined_bytes_behind_a_busy_worker_meet_flow_control() {
+    let handle = serve(ServeConfig {
+        threads: 1,
+        ..test_config()
+    })
+    .unwrap();
+    let mut conn = TcpStream::connect(handle.addr).unwrap();
+    // Simulator repetitions holding the only worker for about a second.
+    let reps = if cfg!(debug_assertions) { 120 } else { 800 };
+    let slow = format!(
+        r#"{{"nodes":4,"n_jobs":4,"input_bytes":4294967296,
+            "backends":{{"analytic":false,"simulator":{reps}}}}}"#
+    );
+    send_request(&mut conn, "POST", "/v1/estimate", &slow, false);
+
+    // Behind it, well-formed requests with the largest body allowed,
+    // written until 256 MiB went out or the socket stopped taking bytes
+    // for 200 ms.
+    let body = format!(
+        "{{\"nodes\":0}}{}",
+        " ".repeat(mr2_serve::http::MAX_BODY - 12)
+    );
+    let mut next = format!(
+        "POST /v1/estimate HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    next.extend_from_slice(body.as_bytes());
+    conn.set_nonblocking(true).unwrap();
+    let (mut written, mut at) = (0usize, 0usize);
+    let mut stalled_since = None;
+    let mut blocked = false;
+    while written < 256 << 20 {
+        match conn.write(&next[at..]) {
+            Ok(n) => {
+                written += n;
+                at = (at + n) % next.len();
+                stalled_since = None;
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                let since = *stalled_since.get_or_insert_with(Instant::now);
+                if since.elapsed() > Duration::from_millis(200) {
+                    blocked = true;
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            Err(e) => panic!("pipelining failed after {written} bytes: {e}"),
+        }
+    }
+    assert!(
+        blocked && written < 64 << 20,
+        "the server took {written} bytes behind a busy worker"
+    );
+
+    conn.set_nonblocking(false).unwrap();
+    let mut reader = BufReader::new(conn);
+    let (status, body, _) = read_response(&mut reader);
+    assert_eq!(status, 200, "{body}");
+    let v = Json::parse(&body).expect("the held reply arrives whole");
+    assert_eq!(
+        v.get("sim").unwrap().get("reps").unwrap().as_u64(),
+        Some(reps)
+    );
+    drop(reader);
+    handle.shutdown();
+}
+
+/// `mr2_http_requests_total` keeps the route table's methods as labels
+/// and folds every other method into `other`, so unknown methods can't
+/// grow the registry.
+#[test]
+fn unknown_methods_share_one_metric_series() {
+    let handle = serve(test_config()).unwrap();
+    let other = "mr2_http_requests_total{method=\"other\",path=\"/v1/jobs\",status=\"405\"}";
+    let (_, before) = request(handle.addr, "GET", "/metrics", "");
+    for i in 0..50 {
+        let (status, body) = request(handle.addr, &format!("FOO{i}"), "/v1/jobs", "");
+        assert_eq!(status, 405, "{body}");
+    }
+    let (_, after) = request(handle.addr, "GET", "/metrics", "");
+    assert_eq!(
+        metric_value(&after, other) - metric_value(&before, other),
+        50.0
+    );
+    let series: Vec<&str> = after
+        .lines()
+        .filter(|l| l.starts_with("mr2_http_requests_total{") && l.contains("/v1/jobs"))
+        .collect();
+    assert!(
+        series
+            .iter()
+            .all(|l| l.contains("method=\"GET\"") || l.starts_with(other)),
+        "{series:?}"
+    );
+    assert!(
+        !after.contains("method=\"FOO"),
+        "no series per unknown method"
+    );
     handle.shutdown();
 }
