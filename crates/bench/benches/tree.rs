@@ -18,16 +18,48 @@ fn timeline(maps: u32) -> Timeline {
     )
 }
 
+/// Heap offsets and stack depths a tree build rotates through.
+/// `build_tree` allocates as it goes, and where its heap and stack data
+/// land is fixed by whatever ran before: by the process's earlier
+/// allocations, and by its environment's size. That alone moved
+/// `balanced/80` by 40%, and `chain/320` between 39 and 62 µs, with the
+/// code unchanged. A pad of a different size held across each build,
+/// and a different number of frames below it, move both, so a median
+/// averages placements (at the cost of one allocation and a few calls
+/// per build). The periods are coprime, so the two rotations cross.
+const PADS: usize = 16;
+const DEPTHS: usize = 13;
+
+/// Run `f` `depth` stack frames of at least 320 bytes deeper.
+#[inline(never)]
+fn deeper<R>(depth: usize, f: &mut dyn FnMut() -> R) -> R {
+    let frame = black_box([0u8; 320]);
+    let r = if depth == 0 {
+        f()
+    } else {
+        deeper(depth - 1, f)
+    };
+    black_box(frame);
+    r
+}
+
 fn bench_build(c: &mut Criterion) {
     let mut g = c.benchmark_group("tree_build");
     for maps in [8u32, 80, 320] {
         let tl = timeline(maps);
-        g.bench_with_input(BenchmarkId::new("balanced", maps), &maps, |b, _| {
-            b.iter(|| build_tree(black_box(&tl), None, true))
-        });
-        g.bench_with_input(BenchmarkId::new("chain", maps), &maps, |b, _| {
-            b.iter(|| build_tree(black_box(&tl), None, false))
-        });
+        for (name, balance) in [("balanced", true), ("chain", false)] {
+            let mut n = 0usize;
+            g.bench_with_input(BenchmarkId::new(name, maps), &maps, |b, _| {
+                b.iter(|| {
+                    n = n.wrapping_add(1);
+                    let pad = Vec::<u8>::with_capacity(1 + 1024 * (n % PADS));
+                    let mut build = || build_tree(black_box(&tl), None, balance);
+                    let tree = deeper(n % DEPTHS, &mut build);
+                    drop(black_box(pad));
+                    tree
+                })
+            });
+        }
     }
     g.finish();
 }

@@ -1,6 +1,6 @@
 //! Definitions of the paper's experiments (Figures 10–15, Table 1, the
 //! §5.2 error bands), each expressed as a declarative `mr2-scenario`
-//! sweep and executed by its parallel batch runner. A process-wide
+//! sweep and executed by its batch runner. A process-wide
 //! result cache deduplicates configurations shared between figures
 //! (e.g. fig12's 4-node point and fig14's 1-job point are the same
 //! evaluation), and persists under `results/` ([`load_cache`] /
@@ -13,7 +13,7 @@ use std::sync::OnceLock;
 use mapreduce_sim::{SimConfig, GB};
 use mr2_model::error::ErrorBand;
 use mr2_model::{Calibration, ModelOptions};
-use mr2_scenario::{run_scenario, Backends, PointResult, ResultCache, RunnerConfig, Scenario};
+use mr2_scenario::{run_scenario, Backends, PointResult, ResultCache, Scenario};
 
 /// Number of repetitions per configuration (paper §5.1: "Each experiment
 /// we repeated 5 times and then took the median").
@@ -213,9 +213,9 @@ fn to_point(r: &PointResult, x_axis: XAxis) -> Point {
 }
 
 /// Run one of the paper's figure experiments through the scenario
-/// engine's parallel runner.
+/// engine's runner.
 pub fn run_experiment(id: ExperimentId) -> ExperimentResult {
-    let sweep = run_scenario(&id.scenario(), cache(), &RunnerConfig::default());
+    let sweep = run_scenario(&id.scenario(), cache());
     let x_axis = id.x_axis();
     ExperimentResult {
         id,

@@ -13,7 +13,10 @@ use crate::input::{ClusterInputs, JobClassInputs, ModelInput, ModelOptions};
 use mapreduce_sim::profile::MeasuredProfile;
 use mapreduce_sim::{JobSpec, SimConfig, MB};
 
-/// Calibration knobs that are not part of the cluster config.
+/// Calibration knobs that are not part of the cluster config. The AM
+/// reservation is not one of them: the model always reserves one
+/// container per concurrent job for its MRAppMaster, as every simulated
+/// job's AM holds one (§3).
 #[derive(Debug, Clone)]
 pub struct Calibration {
     /// Expected fraction of data-local map reads. Late binding plus
@@ -25,9 +28,6 @@ pub struct Calibration {
     /// exponential family even when raw service times are stable; measured
     /// service CVs therefore only ever refine these floors upward.
     pub cv: [f64; 3],
-    /// Reserve one container per concurrent job for its AM (mirrors
-    /// `SimConfig::include_am_container`).
-    pub reserve_am: bool,
 }
 
 impl Default for Calibration {
@@ -35,17 +35,15 @@ impl Default for Calibration {
         Calibration {
             locality_fraction: 0.95,
             cv: [0.40, 0.45, 0.40],
-            reserve_am: true,
         }
     }
 }
 
 /// Map a `(SimConfig, JobSpec)` pair onto Herodotou's parameter set.
-pub fn herodotou_params(cfg: &SimConfig, spec: &JobSpec, cal: &Calibration) -> HerodotouParams {
+/// The job's AM holds one of the cluster's containers.
+pub fn herodotou_params(cfg: &SimConfig, spec: &JobSpec) -> HerodotouParams {
     let n = cfg.nodes as f64;
-    let total_slots = cfg
-        .total_containers()
-        .saturating_sub(if cal.reserve_am { 1 } else { 0 });
+    let total_slots = cfg.total_containers().saturating_sub(1);
     HerodotouParams {
         split_bytes: cfg.block_size.min(spec.input_bytes) as f64,
         num_maps: spec.num_maps(cfg.block_size),
@@ -119,7 +117,7 @@ pub fn job_inputs(
     let overhead = [sched, sched, 0.0];
 
     // Herodotou bootstrap for the initial responses (§4.2.1 approach 2).
-    let hp = herodotou_params(cfg, spec, cal);
+    let hp = herodotou_params(cfg, spec);
     let mp = map_phases(&hp);
     let rp = reduce_phases(&hp);
     let initial_response = [
@@ -196,13 +194,10 @@ pub fn mix_model_input(
         disk_per_node: 1,
         max_maps_per_node: per_node,
         max_reduce_per_node: per_node,
-        reserved_containers: if cal.reserve_am && cfg.include_am_container {
-            // Saturate rather than wrap: an absurd job total must not
-            // silently reserve almost nothing.
-            u32::try_from(total).unwrap_or(u32::MAX)
-        } else {
-            0
-        },
+        // One container per concurrent job for its AM. Saturate rather
+        // than wrap: an absurd job total must not silently reserve
+        // almost nothing.
+        reserved_containers: u32::try_from(total).unwrap_or(u32::MAX),
     };
     let mut jobs = Vec::with_capacity(total);
     for c in classes {
@@ -243,8 +238,8 @@ pub fn model_input(
 
 /// The static Herodotou job-time estimate for the same configuration
 /// (related-work baseline).
-pub fn herodotou_estimate(cfg: &SimConfig, spec: &JobSpec, cal: &Calibration) -> f64 {
-    job_time(&herodotou_params(cfg, spec, cal))
+pub fn herodotou_estimate(cfg: &SimConfig, spec: &JobSpec) -> f64 {
+    job_time(&herodotou_params(cfg, spec))
 }
 
 #[cfg(test)]
@@ -301,7 +296,7 @@ mod tests {
     fn herodotou_baseline_positive() {
         let cfg = SimConfig::paper_testbed(4);
         let spec = wordcount_1gb(4);
-        let t = herodotou_estimate(&cfg, &spec, &Calibration::default());
+        let t = herodotou_estimate(&cfg, &spec);
         assert!(t > 0.0);
     }
 }

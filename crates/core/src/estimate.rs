@@ -155,7 +155,7 @@ pub fn estimate_mix(
     // Herodotou's static model serializes every job of the mix.
     let herodotou: f64 = classes
         .iter()
-        .map(|c| herodotou_estimate(cfg, &c.spec, cal) * c.count as f64)
+        .map(|c| herodotou_estimate(cfg, &c.spec) * c.count as f64)
         .sum();
 
     // Per-job responses of the two queueing estimators: the saturated

@@ -116,8 +116,6 @@ pub struct ModelOptions {
     /// Balance P-subtrees to cut tree depth (§4.2.2). The paper's §5.2
     /// shows disabling this increases error with many maps.
     pub balance_tree: bool,
-    /// Convergence threshold ε (§4.2.6; recommended 1e-7).
-    pub epsilon: f64,
     /// Iteration cap for the A2–A6 loop.
     pub max_iterations: usize,
     /// Apply the Mak–Lundstrom overlap factors in the MVA (§4.2.3).
@@ -132,7 +130,6 @@ impl Default for ModelOptions {
             estimator: Estimator::ForkJoin,
             slow_start: true,
             balance_tree: true,
-            epsilon: 1e-7,
             max_iterations: 200,
             use_overlap_factors: true,
         }
@@ -168,7 +165,6 @@ impl ModelInput {
                 }
             }
         }
-        assert!(self.options.epsilon > 0.0);
         assert!(self.options.max_iterations > 0);
     }
 }

@@ -75,7 +75,7 @@ fn memo() -> &'static Mutex<Memo> {
 fn encode(input: &ModelInput) -> Vec<u64> {
     let c = &input.cluster;
     let o = &input.options;
-    let mut k = Vec::with_capacity(10 + input.jobs.len() * 18);
+    let mut k = Vec::with_capacity(9 + input.jobs.len() * 18);
     k.push(c.num_nodes as u64);
     k.push(c.cpu_per_node as u64);
     k.push(c.disk_per_node as u64);
@@ -85,7 +85,6 @@ fn encode(input: &ModelInput) -> Vec<u64> {
     k.push(
         o.slow_start as u64 | (o.balance_tree as u64) << 1 | (o.use_overlap_factors as u64) << 2,
     );
-    k.push(o.epsilon.to_bits());
     k.push(o.max_iterations as u64);
     k.push(input.jobs.len() as u64);
     for j in &input.jobs {

@@ -36,6 +36,10 @@ use queueing::{harmonic, OverlapMva};
 /// between two timelines; 0.5 is a standard safe choice.
 const DAMPING: f64 = 0.5;
 
+/// A6's convergence threshold ε (§4.2.6): an estimator stops once its
+/// average response moves by at most this much between iterations.
+const EPSILON: f64 = 1e-7;
+
 /// A2–A6 iterations executed by [`solve`] and [`solve_both`] (a joint
 /// iteration counts once), batched into one atomic add per solve (the
 /// inner MVA reports its own iteration counter).
@@ -454,8 +458,8 @@ fn run<const E: usize>(input: &ModelInput, estimators: [Estimator; E]) -> [Solve
 
     // Iteration-invariant state and the A2–A5 working state, hoisted so
     // the A2–A6 loop re-fills storage instead of re-allocating it. The
-    // overlap matrices start as all-ones — exactly the values the
-    // factor-free configuration uses — and are only overwritten when
+    // overlap factor matrix starts as all-ones — exactly the values the
+    // factor-free configuration uses — and is only overwritten when
     // overlap factors are on.
     let cfg = TimelineConfig {
         capacities: caps,
@@ -464,8 +468,7 @@ fn run<const E: usize>(input: &ModelInput, estimators: [Estimator; E]) -> [Solve
     let c_total = 3 * n_jobs;
     let mut tl_jobs: Vec<TimelineJob> = Vec::with_capacity(n_jobs);
     let mut pops = vec![0.0f64; c_total];
-    let mut intra = vec![vec![1.0f64; c_total]; c_total];
-    let mut inter = vec![vec![1.0f64; c_total]; c_total];
+    let mut factors = vec![1.0f64; c_total * c_total];
     let mut timeline = TimelineBuilder::default();
     let mut act = Activities::default();
     let mut waves = Waves::default();
@@ -494,18 +497,19 @@ fn run<const E: usize>(input: &ModelInput, estimators: [Estimator; E]) -> [Solve
             }
         }
         if input.options.use_overlap_factors {
+            // Class `3j + c` is job `j`'s class `c`: α weighs pairs of
+            // one job, β pairs across jobs.
             let f = act.overlap_factors();
             for a in 0..c_total {
                 for b in 0..c_total {
-                    let (ci, cj) = (a % 3, b % 3);
-                    intra[a][b] = f.alpha[ci][cj];
-                    inter[a][b] = f.beta[ci][cj];
+                    let pair = if a / 3 == b / 3 { &f.alpha } else { &f.beta };
+                    factors[a * c_total + b] = pair[a % 3][b % 3];
                 }
             }
         }
 
         // A4: overlap-adjusted MVA.
-        let response = mva.solve(&pops, &intra, &inter);
+        let response = mva.solve(&pops, &factors);
 
         // New contention-adjusted class durations (damped).
         for j in 0..n_jobs {
@@ -540,7 +544,7 @@ fn run<const E: usize>(input: &ModelInput, estimators: [Estimator; E]) -> [Solve
             let avg = per_job.iter().sum::<f64>() / n_jobs as f64;
 
             // A6: this estimator's convergence test.
-            let converged = (avg - prev_avg[e]).abs() <= input.options.epsilon;
+            let converged = (avg - prev_avg[e]).abs() <= EPSILON;
             prev_avg[e] = avg;
             if converged || last {
                 let depths = tree_depths.get_or_insert_with(|| {

@@ -193,7 +193,7 @@ impl MrAppMaster {
     ) -> Vec<ResourceRequest> {
         let mut asks = Vec::new();
 
-        if !self.am_asked && cfg.include_am_container {
+        if !self.am_asked {
             self.am_asked = true;
             asks.push(ResourceRequest {
                 num_containers: 1,
@@ -202,12 +202,6 @@ impl MrAppMaster {
                 location: Location::Any,
                 relax_locality: true,
             });
-        }
-        if !cfg.include_am_container {
-            self.am_started = true;
-            if self.am_started_at.is_nan() {
-                self.am_started_at = now;
-            }
         }
         if !self.am_started || self.done {
             return asks;
@@ -620,7 +614,7 @@ mod tests {
     ) -> Vec<ResourceRequest> {
         let mut asks = Vec::new();
 
-        if !am.am_asked && cfg.include_am_container {
+        if !am.am_asked {
             am.am_asked = true;
             asks.push(ResourceRequest {
                 num_containers: 1,
@@ -629,12 +623,6 @@ mod tests {
                 location: Location::Any,
                 relax_locality: true,
             });
-        }
-        if !cfg.include_am_container {
-            am.am_started = true;
-            if am.am_started_at.is_nan() {
-                am.am_started_at = now;
-            }
         }
         if !am.am_started || am.done {
             return asks;

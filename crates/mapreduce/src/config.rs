@@ -20,11 +20,11 @@ pub struct SimConfig {
     pub node_capacity: ResourceVector,
     /// Task container size (stock: 1024 MB / 1 vcore).
     pub container_size: ResourceVector,
-    /// MRAppMaster container size.
+    /// MRAppMaster container size. Every job's AM holds one such
+    /// container for the job's lifetime, as on a real YARN cluster
+    /// (§3); batch-submitted jobs can therefore fill a cluster with AMs
+    /// ([`crate::batch_deadlock_jobs`]).
     pub am_container_size: ResourceVector,
-    /// Whether the AM occupies a container (true on a real cluster; turning
-    /// it off matches the analytic model's simplification).
-    pub include_am_container: bool,
     /// Physical cores per node backing the CPU fair-share resource.
     pub cpu_cores: f64,
     /// Aggregate disk bandwidth per node, bytes/s.
@@ -73,7 +73,6 @@ impl Default for SimConfig {
             node_capacity: ResourceVector::new(4096, 4),
             container_size: ResourceVector::new(1024, 1),
             am_container_size: ResourceVector::new(1024, 1),
-            include_am_container: true,
             cpu_cores: 12.0,
             disk_bw: 120.0e6,
             nic_bw: 125.0e6,

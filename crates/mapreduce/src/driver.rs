@@ -313,11 +313,11 @@ impl ClusterSim {
 
     /// Whether every live container belongs to a running AM while no
     /// task-sized container fits on any node — e.g. batch arrivals of at
-    /// least [`SimConfig::total_containers`] jobs. The state is
-    /// permanent: an AM frees its container only when its job finishes,
-    /// and no job finishes without a task container, so heartbeats
-    /// would re-arm forever. (Nothing fitting implies some container is
-    /// live, hence some job unfinished.)
+    /// least [`batch_deadlock_jobs`] jobs. The state is permanent: an
+    /// AM frees its container only when its job finishes, and no job
+    /// finishes without a task container, so heartbeats would re-arm
+    /// forever. (Nothing fitting implies some container is live, hence
+    /// some job unfinished.)
     fn ams_hold_the_cluster(&self) -> bool {
         let size = &self.cfg.container_size;
         let live_ams = self
@@ -660,11 +660,38 @@ impl ClusterSim {
     }
 }
 
+/// The fewest jobs, all submitted at once, that deadlock a cluster of
+/// `cfg`: their application masters leave no node room for a task
+/// container, the state the simulator's heartbeat asserts against.
+/// Every count from the bound up deadlocks; `None` when none does.
+///
+/// All AM asks are served at the submission instant, before any AM has
+/// started and asked for tasks. Identical AMs on identical nodes, each
+/// placed on the least-occupied node, spread evenly, so the emptiest
+/// node holds `⌊jobs / nodes⌋` of them (or as many as fit). Once that
+/// node has no room, neither has any other. Later, no node holds more
+/// AMs than it did then (while AMs wait, every node already holds as
+/// many as fit), so a cluster that fits a task at the submission
+/// instant never deadlocks.
+pub fn batch_deadlock_jobs(cfg: &SimConfig) -> Option<usize> {
+    let (node, am, task) = (cfg.node_capacity, cfg.am_container_size, cfg.container_size);
+    if !task.fits_in(&node) {
+        return None; // `SimConfig::validate`'s concern, not a deadlock
+    }
+    let mut free = node;
+    (1..=node.count_fitting(&am) as usize).find_map(|ams| {
+        free = free.saturating_sub(&am);
+        (!task.fits_in(&free)).then_some(ams * cfg.nodes)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{SchedulerPolicy, GB, MB};
     use crate::workload::{grep, wordcount};
+    use std::panic::AssertUnwindSafe;
+    use yarn_sim::ResourceVector;
 
     fn quiet_cfg(nodes: usize) -> SimConfig {
         SimConfig {
@@ -876,6 +903,59 @@ mod tests {
     #[should_panic(expected = "scheduling deadlock")]
     fn ams_filling_the_cluster_panic_under_fair() {
         one_node_batch(4, SchedulerPolicy::Fair);
+    }
+
+    #[test]
+    fn batch_deadlock_bound_splits_finishing_runs_from_deadlocks() {
+        let deadlocks = |cfg: &SimConfig, jobs: usize| {
+            std::panic::catch_unwind(AssertUnwindSafe(|| {
+                let mut sim = ClusterSim::new(cfg.clone());
+                for _ in 0..jobs {
+                    sim.add_job(grep(128 * MB), 0.0);
+                }
+                sim.run()
+            }))
+            .map_err(|e| {
+                let msg = (e.downcast_ref::<String>().map(String::as_str))
+                    .or(e.downcast_ref::<&str>().copied())
+                    .unwrap_or_default();
+                assert!(msg.contains("scheduling deadlock"), "{msg}");
+            })
+            .is_err()
+        };
+        for scheduler in [SchedulerPolicy::CapacityFifo, SchedulerPolicy::Fair] {
+            for nodes in 1..=3 {
+                for (container_mb, per_node) in [(512, 4), (1024, 4), (2048, 3)] {
+                    let cfg = SimConfig {
+                        container_size: ResourceVector::new(container_mb, 1),
+                        scheduler,
+                        ..SimConfig::paper_testbed(nodes)
+                    };
+                    let bound = batch_deadlock_jobs(&cfg);
+                    assert_eq!(bound, Some(per_node * nodes), "{cfg:?}");
+                    let bound = bound.unwrap();
+                    assert!(!deadlocks(&cfg, bound - 1), "{} jobs: {cfg:?}", bound - 1);
+                    assert!(deadlocks(&cfg, bound), "{bound} jobs: {cfg:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batch_deadlock_bound_is_none_when_ams_leave_room() {
+        // Four AMs are as many as fit, and they leave 512 MB and four
+        // vcores free: a 512 MB task container always fits beside them.
+        let roomy = SimConfig {
+            node_capacity: ResourceVector::new(4608, 8),
+            container_size: ResourceVector::new(512, 1),
+            ..SimConfig::paper_testbed(2)
+        };
+        assert_eq!(batch_deadlock_jobs(&roomy), None);
+        let too_big = SimConfig {
+            container_size: ResourceVector::new(8192, 1),
+            ..SimConfig::paper_testbed(2)
+        };
+        assert_eq!(batch_deadlock_jobs(&too_big), None);
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub mod workload;
 
 pub use appmaster::{GrantAction, MrAppMaster, TaskState};
 pub use config::{SchedulerPolicy, SimConfig, GB, MB};
-pub use driver::ClusterSim;
+pub use driver::{batch_deadlock_jobs, ClusterSim};
 pub use job::{JobId, JobSpec, TaskId};
 pub use metrics::{JobResult, TaskRecord};
 pub use profile::{eval_mix, SimPoint, SIM_SCHEMA_VERSION};

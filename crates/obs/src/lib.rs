@@ -48,9 +48,12 @@
 //! [`finish_trace`] additionally hands the trace to the retention
 //! layer: a bounded lock-free ring with 1-in-N head sampling plus
 //! tail-keep for traces over a slow threshold ([`configure_tracing`]),
-//! and an all-time slowest list. Worker threads spawned during a
-//! request do not inherit the context — a trace reports what *this*
-//! thread did.
+//! and an all-time slowest list. Threads spawned during a request do
+//! not inherit the context — a trace reports what *this* thread did.
+//! The scenario runner therefore evaluates points on the calling thread
+//! too: those nest under the request's spans, while the points its
+//! helper threads take reach only the profiler, as root stacks of their
+//! own.
 //!
 //! ## Profile
 //!

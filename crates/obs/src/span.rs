@@ -21,7 +21,10 @@
 //!
 //! The context is deliberately **not** propagated to spawned threads:
 //! a trace is "what this request's thread did, in order", and parallel
-//! workers report through the registry and profiler instead.
+//! workers report through the registry and profiler instead. The
+//! scenario runner's calling thread evaluates points itself, so a sweep
+//! on one CPU, or of one distinct point, traces whole; the points its
+//! helper threads take are profile roots outside the request's tree.
 //!
 //! Panic safety: unwinding drops open `Span` guards, which pop their
 //! frames; anything a panic (or a leaked guard) leaves behind is

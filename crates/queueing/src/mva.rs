@@ -156,56 +156,43 @@ pub fn exact_mva(net: &ClosedNetwork, populations: &[u32]) -> MvaSolution {
 
 /// Bard–Schweitzer approximate MVA with (possibly fractional) populations.
 pub fn approximate_mva(net: &ClosedNetwork, populations: &[f64]) -> MvaSolution {
-    let ones = vec![vec![1.0; populations.len()]; populations.len()];
-    overlap_mva(net, populations, &ones, &ones)
+    overlap_mva(net, populations, &vec![1.0; populations.len().pow(2)])
 }
 
 /// Overlap-factor-adjusted approximate MVA (the paper's A4 step): one
 /// [`OverlapMva`] solve, expanded into a full [`MvaSolution`].
 ///
-/// `intra[i][j]` scales how much of class `j`'s queue class `i` sees when
-/// both belong to the *same* job; `inter[i][j]` when they belong to
-/// different jobs. Populations are split per class into "own-job" (one
-/// task's worth of companions) and "other jobs" by the caller through the
-/// factors; here the seen queue of class `i` at station `k` is
+/// `w` is the C×C factor matrix, flat and row-major: `w[i * C + j]`
+/// scales how much of class `j`'s queue class `i` sees. The seen queue
+/// of class `i` at station `k` is
 ///
 /// ```text
 /// seen_ik = Σ_j w_ij · Q_jk      with w_ii applying the Schweitzer
 ///                                (N_i−1)/N_i self-correction
 /// ```
 ///
-/// where `w_ij` combines the intra- and inter-job factors weighted by how
-/// much of class `j`'s population is co-job vs foreign (encoded by the
-/// caller in the two matrices; see `mr2-model::solver`).
-pub fn overlap_mva(
-    net: &ClosedNetwork,
-    populations: &[f64],
-    intra: &[Vec<f64>],
-    inter: &[Vec<f64>],
-) -> MvaSolution {
+/// The model's solver fills `w` with the paper's α for pairs of classes
+/// of one job and β for pairs across jobs (see `mr2-model::solver`).
+pub fn overlap_mva(net: &ClosedNetwork, populations: &[f64], w: &[f64]) -> MvaSolution {
     let mut mva = OverlapMva::new(net);
-    mva.solve(populations, intra, inter);
+    mva.solve(populations, w);
     mva.solution()
 }
 
 /// [`overlap_mva`] prepared for one network. Validation, the station
-/// groups, the same-job mask, each group's demands and the fixed point's
-/// buffers are set up once, so a caller that solves one network for many
-/// populations and factors (the model's A2–A6 loop) pays for them once.
-/// Every [`OverlapMva::solve`] starts cold from `N_c / K`, so its result
+/// groups, each group's demands and the fixed point's buffers are set
+/// up once, so a caller that solves one network for many populations
+/// and factors (the model's A2–A6 loop) pays for them once. Every
+/// [`OverlapMva::solve`] starts cold from `N_c / K`, so its result
 /// depends only on its arguments.
 pub struct OverlapMva<'a> {
     net: &'a ClosedNetwork,
-    /// `same_job[i * C + j]`: classes `i` and `j` belong to one job.
-    same_job: Vec<bool>,
     /// Each station's group (see [`station_groups`]).
     group_of: Vec<usize>,
     /// Whether each group's stations queue.
     queueing_g: Vec<bool>,
     /// Group demands, class-major: `demands_g[i * G + g]`.
     demands_g: Vec<f64>,
-    /// The combined factor matrix, flat and row-major.
-    w: Vec<f64>,
     /// Group queue lengths in group-major layout, so the per-class inner
     /// sum walks one contiguous row instead of striding across class rows.
     queue_g: Vec<f64>,
@@ -217,24 +204,9 @@ pub struct OverlapMva<'a> {
 
 impl<'a> OverlapMva<'a> {
     /// Validate `net` and group its stations.
-    ///
-    /// Contract: classes are per job in the caller's encoding — a class
-    /// name "j2#map" belongs to job "j2" (the prefix before '#'); names
-    /// without '#' all belong to one implicit job. Pairs within the same
-    /// job are weighted by `intra[i][j]` (the paper's α), pairs across
-    /// jobs by `inter[i][j]` (the paper's β).
     pub fn new(net: &'a ClosedNetwork) -> Self {
         net.validate();
         let c_n = net.num_classes();
-        let job_of: Vec<&str> = net
-            .classes
-            .iter()
-            .map(|n| n.split('#').next().unwrap_or(n))
-            .collect();
-        let same_job = job_of
-            .iter()
-            .flat_map(|a| job_of.iter().map(move |b| a == b))
-            .collect();
         // Solve each group of identical stations once (see the module docs).
         let (group_of, reps) = station_groups(net);
         let g_n = reps.len();
@@ -249,11 +221,9 @@ impl<'a> OverlapMva<'a> {
             .collect();
         OverlapMva {
             net,
-            same_job,
             group_of,
             queueing_g,
             demands_g,
-            w: vec![0.0; c_n * c_n],
             queue_g: vec![0.0; g_n * c_n],
             residence_g: vec![0.0; c_n * g_n],
             response: vec![0.0; c_n],
@@ -261,33 +231,21 @@ impl<'a> OverlapMva<'a> {
         }
     }
 
-    /// Run the fixed point for `populations` and the factors `intra` and
-    /// `inter` (see [`overlap_mva`]), cold from `N_c / K`. Returns each
-    /// class's response time.
+    /// Run the fixed point for `populations` and the factor matrix `w`
+    /// (see [`overlap_mva`]), cold from `N_c / K`. Returns each class's
+    /// response time.
     #[allow(clippy::needless_range_loop)] // station/class index pairs read clearer
-    pub fn solve(&mut self, populations: &[f64], intra: &[Vec<f64>], inter: &[Vec<f64>]) -> &[f64] {
+    pub fn solve(&mut self, populations: &[f64], w: &[f64]) -> &[f64] {
         let c_n = self.net.num_classes();
         let k_n = self.net.num_stations();
         let g_n = self.queueing_g.len();
         assert_eq!(populations.len(), c_n);
-        assert_eq!(intra.len(), c_n);
-        assert_eq!(inter.len(), c_n);
+        assert_eq!(w.len(), c_n * c_n);
         assert!(
             populations.iter().all(|&n| n >= 0.0 && n.is_finite()),
             "populations must be non-negative"
         );
 
-        // The factors are fixed for the whole fixed point, so the
-        // combined weight matrix is materialized once per solve.
-        for i in 0..c_n {
-            for j in 0..c_n {
-                self.w[i * c_n + j] = if self.same_job[i * c_n + j] {
-                    intra[i][j]
-                } else {
-                    inter[i][j]
-                };
-            }
-        }
         for g in 0..g_n {
             for c in 0..c_n {
                 self.queue_g[g * c_n + c] = populations[c] / k_n as f64;
@@ -302,7 +260,7 @@ impl<'a> OverlapMva<'a> {
             iterations += 1;
             let mut max_delta = 0.0f64;
             for i in 0..c_n {
-                let w_row = &self.w[i * c_n..(i + 1) * c_n];
+                let w_row = &w[i * c_n..(i + 1) * c_n];
                 let demands_i = &self.demands_g[i * g_n..(i + 1) * g_n];
                 let n = populations[i];
                 // Schweitzer self-correction factor (N_i−1), applied to the
@@ -431,50 +389,20 @@ mod tests {
 
     /// Oracle: [`overlap_mva`] as it was before station grouping — every
     /// station solved on its own — kept verbatim apart from the
-    /// iteration bookkeeping that fed the registry counters.
+    /// iteration bookkeeping that fed the registry counters and the
+    /// factor matrix, which callers now pass whole.
     #[allow(clippy::needless_range_loop)]
-    fn per_station_mva(
-        net: &ClosedNetwork,
-        populations: &[f64],
-        intra: &[Vec<f64>],
-        inter: &[Vec<f64>],
-    ) -> MvaSolution {
+    fn per_station_mva(net: &ClosedNetwork, populations: &[f64], w: &[f64]) -> MvaSolution {
         net.validate();
         let c_n = net.num_classes();
         let k_n = net.num_stations();
         assert_eq!(populations.len(), c_n);
-        assert_eq!(intra.len(), c_n);
-        assert_eq!(inter.len(), c_n);
+        assert_eq!(w.len(), c_n * c_n);
         assert!(
             populations.iter().all(|&n| n >= 0.0 && n.is_finite()),
             "populations must be non-negative"
         );
 
-        // Contract: classes are per job in the caller's encoding — a class
-        // name "j2#map" belongs to job "j2" (the prefix before '#'); names
-        // without '#' all belong to one implicit job. Pairs within the same
-        // job are weighted by `intra[i][j]` (the paper's α), pairs across jobs
-        // by `inter[i][j]` (the paper's β).
-        //
-        // The factors are iteration-invariant, so the combined weight matrix
-        // is materialized once (flat, row-major) before the fixed point —
-        // the former per-(i,k,j) job-name string comparison dominated the
-        // solve at realistic class counts.
-        let job_of: Vec<&str> = net
-            .classes
-            .iter()
-            .map(|n| n.split('#').next().unwrap_or(n))
-            .collect();
-        let mut w = vec![0.0f64; c_n * c_n];
-        for i in 0..c_n {
-            for j in 0..c_n {
-                w[i * c_n + j] = if job_of[i] == job_of[j] {
-                    intra[i][j]
-                } else {
-                    inter[i][j]
-                };
-            }
-        }
         let is_queueing: Vec<bool> = net
             .stations
             .iter()
@@ -571,8 +499,7 @@ mod tests {
 
     /// A seeded random network for the grouping oracle: distinct
     /// queueing and delay stations, some replicated, some with a twin
-    /// one ULP off in one class's demand, all shuffled; classes spread
-    /// over jobs so both the intra- and inter-job factors apply.
+    /// one ULP off in one class's demand, all shuffled.
     fn random_network(rng: &mut SmallRng) -> ClosedNetwork {
         let c_n = rng.gen_range(1..=6usize);
         let mut columns: Vec<(StationKind, Vec<f64>)> = Vec::new();
@@ -610,10 +537,7 @@ mod tests {
                 StationKind::Delay => Station::delay(&format!("s{k}")),
             })
             .collect();
-        let jobs = rng.gen_range(1..=3usize);
-        let classes = (0..c_n)
-            .map(|c| format!("j{}#{c}", rng.gen_range(0..jobs)))
-            .collect();
+        let classes = (0..c_n).map(|c| format!("c{c}")).collect();
         let demands = (0..c_n)
             .map(|c| columns.iter().map(|(_, col)| col[c]).collect())
             .collect();
@@ -621,8 +545,8 @@ mod tests {
     }
 
     /// Random populations, some in (0, 1] where the Schweitzer
-    /// self-correction is off, and random intra- and inter-job factors.
-    fn random_load(rng: &mut SmallRng, c_n: usize) -> (Vec<f64>, Vec<Vec<f64>>, Vec<Vec<f64>>) {
+    /// self-correction is off, and a random factor matrix.
+    fn random_load(rng: &mut SmallRng, c_n: usize) -> (Vec<f64>, Vec<f64>) {
         let pops: Vec<f64> = (0..c_n)
             .map(|_| {
                 if rng.gen_bool(0.3) {
@@ -632,18 +556,13 @@ mod tests {
                 }
             })
             .collect();
-        let mut factors = || -> Vec<Vec<f64>> {
-            (0..c_n)
-                .map(|_| (0..c_n).map(|_| rng.gen_range(0.0..=1.0)).collect())
-                .collect()
-        };
-        let (intra, inter) = (factors(), factors());
-        (pops, intra, inter)
+        let w = (0..c_n * c_n).map(|_| rng.gen_range(0.0..=1.0)).collect();
+        (pops, w)
     }
 
     /// The grouping oracle's 400 seeded networks, each with a random load.
     #[allow(clippy::type_complexity)]
-    fn oracle_cases() -> Vec<(ClosedNetwork, (Vec<f64>, Vec<Vec<f64>>, Vec<Vec<f64>>))> {
+    fn oracle_cases() -> Vec<(ClosedNetwork, (Vec<f64>, Vec<f64>))> {
         let mut rng = SmallRng::seed_from_u64(17);
         (0..400)
             .map(|_| {
@@ -671,12 +590,12 @@ mod tests {
     #[test]
     fn grouped_stations_equal_the_per_station_solve() {
         let mut grouped = 0;
-        for (case, (net, (pops, intra, inter))) in oracle_cases().iter().enumerate() {
+        for (case, (net, (pops, w))) in oracle_cases().iter().enumerate() {
             if station_groups(net).1.len() < net.num_stations() {
                 grouped += 1;
             }
-            let got = overlap_mva(net, pops, intra, inter);
-            let want = per_station_mva(net, pops, intra, inter);
+            let got = overlap_mva(net, pops, w);
+            let want = per_station_mva(net, pops, w);
             assert_bit_equal(&got, &want, &format!("case {case}"));
         }
         assert!(
@@ -697,9 +616,9 @@ mod tests {
                 if call > 0 {
                     load = random_load(&mut rng, net.num_classes());
                 }
-                let (pops, intra, inter) = &load;
-                let response = bits(mva.solve(pops, intra, inter));
-                let want = per_station_mva(&net, pops, intra, inter);
+                let (pops, w) = &load;
+                let response = bits(mva.solve(pops, w));
+                let want = per_station_mva(&net, pops, w);
                 let what = format!("case {case}, call {call}");
                 assert_eq!(response, bits(&want.response), "{what}");
                 assert_bit_equal(&mva.solution(), &want, &what);
@@ -808,9 +727,8 @@ mod tests {
             vec!["x".into(), "y".into()],
             vec![vec![0.5, 1.0], vec![1.0, 0.25]],
         );
-        let ones = vec![vec![1.0; 2]; 2];
         let a = approximate_mva(&net, &[3.0, 2.0]);
-        let b = overlap_mva(&net, &[3.0, 2.0], &ones, &ones);
+        let b = overlap_mva(&net, &[3.0, 2.0], &[1.0; 4]);
         for c in 0..2 {
             assert!((a.response[c] - b.response[c]).abs() < 1e-12);
         }
@@ -824,13 +742,11 @@ mod tests {
             vec![vec![1.0], vec![1.0]],
         );
         // No overlap at all: every class sees an empty station.
-        let zeros = vec![vec![0.0; 2]; 2];
-        let sol = overlap_mva(&net, &[4.0, 4.0], &zeros, &zeros);
+        let sol = overlap_mva(&net, &[4.0, 4.0], &[0.0; 4]);
         assert!((sol.response[0] - 1.0).abs() < 1e-9);
         assert!((sol.response[1] - 1.0).abs() < 1e-9);
         // Full overlap: heavy contention.
-        let ones = vec![vec![1.0; 2]; 2];
-        let full = overlap_mva(&net, &[4.0, 4.0], &ones, &ones);
+        let full = overlap_mva(&net, &[4.0, 4.0], &[1.0; 4]);
         assert!(full.response[0] > 3.0);
     }
 
@@ -841,9 +757,8 @@ mod tests {
             vec!["x".into(), "y".into()],
             vec![vec![0.7, 0.4], vec![0.5, 0.9]],
         );
-        let mk = |o: f64| vec![vec![o; 2]; 2];
-        let lo = overlap_mva(&net, &[3.0, 3.0], &mk(0.2), &mk(0.2));
-        let hi = overlap_mva(&net, &[3.0, 3.0], &mk(0.9), &mk(0.9));
+        let lo = overlap_mva(&net, &[3.0, 3.0], &[0.2; 4]);
+        let hi = overlap_mva(&net, &[3.0, 3.0], &[0.9; 4]);
         assert!(hi.response[0] > lo.response[0]);
         assert!(hi.response[1] > lo.response[1]);
     }

@@ -19,10 +19,12 @@
 //!   (each replayed job keeps its submission offset) instead of
 //!   synthetic presets;
 //! * [`expand`]: deterministic expansion into [`EvalPoint`]s;
-//! * [`run_scenario`] (module [`runner`]): a parallel batch runner over
-//!   the narrow `eval_mix` entry APIs of `mr2-model` (analytic, with
-//!   the windowed staggered-arrival approximation) and `mapreduce-sim`
-//!   (ground truth), per-class results and makespans included;
+//! * [`run_scenario`] (module [`runner`]): a batch runner over the
+//!   narrow `eval_mix` entry APIs of `mr2-model` (analytic, with the
+//!   windowed staggered-arrival approximation) and `mapreduce-sim`
+//!   (ground truth), per-class results and makespans included. The
+//!   calling thread evaluates points itself, helped by one scoped
+//!   thread per further CPU while distinct points remain;
 //! * [`ResultCache`] (module [`cache`]): a content-hashed store so
 //!   repeated sweeps, overlapping scenarios, and the estimator axis skip
 //!   already-evaluated points;
@@ -32,7 +34,7 @@
 //!   `mr2_model::ErrorBand`s.
 //!
 //! ```
-//! use mr2_scenario::{run_scenario, Backends, ResultCache, RunnerConfig, Scenario};
+//! use mr2_scenario::{run_scenario, Backends, ResultCache, Scenario};
 //!
 //! let scenario = Scenario::new("doc")
 //!     .axis_nodes([2usize, 4])
@@ -40,10 +42,10 @@
 //!     .axis_input_bytes([256 * 1024 * 1024])
 //!     .with_backends(Backends::analytic_only());
 //! let cache = ResultCache::new();
-//! let sweep = run_scenario(&scenario, &cache, &RunnerConfig::default());
+//! let sweep = run_scenario(&scenario, &cache);
 //! assert_eq!(sweep.points.len(), 4);
 //! // A second identical run answers entirely from the cache.
-//! let again = run_scenario(&scenario, &cache, &RunnerConfig::default());
+//! let again = run_scenario(&scenario, &cache);
 //! assert_eq!(cache.stats().misses, 4);
 //! assert_eq!(sweep.points, again.points);
 //! ```
@@ -65,7 +67,7 @@ pub use plan::{
 pub use report::{class_error_bands, error_bands, render_report, to_csv, ClassBand, SeriesBand};
 pub use runner::{
     evaluate_point, run_scenario, run_scenario_streaming, select, select_class, PointResult,
-    RunnerConfig, SimResult, SweepResult,
+    SimResult, SweepResult,
 };
 pub use spec::{
     ArrivalSchedule, Backends, EstimatorKind, EvalPoint, JobKind, MixEntry, ReducePolicy,

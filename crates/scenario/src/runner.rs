@@ -1,13 +1,17 @@
-//! The batch runner: evaluates every point of a scenario, in parallel,
-//! through the content-hashed [`ResultCache`].
+//! The batch runner: evaluates every point of a scenario through the
+//! content-hashed [`ResultCache`].
 //!
-//! Parallelism is a hand-rolled shared-queue pool over `std::thread`
-//! (no external deps): workers atomically claim the next unevaluated
-//! point, so load balances itself the way a work-stealing deque would
-//! for this one-level task graph. Every point's evaluation is a pure
-//! function of the point (simulator seeds are per-point config, never
-//! thread state), so parallel and serial runs produce bit-identical
-//! results in the same order.
+//! Points claim themselves off a shared atomic counter, so load
+//! balances itself the way a work-stealing deque would for this
+//! one-level task graph. The calling thread runs the claim loop, helped
+//! by `min(available_parallelism(), distinct points) − 1` scoped
+//! threads: a sweep on one CPU, or of one distinct point, spawns no
+//! thread, and its `point.*` spans nest under the caller's open spans.
+//! Helper threads do not inherit the caller's trace context (see
+//! `mr2_obs`). Every point's evaluation is a pure function of the point
+//! (simulator seeds are per-point config, never thread state), so
+//! results are bit-identical whichever thread evaluates them, and come
+//! back in expansion order.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -18,34 +22,6 @@ use mr2_model::{Calibration, ClassPoint, MixClass, ModelOptions, ModelPoint};
 
 use crate::cache::{KeyHasher, ResultCache};
 use crate::spec::{EstimatorKind, EvalPoint, ResolvedEntry, Scenario};
-
-/// Runner knobs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RunnerConfig {
-    /// Worker threads; 0 means one per available core.
-    pub threads: usize,
-}
-
-impl RunnerConfig {
-    /// Run everything on the calling thread (useful for determinism
-    /// tests and debugging).
-    pub fn serial() -> RunnerConfig {
-        RunnerConfig { threads: 1 }
-    }
-
-    /// Worker threads for `points` schedulable units: the configured
-    /// count (one per available core when 0), clamped to the number of
-    /// points — extra workers could never claim work and would only pay
-    /// spawn/join overhead — and never below one.
-    pub fn effective_threads(&self, points: usize) -> usize {
-        let configured = if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        };
-        configured.min(points).max(1)
-    }
-}
 
 /// Ground truth of one evaluated point (simulator backend).
 #[derive(Debug, Clone, PartialEq)]
@@ -141,23 +117,23 @@ pub struct SweepResult {
     pub points: Vec<PointResult>,
 }
 
-/// Expand `scenario` and evaluate every point through `cache`, using
-/// `cfg.threads` workers. Results come back in expansion order
-/// regardless of scheduling.
+/// Expand `scenario` and evaluate every point through `cache`, on the
+/// calling thread and its helpers (see the module docs). Results come
+/// back in expansion order regardless of scheduling.
 ///
 /// Points that share an evaluation signature (everything but `index`
 /// and `estimator` — e.g. the whole estimator axis of one
 /// configuration) are deduplicated *before* dispatch, so concurrent
-/// workers never race to compute the same record and each distinct
+/// threads never race to compute the same record and each distinct
 /// configuration is evaluated exactly once per process.
-pub fn run_scenario(scenario: &Scenario, cache: &ResultCache, cfg: &RunnerConfig) -> SweepResult {
-    run_scenario_observed(scenario, cache, cfg, None)
+pub fn run_scenario(scenario: &Scenario, cache: &ResultCache) -> SweepResult {
+    run_scenario_streaming(scenario, cache, &|_| {})
 }
 
 /// [`run_scenario`] with a per-point completion observer: `on_point` is
 /// called once per expanded point — including every deduplicated
 /// dependent of a representative — as soon as its result exists, from
-/// whichever worker thread produced it. Completion order across
+/// whichever thread produced it. Completion order across
 /// configurations follows scheduling; points sharing one signature are
 /// emitted back-to-back in index order. The full [`SweepResult`] is
 /// still returned at the end, identical to the non-streaming run.
@@ -168,17 +144,7 @@ pub fn run_scenario(scenario: &Scenario, cache: &ResultCache, cfg: &RunnerConfig
 pub fn run_scenario_streaming(
     scenario: &Scenario,
     cache: &ResultCache,
-    cfg: &RunnerConfig,
     on_point: &(dyn Fn(PointResult) + Sync),
-) -> SweepResult {
-    run_scenario_observed(scenario, cache, cfg, Some(on_point))
-}
-
-fn run_scenario_observed(
-    scenario: &Scenario,
-    cache: &ResultCache,
-    cfg: &RunnerConfig,
-    on_point: Option<&(dyn Fn(PointResult) + Sync)>,
 ) -> SweepResult {
     let points = crate::expand(scenario);
 
@@ -196,46 +162,43 @@ fn run_scenario_observed(
         rep_of.push(rep);
     }
 
-    // Inverse of `rep_of`, only materialised when someone is listening:
-    // which indices each representative stands for, in index order.
-    let dependents: Vec<Vec<usize>> = if on_point.is_some() {
-        let mut deps = vec![Vec::new(); points.len()];
-        for (i, &rep) in rep_of.iter().enumerate() {
-            deps[rep].push(i);
-        }
-        deps
-    } else {
-        Vec::new()
-    };
+    // Inverse of `rep_of`: which indices each representative stands
+    // for, in index order.
+    let mut dependents = vec![Vec::new(); points.len()];
+    for (i, &rep) in rep_of.iter().enumerate() {
+        dependents[rep].push(i);
+    }
 
-    let threads = cfg.effective_threads(unique.len());
     let next = AtomicUsize::new(0);
     // One write-once slot per point: each representative index is
-    // claimed by exactly one worker, so a lock-free `OnceLock` replaces
-    // the old per-slot mutex — publication is a single atomic store.
+    // claimed by exactly one thread, so publication is a single atomic
+    // store.
     let slots: Vec<OnceLock<PointResult>> = points.iter().map(|_| OnceLock::new()).collect();
-
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let u = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&i) = unique.get(u) else { break };
-                let result = evaluate_point(&points[i], &scenario.backends, cache);
-                slots[i]
-                    .set(result)
-                    .expect("each representative claimed by one worker");
-                if let Some(observer) = on_point {
-                    let rep = slots[i].get().expect("just set");
-                    for &j in &dependents[i] {
-                        observer(PointResult {
-                            point: points[j].clone(),
-                            model: rep.model.clone(),
-                            sim: rep.sim.clone(),
-                        });
-                    }
-                }
+    let claim = || loop {
+        let u = next.fetch_add(1, Ordering::Relaxed);
+        let Some(&i) = unique.get(u) else { break };
+        let result = evaluate_point(&points[i], &scenario.backends, cache);
+        slots[i]
+            .set(result)
+            .expect("each representative claimed by one thread");
+        let rep = slots[i].get().expect("just set");
+        for &j in &dependents[i] {
+            on_point(PointResult {
+                point: points[j].clone(),
+                model: rep.model.clone(),
+                sim: rep.sim.clone(),
             });
         }
+    };
+    // The caller is one of the evaluating threads; extra threads could
+    // never claim work past the distinct points.
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let helpers = cpus.min(unique.len()).saturating_sub(1);
+    std::thread::scope(|s| {
+        for _ in 0..helpers {
+            s.spawn(claim);
+        }
+        claim();
     });
 
     let evaluated: Vec<Option<PointResult>> = slots.into_iter().map(|s| s.into_inner()).collect();
@@ -454,7 +417,7 @@ mod tests {
     #[test]
     fn runner_fills_every_slot_in_order() {
         let cache = ResultCache::new();
-        let r = run_scenario(&tiny_scenario("t"), &cache, &RunnerConfig::default());
+        let r = run_scenario(&tiny_scenario("t"), &cache);
         assert_eq!(r.points.len(), 2);
         for (i, p) in r.points.iter().enumerate() {
             assert_eq!(p.point.index, i);
@@ -470,7 +433,7 @@ mod tests {
         // observer must still fire once per *expanded* point.
         let s = tiny_scenario("t").axis_estimators(EstimatorKind::ALL);
         let streamed = std::sync::Mutex::new(Vec::new());
-        let r = run_scenario_streaming(&s, &cache, &RunnerConfig::default(), &|p| {
+        let r = run_scenario_streaming(&s, &cache, &|p| {
             streamed.lock().unwrap().push(p);
         });
         let mut streamed = streamed.into_inner().unwrap();
@@ -482,7 +445,7 @@ mod tests {
             assert_eq!(got.measured(), want.measured());
         }
         // And the observed run returns the same sweep a plain run does.
-        let plain = run_scenario(&s, &cache, &RunnerConfig::serial());
+        let plain = run_scenario(&s, &cache);
         for (a, b) in r.points.iter().zip(&plain.points) {
             assert_eq!(a.estimate(), b.estimate());
         }
@@ -494,7 +457,7 @@ mod tests {
         let s = tiny_scenario("t")
             .axis_n_jobs([1usize])
             .axis_estimators(EstimatorKind::ALL);
-        let r = run_scenario(&s, &cache, &RunnerConfig::serial());
+        let r = run_scenario(&s, &cache);
         assert_eq!(r.points.len(), 4);
         // 4 points, one shared configuration: the runner dedupes before
         // dispatch, so exactly one sim + one model evaluation happen and
@@ -551,7 +514,11 @@ mod tests {
             profile_calibration: true,
             simulator: None,
         });
-        run_scenario(&s, &cache, &RunnerConfig::serial());
+        // In order on this thread, so the second point's profile lookup
+        // is a hit rather than a coalesced wait on the first.
+        for p in crate::expand(&s) {
+            evaluate_point(&p, &s.backends, &cache);
+        }
         // 2 N-points: 1 shared profile record + 2 model records.
         assert_eq!(cache.stats().entries, 3);
         assert_eq!(cache.stats().hits, 1, "second point reuses the profile");
@@ -569,7 +536,7 @@ mod tests {
                 profile_calibration: true,
                 simulator: None,
             });
-        run_scenario(&het, &cache, &RunnerConfig::serial());
+        run_scenario(&het, &cache);
         // +1 grep profile, +1 mix model record; the wordcount profile
         // is a cache hit.
         assert_eq!(cache.stats().entries, 5);
@@ -599,7 +566,7 @@ mod tests {
                 profile_calibration: false,
                 simulator: None,
             });
-        let r = run_scenario(&s, &cache, &RunnerConfig::serial());
+        let r = run_scenario(&s, &cache);
         assert_eq!(r.points.len(), 2);
         let m0 = r.points[0].model.as_ref().unwrap();
         let m1 = r.points[1].model.as_ref().unwrap();
@@ -617,7 +584,7 @@ mod tests {
                 profile_calibration: false,
                 simulator: None,
             });
-        let r = run_scenario(&closed, &cache, &RunnerConfig::serial());
+        let r = run_scenario(&closed, &cache);
         assert!(r.points[0].model.as_ref().unwrap().open.is_none());
     }
 
@@ -635,7 +602,7 @@ mod tests {
                 profile_calibration: false,
                 simulator: Some(1),
             });
-        let r = run_scenario(&s, &cache, &RunnerConfig::serial());
+        let r = run_scenario(&s, &cache);
         let p = &r.points[0];
         let model = p.model.as_ref().unwrap();
         let sim = p.sim.as_ref().unwrap();

@@ -215,6 +215,11 @@ impl WorkloadMix {
         self.entries.iter().map(|e| e.count).sum()
     }
 
+    /// Whether no entry carries a submit offset.
+    fn offset_free(&self) -> bool {
+        self.entries.iter().all(|e| e.submit_offset_ms == 0)
+    }
+
     /// Stable display name: entry names joined with ` + `.
     pub fn name(&self) -> String {
         self.entries
@@ -805,7 +810,8 @@ impl Scenario {
     /// like a serving layer — that must turn a bad spec into an error
     /// response rather than a crash. Checks axis presence, zip lengths,
     /// failure-probability ranges, and — centrally, before anything
-    /// runs — every `(nodes, mix entry)` reduce-count resolution.
+    /// runs — every `(nodes, mix entry)` reduce-count resolution and,
+    /// with the simulator on, that no batch point deadlocks it.
     pub fn check(&self) -> Result<(), String> {
         for (name, len) in self.axis_lens() {
             if len == 0 {
@@ -878,16 +884,23 @@ impl Scenario {
         // evaluate must be consistent: a `Trace` schedule needs exactly
         // one offset per job. Cartesian pairs every mix with every
         // schedule; zip pairs position-wise (with length-1 broadcast).
-        // Only `Trace` can fail, so the pairing walk is skipped for the
-        // common batch/staggered axes — it would otherwise materialize
-        // the whole workload grid just to validate nothing.
-        if self
+        // Only `Trace` can fail, so the cartesian pairing walk is
+        // skipped for the common batch/staggered axes — it would
+        // otherwise materialize the whole workload grid just to
+        // validate nothing. With the simulator on, no point whose jobs
+        // all arrive at once may deadlock it (see
+        // [`EvalPoint::check_batch_deadlock`]).
+        let trace = self
             .arrivals
             .iter()
-            .any(|a| matches!(a, ArrivalSchedule::Trace { .. }))
-        {
-            match self.sweep {
-                SweepMode::Cartesian => {
+            .any(|a| matches!(a, ArrivalSchedule::Trace { .. }));
+        let sim = self.backends.simulator.is_some();
+        let batch = |a: &ArrivalSchedule, rate: &Option<f64>| {
+            *a == ArrivalSchedule::Batch && rate.is_none()
+        };
+        match self.sweep {
+            SweepMode::Cartesian => {
+                if trace {
                     let mixes = self.workload_values();
                     for a in &self.arrivals {
                         for m in &mixes {
@@ -895,14 +908,45 @@ impl Scenario {
                         }
                     }
                 }
-                SweepMode::Zip => {
-                    let pick = |i: usize, len: usize| if len == 1 { 0 } else { i };
-                    for i in 0..self.num_points() {
-                        self.arrivals[pick(i, self.arrivals.len())]
-                            .check(&self.zip_workload_at(i))?;
+                // Every batch mix meets every cluster shape, and the
+                // fewest nodes with the largest containers deadlock at
+                // the fewest jobs.
+                let batch_points = self
+                    .arrivals
+                    .iter()
+                    .any(|a| self.arrival_rate.iter().any(|r| batch(a, r)));
+                if sim && batch_points {
+                    let most = self
+                        .workload_jobs()
+                        .into_iter()
+                        .filter_map(|(jobs, offset_free)| offset_free.then_some(jobs))
+                        .max();
+                    if let Some(jobs) = most {
+                        batch_deadlock(
+                            *self.nodes.iter().min().expect("checked non-empty"),
+                            *self.container_mb.iter().max().expect("checked non-empty"),
+                            jobs,
+                        )?;
                     }
                 }
             }
+            SweepMode::Zip if trace || sim => {
+                let pick = |i: usize, len: usize| if len == 1 { 0 } else { i };
+                for i in 0..self.num_points() {
+                    let mix = self.zip_workload_at(i);
+                    let arrivals = &self.arrivals[pick(i, self.arrivals.len())];
+                    arrivals.check(&mix)?;
+                    let rate = &self.arrival_rate[pick(i, self.arrival_rate.len())];
+                    if sim && batch(arrivals, rate) && mix.offset_free() {
+                        batch_deadlock(
+                            self.nodes[pick(i, self.nodes.len())],
+                            self.container_mb[pick(i, self.container_mb.len())],
+                            mix.total_jobs(),
+                        )?;
+                    }
+                }
+            }
+            SweepMode::Zip => {}
         }
         Ok(())
     }
@@ -953,6 +997,21 @@ impl Scenario {
         self.workload.values(self.reduces)
     }
 
+    /// The job total of each workload value, with whether its mix is
+    /// free of submit offsets, without building the mixes. A `Grid`
+    /// crosses its `n_jobs` list with every (job, input) pair, so the
+    /// list alone stands for the grid: its values in order are the
+    /// totals the expansion meets first.
+    pub fn workload_jobs(&self) -> Vec<(usize, bool)> {
+        match &self.workload {
+            WorkloadAxis::Grid { n_jobs, .. } => n_jobs.iter().map(|&n| (n, true)).collect(),
+            WorkloadAxis::Mixes(mixes) => mixes
+                .iter()
+                .map(|m| (m.total_jobs(), m.offset_free()))
+                .collect(),
+        }
+    }
+
     /// Number of points the scenario expands to.
     /// Saturates at `usize::MAX` instead of wrapping, so a size guard
     /// (`num_points() > limit`) stays sound for absurd axis products —
@@ -1001,6 +1060,26 @@ pub struct EvalPoint {
     pub seed: u64,
 }
 
+/// Refuse `jobs` jobs submitted at once on `nodes` nodes with
+/// `container_mb` MiB containers when their application masters would
+/// leave no node room for a task container: the simulator would
+/// deadlock ([`mapreduce_sim::batch_deadlock_jobs`]).
+fn batch_deadlock(nodes: usize, container_mb: u32, jobs: usize) -> Result<(), String> {
+    let cfg = SimConfig {
+        container_size: yarn_sim::ResourceVector::new(container_mb.into(), 1),
+        ..SimConfig::paper_testbed(nodes)
+    };
+    match mapreduce_sim::batch_deadlock_jobs(&cfg) {
+        Some(bound) if jobs >= bound => Err(format!(
+            "{jobs} batch-submitted jobs deadlock the simulator on {nodes} node(s) with \
+             {container_mb} MB containers: their application masters leave no room for a \
+             task container (the bound is {} jobs)",
+            bound - 1
+        )),
+        _ => Ok(()),
+    }
+}
+
 impl EvalPoint {
     /// The simulator/model cluster configuration for this point.
     pub fn sim_config(&self) -> SimConfig {
@@ -1017,6 +1096,20 @@ impl EvalPoint {
     /// Total concurrent jobs at this point.
     pub fn total_jobs(&self) -> usize {
         self.mix.total_jobs()
+    }
+
+    /// Refuse a point whose jobs all arrive at once (batch arrivals, no
+    /// open rate, no entry offsets) in a number that deadlocks the
+    /// simulator. Points with other arrivals are not checked.
+    pub fn check_batch_deadlock(&self) -> Result<(), String> {
+        let batch = self.arrivals == ArrivalSchedule::Batch
+            && self.arrival_rate.is_none()
+            && self.mix.entries.iter().all(|e| e.submit_offset_ms == 0);
+        if batch {
+            batch_deadlock(self.nodes, self.container_mb, self.total_jobs())
+        } else {
+            Ok(())
+        }
     }
 
     /// The full concurrent job list for this point, in submission
@@ -1198,6 +1291,66 @@ mod tests {
             .check()
             .unwrap_err()
             .contains("no entries"));
+    }
+
+    #[test]
+    fn check_refuses_batch_points_that_deadlock_the_simulator() {
+        let sim = |s: Scenario| {
+            s.with_backends(Backends {
+                analytic: false,
+                profile_calibration: false,
+                simulator: Some(1),
+            })
+        };
+        // Cartesian: the one-node point of four jobs deadlocks.
+        let e = sim(Scenario::new("t")
+            .axis_nodes([2usize, 1])
+            .axis_n_jobs([4usize]))
+        .check()
+        .unwrap_err();
+        assert!(
+            e.contains("on 1 node(s)") && e.contains("the bound is 3 jobs"),
+            "{e}"
+        );
+        // Larger containers crowd tasks out sooner: three 1 GB AMs
+        // leave no room for a 2 GB task.
+        let big = sim(Scenario::new("t")
+            .axis_nodes([1usize])
+            .axis_n_jobs([3usize]));
+        assert_eq!(big.clone().check(), Ok(()));
+        assert!(big.axis_container_mb([1024u32, 2048]).check().is_err());
+        // The analytic model alone, non-batch arrivals and mixes with
+        // submit offsets are not checked.
+        let wedged = Scenario::new("t")
+            .axis_nodes([1usize])
+            .axis_n_jobs([4usize]);
+        assert_eq!(
+            wedged
+                .clone()
+                .with_backends(Backends::analytic_only())
+                .check(),
+            Ok(())
+        );
+        let staggered = ArrivalSchedule::Staggered { interval_ms: 0 };
+        assert_eq!(
+            sim(wedged.clone()).axis_arrivals([staggered]).check(),
+            Ok(())
+        );
+        assert_eq!(
+            sim(wedged.clone()).axis_arrival_rate([1e-3]).check(),
+            Ok(())
+        );
+        let offset = WorkloadMix::new([MixEntry::new(JobKind::Grep, GB, 4).at_offset_ms(1)]);
+        assert_eq!(sim(wedged.axis_mixes([offset])).check(), Ok(()));
+        // Zip pairs position by position: four jobs on two nodes run.
+        let zip = |nodes: [usize; 2], jobs: [usize; 2]| {
+            sim(Scenario::new("t").sweep_mode(SweepMode::Zip))
+                .axis_nodes(nodes)
+                .axis_n_jobs(jobs)
+                .check()
+        };
+        assert_eq!(zip([2, 1], [4, 3]), Ok(()));
+        assert!(zip([2, 1], [3, 4]).unwrap_err().contains("on 1 node(s)"));
     }
 
     #[test]

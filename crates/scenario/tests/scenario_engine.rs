@@ -4,8 +4,8 @@
 
 use mapreduce_sim::MB;
 use mr2_scenario::{
-    class_error_bands, error_bands, expand, run_scenario, schema_version, ArrivalSchedule,
-    Backends, EstimatorKind, JobKind, JobTrace, KeyHasher, MixEntry, ResultCache, RunnerConfig,
+    class_error_bands, error_bands, evaluate_point, expand, run_scenario, schema_version,
+    ArrivalSchedule, Backends, EstimatorKind, JobKind, JobTrace, KeyHasher, MixEntry, ResultCache,
     Scenario, SweepMode, WorkloadMix,
 };
 
@@ -87,11 +87,16 @@ fn parallel_sweep_equals_serial_sweep_bit_for_bit() {
     // A heterogeneous sweep: determinism must hold when points carry
     // different mixes (and therefore very different evaluation costs).
     let s = mixed_scenario();
-    // Fresh caches so both runs actually evaluate.
-    let serial = run_scenario(&s, &ResultCache::new(), &RunnerConfig::serial());
-    let parallel = run_scenario(&s, &ResultCache::new(), &RunnerConfig { threads: 8 });
-    assert_eq!(serial.points.len(), parallel.points.len());
-    for (a, b) in serial.points.iter().zip(&parallel.points) {
+    // Fresh caches so both runs actually evaluate: one point after the
+    // other on this thread, and the runner on its threads.
+    let cache = ResultCache::new();
+    let serial: Vec<_> = expand(&s)
+        .iter()
+        .map(|p| evaluate_point(p, &s.backends, &cache))
+        .collect();
+    let parallel = run_scenario(&s, &ResultCache::new());
+    assert_eq!(serial.len(), parallel.points.len());
+    for (a, b) in serial.iter().zip(&parallel.points) {
         assert_eq!(a.point, b.point, "order must match expansion order");
         let (ea, eb) = (a.estimate().unwrap(), b.estimate().unwrap());
         assert_eq!(ea.to_bits(), eb.to_bits(), "estimate must be bit-identical");
@@ -110,11 +115,11 @@ fn parallel_sweep_equals_serial_sweep_bit_for_bit() {
 fn second_identical_run_is_answered_from_the_cache() {
     let s = mixed_scenario();
     let cache = ResultCache::new();
-    let first = run_scenario(&s, &cache, &RunnerConfig::default());
+    let first = run_scenario(&s, &cache);
     let misses_after_first = cache.stats().misses;
     assert!(misses_after_first > 0);
 
-    let second = run_scenario(&s, &cache, &RunnerConfig::default());
+    let second = run_scenario(&s, &cache);
     let stats = cache.stats();
     assert_eq!(
         stats.misses, misses_after_first,
@@ -129,7 +134,7 @@ fn second_identical_run_is_answered_from_the_cache() {
 fn estimator_axis_reuses_sim_and_model_evaluations() {
     let s = three_axis_scenario();
     let cache = ResultCache::new();
-    run_scenario(&s, &cache, &RunnerConfig::serial());
+    run_scenario(&s, &cache);
     // 8 points, but only 2 nodes × 2 N = 4 distinct configurations, each
     // needing one sim + one model record — and the profiling run is
     // N-independent, so 2 node counts need only 2 profile records.
@@ -157,8 +162,8 @@ fn convenience_builders_equal_an_explicit_single_entry_mix() {
         .axis_mixes([WorkloadMix::single(JobKind::TeraSort, 128 * MB, 2)])
         .with_backends(backends);
 
-    let a = run_scenario(&via_grid, &ResultCache::new(), &RunnerConfig::serial());
-    let b = run_scenario(&via_mix, &ResultCache::new(), &RunnerConfig::serial());
+    let a = run_scenario(&via_grid, &ResultCache::new());
+    let b = run_scenario(&via_mix, &ResultCache::new());
     assert_eq!(a.points.len(), b.points.len());
     for (x, y) in a.points.iter().zip(&b.points) {
         assert_eq!(x, y, "bit-identical point results");
@@ -167,9 +172,9 @@ fn convenience_builders_equal_an_explicit_single_entry_mix() {
     // And through a shared cache the second form is answered entirely
     // from the first form's evaluations.
     let cache = ResultCache::new();
-    run_scenario(&via_grid, &cache, &RunnerConfig::serial());
+    run_scenario(&via_grid, &cache);
     let misses = cache.stats().misses;
-    run_scenario(&via_mix, &cache, &RunnerConfig::serial());
+    run_scenario(&via_mix, &cache);
     assert_eq!(cache.stats().misses, misses, "same content keys");
 }
 
@@ -190,7 +195,7 @@ fn heterogeneous_mix_reports_per_class_and_aggregate_bands() {
             profile_calibration: true,
             simulator: Some(2),
         });
-    let sweep = run_scenario(&s, &ResultCache::new(), &RunnerConfig::default());
+    let sweep = run_scenario(&s, &ResultCache::new());
     assert_eq!(sweep.points.len(), 1);
     let p = &sweep.points[0];
     let model = p.model.as_ref().unwrap();
@@ -281,8 +286,8 @@ fn batch_arrivals_are_bit_identical_to_the_pr3_shape() {
         .with_backends(backends);
     let explicit = pr3_shape.clone().axis_arrivals([ArrivalSchedule::Batch]);
 
-    let a = run_scenario(&pr3_shape, &ResultCache::new(), &RunnerConfig::serial());
-    let b = run_scenario(&explicit, &ResultCache::new(), &RunnerConfig::serial());
+    let a = run_scenario(&pr3_shape, &ResultCache::new());
+    let b = run_scenario(&explicit, &ResultCache::new());
     assert_eq!(a.points.len(), b.points.len());
     for (x, y) in a.points.iter().zip(&b.points) {
         assert_eq!(x, y, "bit-identical point results");
@@ -291,9 +296,9 @@ fn batch_arrivals_are_bit_identical_to_the_pr3_shape() {
     // And through a shared cache the explicit form is answered entirely
     // from the default form's evaluations — same content keys.
     let cache = ResultCache::new();
-    run_scenario(&pr3_shape, &cache, &RunnerConfig::serial());
+    run_scenario(&pr3_shape, &cache);
     let misses = cache.stats().misses;
-    run_scenario(&explicit, &cache, &RunnerConfig::serial());
+    run_scenario(&explicit, &cache);
     assert_eq!(cache.stats().misses, misses, "same content keys");
 }
 
@@ -315,7 +320,7 @@ fn arrival_schedule_axis_changes_ground_truth_and_cache_keys() {
             simulator: Some(2),
         });
     let cache = ResultCache::new();
-    let sweep = run_scenario(&s, &cache, &RunnerConfig::serial());
+    let sweep = run_scenario(&s, &cache);
     assert_eq!(sweep.points.len(), 2);
     assert_eq!(
         cache.stats().misses,
@@ -355,7 +360,7 @@ fn trace_replay_reports_per_class_error_bands() {
             profile_calibration: true,
             simulator: Some(2),
         });
-    let sweep = run_scenario(&s, &ResultCache::new(), &RunnerConfig::default());
+    let sweep = run_scenario(&s, &ResultCache::new());
     let p = &sweep.points[0];
     assert_eq!(p.point.mix.entries.len(), 3, "one class per trace job");
     assert_eq!(p.point.submit_offsets(), vec![0.0, 45.0, 90.0]);
@@ -385,7 +390,7 @@ fn straggler_axis_changes_ground_truth() {
             simulator: Some(2),
         });
     let cache = ResultCache::new();
-    let sweep = run_scenario(&s, &cache, &RunnerConfig::serial());
+    let sweep = run_scenario(&s, &cache);
     assert_eq!(sweep.points.len(), 2);
     assert_eq!(cache.stats().misses, 2, "two distinct sim evaluations");
     let (clean, slow) = (sweep.points[0].measured(), sweep.points[1].measured());
@@ -407,7 +412,7 @@ fn map_failure_axis_changes_ground_truth() {
             simulator: Some(1),
         });
     let cache = ResultCache::new();
-    let sweep = run_scenario(&s, &cache, &RunnerConfig::serial());
+    let sweep = run_scenario(&s, &cache);
     assert_eq!(sweep.points.len(), 2);
     assert_eq!(cache.stats().misses, 2, "two distinct sim evaluations");
     let (clean, failing) = (sweep.points[0].measured(), sweep.points[1].measured());
@@ -438,11 +443,11 @@ fn overlapping_scenarios_share_cache_entries_across_runs() {
         .with_backends(backends);
 
     let cache = ResultCache::new();
-    let ra = run_scenario(&a, &cache, &RunnerConfig::default());
+    let ra = run_scenario(&a, &cache);
     let misses_after_a = cache.stats().misses;
     assert_eq!(misses_after_a, 2 * 2, "2 configs × (sim + model)");
 
-    let rb = run_scenario(&b, &cache, &RunnerConfig::default());
+    let rb = run_scenario(&b, &cache);
     let stats = cache.stats();
     assert_eq!(
         stats.misses,
@@ -460,7 +465,7 @@ fn overlapping_scenarios_share_cache_entries_across_runs() {
 #[test]
 fn comparison_layer_reports_error_bands_per_series() {
     let s = three_axis_scenario();
-    let sweep = run_scenario(&s, &ResultCache::new(), &RunnerConfig::default());
+    let sweep = run_scenario(&s, &ResultCache::new());
     let bands = error_bands(&sweep);
     assert!(!bands.is_empty());
     let fj = bands
@@ -480,7 +485,7 @@ fn zip_sweep_runs_end_to_end() {
         .axis_nodes([2usize, 3])
         .axis_input_bytes([128 * MB, 256 * MB])
         .with_backends(Backends::analytic_only());
-    let sweep = run_scenario(&s, &ResultCache::new(), &RunnerConfig::default());
+    let sweep = run_scenario(&s, &ResultCache::new());
     assert_eq!(sweep.points.len(), 2);
     assert_eq!(sweep.points[0].point.nodes, 2);
     assert_eq!(sweep.points[0].point.mix.entries[0].input_bytes, 128 * MB);

@@ -583,7 +583,9 @@ fn parse_workload(
 /// `reduces`), which decode as a 1-entry mix for back-compatibility
 /// (surfaced in the reply's `deprecations`); mixing the two styles is
 /// rejected. An `arrival_rate` makes the point an open-arrival solve —
-/// it combines only with batch arrivals.
+/// it combines only with batch arrivals. With the simulator on, a batch
+/// point whose jobs would deadlock it is refused
+/// ([`EvalPoint::check_batch_deadlock`]).
 pub fn parse_estimate_request(body: &str) -> Result<EstimateRequest, String> {
     let v = Json::parse(body).map_err(|e| format!("invalid JSON: {e}"))?;
     let map = known_object(
@@ -646,6 +648,9 @@ pub fn parse_estimate_request(body: &str) -> Result<EstimateRequest, String> {
     };
     if !backends.analytic && backends.simulator.is_none() {
         return Err("at least one backend must be enabled".into());
+    }
+    if backends.simulator.is_some() {
+        point.check_batch_deadlock()?;
     }
     Ok(EstimateRequest {
         point,
@@ -2020,7 +2025,7 @@ mod tests {
 
     #[test]
     fn encoded_sweep_is_valid_json_with_bands() {
-        use mr2_scenario::{run_scenario, ResultCache, RunnerConfig};
+        use mr2_scenario::{run_scenario, ResultCache};
         let s = parse_scenario_request(
             r#"{"nodes":[2],
                 "mixes":[[{"job":"wordcount","input_bytes":268435456},
@@ -2029,7 +2034,7 @@ mod tests {
         )
         .unwrap()
         .scenario;
-        let sweep = run_scenario(&s, &ResultCache::new(), &RunnerConfig::serial());
+        let sweep = run_scenario(&s, &ResultCache::new());
         let back = Json::parse(&sweep_reply(&sweep).body).unwrap();
         assert_eq!(back.get("num_points").unwrap().as_u64(), Some(1));
         let pt = &back.get("points").unwrap().as_arr().unwrap()[0];
@@ -2367,7 +2372,7 @@ mod tests {
 
     #[test]
     fn written_replies_of_a_real_sweep_match_the_tree() {
-        use mr2_scenario::{run_scenario, ResultCache, RunnerConfig};
+        use mr2_scenario::{run_scenario, ResultCache};
         let s = parse_scenario_request(
             r#"{"nodes":[2,3],"arrival_rate":[null,0.001],
                 "mixes":[[{"job":"wordcount","input_bytes":268435456},
@@ -2376,7 +2381,7 @@ mod tests {
         )
         .unwrap()
         .scenario;
-        let sweep = run_scenario(&s, &ResultCache::new(), &RunnerConfig::serial());
+        let sweep = run_scenario(&s, &ResultCache::new());
         assert_eq!(
             sweep_reply(&sweep).body,
             stamped(sweep_json(&sweep), None, &[])

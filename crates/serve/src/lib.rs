@@ -11,7 +11,7 @@
 //! * [`serve`] / [`ServeConfig`] (module [`server`]): the service —
 //!   `POST /v1/estimate` (one point, open-arrival λ supported),
 //!   `POST /v1/scenario` (a full declarative sweep, answered by the
-//!   parallel batch runner), `POST /v1/plan` (the *inverse* question:
+//!   batch runner on the worker that took it), `POST /v1/plan` (the *inverse* question:
 //!   the cheapest node count meeting an SLO at a given arrival rate,
 //!   solved by bisection over cached point evaluations),
 //!   `GET /v1/cache/stats`, `GET /healthz`;

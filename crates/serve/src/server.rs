@@ -37,10 +37,14 @@
 //! | `POST` | `/v1/plan` | SLO + search range | cheapest satisfying node count |
 //!
 //! `POST /v1/scenario` with `"stream": true` answers with chunked
-//! NDJSON: one line per completed point as the runner's workers finish
+//! NDJSON: one line per completed point as the runner's threads finish
 //! them (completion order), then a summary tail line with the error
 //! bands — first results leave the process while the rest of the grid
-//! is still computing. Non-streaming replies are unchanged.
+//! is still computing. Non-streaming replies are unchanged. A sweep
+//! runs on the worker that took it, helped by the runner's scoped
+//! threads when the host has more than one CPU and the sweep more than
+//! one distinct point; the points the worker evaluates trace under the
+//! request's `serve.request → scenario.run`.
 //!
 //! Every JSON reply — success or failure — carries `"api_version"`,
 //! and every failure is the one envelope
@@ -74,9 +78,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mr2_obs as obs;
-use mr2_scenario::{
-    evaluate_point, run_scenario_streaming, PointResult, ResultCache, RunnerConfig,
-};
+use mr2_scenario::{evaluate_point, run_scenario_streaming, PointResult, ResultCache};
 
 use crate::api::{self, ApiError};
 use crate::http::{
@@ -120,9 +122,6 @@ pub struct ServeConfig {
     /// degrades with an explicit signal rather than unbounded queueing
     /// delay.
     pub max_queue: usize,
-    /// Runner knobs for scenario sweeps (worker-thread count of the
-    /// *evaluation* pool, not the HTTP pool).
-    pub runner: RunnerConfig,
     /// Write one structured line per request to stderr (request id,
     /// method, path, status, response bytes, latency).
     pub access_log: bool,
@@ -163,7 +162,6 @@ impl Default for ServeConfig {
             keep_alive_requests: 32,
             keep_alive_idle: Duration::from_secs(5),
             max_queue: 1_024,
-            runner: RunnerConfig::default(),
             access_log: true,
             token: None,
             request_timeout: Duration::from_secs(10),
@@ -1322,16 +1320,11 @@ fn stream_scenario(
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
         let _root = obs::span("serve.request");
         let _run = obs::span("scenario.run");
-        run_scenario_streaming(
-            scenario,
-            &state.cache,
-            &state.cfg.runner,
-            &|pr: PointResult| {
-                progress.point_done(&pr);
-                let line = api::sweep_line(&pr);
-                done.send(&job, chunk(line.as_bytes()), None);
-            },
-        )
+        run_scenario_streaming(scenario, &state.cache, &|pr: PointResult| {
+            progress.point_done(&pr);
+            let line = api::sweep_line(&pr);
+            done.send(&job, chunk(line.as_bytes()), None);
+        })
     }));
     drop(progress);
     if traced {
@@ -1421,9 +1414,9 @@ fn scenario_bounds_error(scenario: &mr2_scenario::Scenario, state: &State) -> Op
     // `max_points` bounds the axis product; each mix value must also
     // keep its job total within the per-point bound.
     scenario
-        .workload_values()
-        .iter()
-        .map(|m| m.total_jobs())
+        .workload_jobs()
+        .into_iter()
+        .map(|(jobs, _)| jobs)
         .find(|&jobs| jobs > state.cfg.max_jobs_per_point)
         .map(|jobs| Response::error(jobs_bound_error(jobs, state)))
 }
@@ -1658,9 +1651,9 @@ fn scenario_response(r: &api::ScenarioRequest, state: &State, request_id: u64) -
     if let Some(resp) = scenario_bounds_error(scenario, state) {
         return resp;
     }
-    // The sweep's own point spans run on the runner's pool
-    // threads, which deliberately don't inherit the trace; the
-    // breakdown shows the sequential phases this thread saw.
+    // This worker evaluates points itself, so their spans nest under
+    // scenario.run; points a runner helper thread evaluates record
+    // into the profiler only, since helpers do not inherit the trace.
     // The sweep also registers with the jobs registry so
     // GET /v1/jobs can watch its progress mid-flight.
     let traced = obs::begin_trace(request_id, "/v1/scenario");
@@ -1674,9 +1667,7 @@ fn scenario_response(r: &api::ScenarioRequest, state: &State, request_id: u64) -
         );
         let sweep = {
             let _run = obs::span("scenario.run");
-            run_scenario_streaming(scenario, &state.cache, &state.cfg.runner, &|pr| {
-                progress.point_done(&pr)
-            })
+            run_scenario_streaming(scenario, &state.cache, &|pr| progress.point_done(&pr))
         };
         drop(progress);
         let _enc = obs::span("response.encode");

@@ -11,7 +11,6 @@ use std::net::TcpStream;
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use mr2_scenario::RunnerConfig;
 use mr2_serve::{serve, Json, ServeConfig};
 
 mod common;
@@ -116,17 +115,44 @@ fn am_deadlocked_simulation_answers_an_error_and_the_service_recovers() {
     let handle = serve(test_config()).unwrap();
     // Four batch jobs on one node of four containers: every container
     // goes to an application master, so no task can ever start. The
-    // simulator detects it instead of re-arming heartbeats forever.
+    // outcome is known before the run, so decoding refuses the point
+    // and names the bound; one job fewer runs.
     let wedged = r#"{"nodes":1,"n_jobs":4,"input_bytes":268435456,
         "backends":{"analytic":false,"simulator":1}}"#;
-    // Twice: the identical second request must not wait on a flight
-    // the first one abandoned.
+    let (status, reply) = request(handle.addr, "POST", "/v1/estimate", wedged);
+    assert_eq!(status, 422, "{reply}");
+    let error = Json::parse(&reply).unwrap().get("error").unwrap().clone();
+    assert_eq!(error.get("code").unwrap().as_str(), Some("validation"));
+    let message = error.get("message").unwrap().as_str().unwrap();
+    assert!(message.contains("the bound is 3 jobs"), "{message}");
+    let (status, reply) = request(
+        handle.addr,
+        "POST",
+        "/v1/estimate",
+        &wedged.replace("\"n_jobs\":4", "\"n_jobs\":3"),
+    );
+    assert_eq!(status, 200, "{reply}");
+    // A sweep is refused when any of its points would deadlock.
+    let sweep = r#"{"nodes":[2,1],"n_jobs":[4],"input_bytes":[268435456],
+        "backends":{"analytic":false,"simulator":1}}"#;
+    let (status, reply) = request(handle.addr, "POST", "/v1/scenario", sweep);
+    assert_eq!(status, 422, "{reply}");
+    assert!(reply.contains("on 1 node(s)"), "{reply}");
+
+    // Non-batch arrivals are not checked: a zero stagger submits every
+    // job at once all the same, and the simulator detects the deadlock
+    // instead of re-arming heartbeats forever. Twice: the identical
+    // second request must not wait on a flight the first abandoned.
+    let staggered = wedged.replace(
+        "\"n_jobs\":4",
+        "\"n_jobs\":4,\"arrivals\":{\"staggered_ms\":0}",
+    );
     for attempt in 0..2 {
         let mut conn = TcpStream::connect(handle.addr).expect("connect");
         // A hang must fail the test, not stall it.
         conn.set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
-        send_request(&mut conn, "POST", "/v1/estimate", wedged, true);
+        send_request(&mut conn, "POST", "/v1/estimate", &staggered, true);
         let (status, reply, _) = read_response(&mut BufReader::new(conn));
         assert_eq!(status, 500, "attempt {attempt}: {reply}");
         let v = Json::parse(&reply).unwrap();
@@ -949,15 +975,12 @@ fn header_value<'a>(headers: &'a [String], name: &str) -> Option<&'a str> {
 
 #[test]
 fn streaming_scenario_delivers_points_before_the_sweep_completes() {
-    // One evaluation thread: points complete strictly in sequence, so
-    // when the first NDJSON line is on the wire the second (deliberately
-    // heavy: 10 GiB input, 8 concurrent jobs, 5 simulator reps) has not
+    // The second point is deliberately heavy (10 GiB input, 8
+    // concurrent jobs, 5 simulator reps): whether the points run one
+    // after the other on the worker or side by side on a runner helper,
+    // when the first NDJSON line is on the wire the second has not
     // finished — the cache still lacks its records.
-    let cfg = ServeConfig {
-        runner: RunnerConfig { threads: 1 },
-        ..test_config()
-    };
-    let handle = serve(cfg).unwrap();
+    let handle = serve(test_config()).unwrap();
     let scenario = r#"{"name":"stream-test","sweep":"zip","input_bytes":[268435456,10737418240],"n_jobs":[1,8],"backends":{"analytic":true,"simulator":5},"stream":true}"#;
 
     let mut conn = TcpStream::connect(handle.addr).expect("connect");
@@ -1328,16 +1351,15 @@ fn find_span<'a>(spans: &'a [Json], name: &str) -> Option<&'a Json> {
 #[test]
 fn slow_request_is_reconstructable_from_trace_jobs_and_profile() {
     let cfg = ServeConfig {
-        runner: RunnerConfig { threads: 1 },
         trace_sample_one_in: 1,
         trace_slow: Duration::ZERO,
         ..test_config()
     };
     let handle = serve(cfg).unwrap();
 
-    // Phase 1: a two-point streaming sweep, deliberately heavy (one
-    // evaluation thread, multi-rep simulation) so it is still running
-    // when /v1/jobs is polled from a second connection. The odd input
+    // Phase 1: a two-point streaming sweep, its second point
+    // deliberately heavy (four jobs, multi-rep simulation) so it is
+    // still running when /v1/jobs is polled from a second connection. The odd input
     // sizes keep the process-wide solver memo from short-circuiting it.
     let scenario = r#"{"name":"obs-e2e","sweep":"zip","input_bytes":[268435457,2147483649],"n_jobs":[1,4],"backends":{"analytic":true,"simulator":3},"stream":true}"#;
     let mut conn = TcpStream::connect(handle.addr).expect("connect");
@@ -1509,6 +1531,88 @@ fn slow_request_is_reconstructable_from_trace_jobs_and_profile() {
     assert_eq!(status, 200);
     assert_eq!(body, "profile reset\n");
     handle.shutdown();
+}
+
+/// A sweep whose points share one configuration is evaluated by the
+/// worker that took it: its point spans nest under the request's
+/// `serve.request → scenario.run`, both in the retained trace and in
+/// `/debug/profile`, instead of surfacing as orphan profile roots.
+#[test]
+fn one_configuration_sweep_traces_its_points_under_the_request() {
+    let handle = serve(ServeConfig {
+        trace_sample_one_in: 1,
+        trace_slow: Duration::ZERO,
+        ..test_config()
+    })
+    .unwrap();
+    // The sampling knobs and the profiler are process-global: another
+    // test's serve() may reset the sampling and another may reset the
+    // profile mid-test, so retry with a fresh sweep name until both
+    // show this sweep.
+    for attempt in 0..64 {
+        let name = format!("one-config-{attempt}");
+        let scenario = format!(
+            r#"{{"name":"{name}","nodes":[2],"input_bytes":[268435456],
+                "estimators":["fork_join","tripathi","aria","herodotou"],
+                "backends":{{"analytic":true,"simulator":1}},"stream":true}}"#
+        );
+        let mut conn = TcpStream::connect(handle.addr).expect("connect");
+        send_request(&mut conn, "POST", "/v1/scenario", &scenario, true);
+        let mut reader = BufReader::new(conn);
+        let (status, _) = read_stream_head(&mut reader);
+        assert_eq!(status, 200);
+        let mut lines = 0;
+        while !read_chunk(&mut reader).is_empty() {
+            lines += 1;
+        }
+        assert_eq!(lines, 5, "four points and the tail");
+
+        let (_, body) = request(handle.addr, "GET", "/v1/jobs", "");
+        let jobs = Json::parse(&body).unwrap();
+        let request_id = jobs
+            .get("jobs")
+            .unwrap()
+            .as_arr()
+            .unwrap()
+            .iter()
+            .find(|j| j.get("name").unwrap().as_str() == Some(name.as_str()))
+            .and_then(|j| j.get("request_id")?.as_u64())
+            .unwrap_or_else(|| panic!("sweep listed in /v1/jobs: {body}"));
+        let (_, body) = request(
+            handle.addr,
+            "GET",
+            &format!("/v1/trace/recent?id={request_id}"),
+            "",
+        );
+        let fetched = Json::parse(&body).unwrap();
+        let (_, profile) = request(handle.addr, "GET", "/debug/profile", "");
+        let profiled = profile
+            .lines()
+            .any(|l| l.starts_with("serve.request;scenario.run;point."));
+        let Some(trace) = fetched.get("traces").unwrap().as_arr().unwrap().first() else {
+            continue;
+        };
+        if !profiled {
+            continue;
+        }
+        let spans = trace.get("spans").unwrap().as_arr().unwrap();
+        let root = find_span(spans, "serve.request").expect("root span");
+        let run = find_span(
+            root.get("children").unwrap().as_arr().unwrap(),
+            "scenario.run",
+        )
+        .unwrap_or_else(|| panic!("scenario.run under serve.request: {body}"));
+        let points = run.get("children").unwrap().as_arr().unwrap();
+        for phase in ["point.model", "point.sim"] {
+            assert!(
+                find_span(points, phase).is_some(),
+                "{phase} under scenario.run: {body}"
+            );
+        }
+        handle.shutdown();
+        return;
+    }
+    panic!("no retained trace and profile of the sweep within 64 attempts");
 }
 
 /// A connection whose request a worker holds stops being read once its

@@ -8,7 +8,7 @@
 //! ```
 
 use hadoop2_perf::scenario::{
-    run_scenario, Backends, JobKind, MixEntry, ResultCache, RunnerConfig, Scenario, WorkloadMix,
+    run_scenario, Backends, JobKind, MixEntry, ResultCache, Scenario, WorkloadMix,
 };
 use hadoop2_perf::sim::GB;
 
@@ -31,7 +31,7 @@ fn main() {
             simulator: Some(3),
         });
     let cache = ResultCache::new();
-    let sweep = run_scenario(&scenario, &cache, &RunnerConfig::default());
+    let sweep = run_scenario(&scenario, &cache);
 
     println!("2 GB jobs on 4 nodes (FIFO queue):\n");
     println!("| mix | measured avg (s) | fork/join (s) | err | per-class estimates |");

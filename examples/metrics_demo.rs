@@ -13,7 +13,7 @@
 use std::time::Duration;
 
 use hadoop2_perf::obs;
-use hadoop2_perf::scenario::{run_scenario, Backends, ResultCache, RunnerConfig, Scenario};
+use hadoop2_perf::scenario::{run_scenario, Backends, ResultCache, Scenario};
 
 fn main() {
     // Instrumented code can also mint its own metrics: handles are
@@ -41,7 +41,7 @@ fn main() {
     {
         obs::begin_trace(obs::next_request_id(), "demo.sweep.cold");
         let _sweep_timer = obs::span("demo.sweep"); // RAII: records on drop
-        let sweep = run_scenario(&scenario, &cache, &RunnerConfig::default());
+        let sweep = run_scenario(&scenario, &cache);
         println!("swept {} points (cold)", sweep.points.len());
     }
     let _ = obs::finish_trace();
@@ -52,7 +52,7 @@ fn main() {
     {
         obs::begin_trace(obs::next_request_id(), "demo.sweep.warm");
         let _sweep_timer = obs::span("demo.sweep");
-        run_scenario(&scenario, &cache, &RunnerConfig::default());
+        run_scenario(&scenario, &cache);
         println!("swept again (warm: served from the result cache)");
     }
     let _ = obs::finish_trace();

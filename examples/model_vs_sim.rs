@@ -9,7 +9,7 @@
 
 use hadoop2_perf::scenario::{
     error_bands, render_report, run_scenario, to_csv, Backends, EstimatorKind, JobKind,
-    ResultCache, RunnerConfig, Scenario,
+    ResultCache, Scenario,
 };
 use hadoop2_perf::sim::{SchedulerPolicy, GB, MB};
 
@@ -27,7 +27,7 @@ fn main() {
         });
 
     let cache = ResultCache::new();
-    let sweep = run_scenario(&scenario, &cache, &RunnerConfig::default());
+    let sweep = run_scenario(&scenario, &cache);
 
     println!("{}", render_report(&sweep));
 

@@ -1,5 +1,5 @@
 //! A three-axis what-if sweep — cluster size × multiprogramming level ×
-//! estimator — through the scenario engine's parallel batch runner,
+//! estimator — through the scenario engine's batch runner,
 //! run twice to demonstrate the content-hashed result cache.
 //!
 //! ```text
@@ -7,7 +7,7 @@
 //! ```
 
 use hadoop2_perf::scenario::{
-    render_report, run_scenario, Backends, EstimatorKind, ResultCache, RunnerConfig, Scenario,
+    render_report, run_scenario, Backends, EstimatorKind, ResultCache, Scenario,
 };
 use hadoop2_perf::sim::GB;
 use std::time::Instant;
@@ -32,10 +32,9 @@ fn main() {
     );
 
     let cache = ResultCache::new();
-    let runner = RunnerConfig::default();
 
     let t = Instant::now();
-    let sweep = run_scenario(&scenario, &cache, &runner);
+    let sweep = run_scenario(&scenario, &cache);
     let cold = t.elapsed();
     println!("{}", render_report(&sweep));
     let s = cache.stats();
@@ -46,7 +45,7 @@ fn main() {
 
     // Same spec again: every point is answered from the cache.
     let t = Instant::now();
-    let again = run_scenario(&scenario, &cache, &runner);
+    let again = run_scenario(&scenario, &cache);
     let warm = t.elapsed();
     let s = cache.stats();
     println!(

@@ -10,7 +10,7 @@
 use std::path::Path;
 
 use hadoop2_perf::scenario::{
-    class_error_bands, run_scenario, Backends, JobTrace, ResultCache, RunnerConfig, Scenario,
+    class_error_bands, run_scenario, Backends, JobTrace, ResultCache, Scenario,
 };
 
 fn main() {
@@ -42,7 +42,7 @@ fn main() {
             profile_calibration: true,
             simulator: Some(2),
         });
-    let sweep = run_scenario(&scenario, &ResultCache::new(), &RunnerConfig::default());
+    let sweep = run_scenario(&scenario, &ResultCache::new());
 
     println!("\n| nodes | mean response (s) |  model (s) | makespan meas/est (s) |");
     println!("|---|---|---|---|");

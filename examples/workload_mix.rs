@@ -9,8 +9,8 @@
 //! ```
 
 use hadoop2_perf::scenario::{
-    class_error_bands, run_scenario, Backends, JobKind, MixEntry, ResultCache, RunnerConfig,
-    Scenario, WorkloadMix,
+    class_error_bands, run_scenario, Backends, JobKind, MixEntry, ResultCache, Scenario,
+    WorkloadMix,
 };
 use hadoop2_perf::sim::GB;
 
@@ -28,7 +28,7 @@ fn main() {
             profile_calibration: true,
             simulator: Some(3),
         });
-    let sweep = run_scenario(&scenario, &ResultCache::new(), &RunnerConfig::default());
+    let sweep = run_scenario(&scenario, &ResultCache::new());
     let p = &sweep.points[0];
     let model = p.model.as_ref().expect("analytic backend ran");
     let sim = p.sim.as_ref().expect("simulator backend ran");

@@ -28,7 +28,7 @@
 //!
 //! ```
 //! use hadoop2_perf::scenario::{
-//!     run_scenario, Backends, JobKind, MixEntry, ResultCache, RunnerConfig, Scenario,
+//!     run_scenario, Backends, JobKind, MixEntry, ResultCache, Scenario,
 //!     WorkloadMix,
 //! };
 //!
@@ -40,7 +40,7 @@
 //!     .axis_nodes([2usize])
 //!     .axis_mixes([mix])
 //!     .with_backends(Backends::analytic_only());
-//! let sweep = run_scenario(&scenario, &ResultCache::new(), &RunnerConfig::default());
+//! let sweep = run_scenario(&scenario, &ResultCache::new());
 //! let per_class = &sweep.points[0].model.as_ref().unwrap().per_class;
 //! assert_eq!(per_class.len(), 2);
 //! assert!(per_class.iter().all(|c| c.fork_join > 0.0));
