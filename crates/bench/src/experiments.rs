@@ -502,9 +502,9 @@ mod tests {
 
         let fresh = ResultCache::new();
         assert!(fresh.load(&path).unwrap() >= 1);
-        let rec = fresh.get(key).expect("probe survived the snapshot");
-        assert_eq!(rec[0].to_bits(), (0.1f64 + 0.2).to_bits());
-        assert_eq!(rec[1], 42.0);
+        let rec = fresh.get_all(&[key]).expect("probe survived the snapshot");
+        assert_eq!(rec[0][0].to_bits(), (0.1f64 + 0.2).to_bits());
+        assert_eq!(rec[0][1], 42.0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

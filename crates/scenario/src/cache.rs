@@ -419,18 +419,33 @@ impl ResultCache {
         }
     }
 
-    /// Look up `key` without computing (still refreshes LRU recency; no
-    /// hit/miss accounting). In-flight entries are not waited on.
-    pub fn get(&self, key: u64) -> Option<Arc<Vec<f64>>> {
+    /// The records of every key in `keys`, in order, when all of them
+    /// are ready; computes nothing and waits on no in-flight entry.
+    ///
+    /// All or nothing, under one lock: on success every key is touched
+    /// in order and counted as one hit — what the same sequence of
+    /// [`ResultCache::get_or_compute`] hits would count — and the lookup
+    /// is observed as `cache.lookup`. When any key is missing or in
+    /// flight, nothing is counted or touched.
+    pub fn get_all(&self, keys: &[u64]) -> Option<Vec<Arc<Vec<f64>>>> {
+        let lookup_started = Instant::now();
         let mut inner = self.inner.lock().unwrap();
-        match inner.map.get(&key) {
-            Some(Slot::Ready { value, .. }) => {
-                let value = Arc::clone(value);
-                inner.touch(key);
-                Some(value)
-            }
-            _ => None,
+        let records = keys
+            .iter()
+            .map(|key| match inner.map.get(key) {
+                Some(Slot::Ready { value, .. }) => Some(Arc::clone(value)),
+                _ => None,
+            })
+            .collect::<Option<Vec<_>>>()?;
+        for &key in keys {
+            inner.touch(key);
         }
+        drop(inner);
+        let hits = keys.len() as u64;
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+        obs_counters()[0].add(hits);
+        mr2_obs::observe_span("cache.lookup", lookup_started.elapsed().as_secs_f64());
+        Some(records)
     }
 
     /// Monotonic change stamp: bumped on every insert and eviction,
@@ -648,13 +663,59 @@ mod tests {
     }
 
     #[test]
+    fn get_all_counts_and_touches_every_record_or_none() {
+        let cache = ResultCache::with_capacity(2);
+        cache.get_or_compute(1, || vec![1.0]);
+        cache.get_or_compute(2, || vec![2.0]);
+        let got = cache.get_all(&[2, 1]).unwrap();
+        assert_eq!((got[0][0], got[1][0]), (2.0, 1.0), "records in key order");
+        assert_eq!(cache.stats().hits, 2, "one hit per record");
+        // Touched in key order, so 2 is now the least recently used.
+        cache.get_or_compute(3, || vec![3.0]);
+        assert!(cache.get_all(&[2]).is_none(), "2 was evicted");
+
+        // A missing key: no hit counted and no record touched, so 1 —
+        // the least recently used — is the next victim.
+        let hits = cache.stats().hits;
+        assert!(cache.get_all(&[1, 9]).is_none());
+        assert_eq!(cache.stats().hits, hits);
+        cache.get_or_compute(4, || vec![4.0]);
+        assert!(cache.get_all(&[1]).is_none(), "1 was not touched");
+        assert!(cache.get_all(&[3, 4]).is_some());
+    }
+
+    #[test]
+    fn get_all_neither_waits_on_nor_counts_an_in_flight_record() {
+        let cache = ResultCache::new();
+        cache.get_or_compute(1, || vec![1.0]);
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            let cache = &cache;
+            s.spawn(move || {
+                cache.get_or_compute(2, || {
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    vec![2.0]
+                })
+            });
+            started_rx.recv().unwrap();
+            assert!(cache.get_all(&[1, 2]).is_none(), "2 is in flight");
+            release_tx.send(()).unwrap();
+        });
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.coalesced), (0, 2, 0));
+        assert_eq!(cache.get_all(&[1, 2]).unwrap().len(), 2);
+    }
+
+    #[test]
     fn mutation_count_tracks_content_not_recency() {
         let cache = ResultCache::with_capacity(1);
         assert_eq!(cache.mutation_count(), 0);
         cache.get_or_compute(1, || vec![1.0]);
         assert_eq!(cache.mutation_count(), 1, "one insert");
         cache.get_or_compute(1, || unreachable!("hit"));
-        cache.get(1);
+        cache.get_all(&[1]);
         assert_eq!(cache.mutation_count(), 1, "lookups don't count");
         // At capacity: insert+evict keeps `entries` at 1 but the stored
         // content changed — the stamp must move.
@@ -674,9 +735,9 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.entries, 2, "bound holds");
         assert_eq!(s.evictions, 1);
-        assert!(cache.get(1).is_some(), "recently used survives");
-        assert!(cache.get(2).is_none(), "LRU victim evicted");
-        assert!(cache.get(3).is_some());
+        assert!(cache.get_all(&[1]).is_some(), "recently used survives");
+        assert!(cache.get_all(&[2]).is_none(), "LRU victim evicted");
+        assert!(cache.get_all(&[3]).is_some());
         // Evicted keys recompute on the next request.
         cache.get_or_compute(2, || vec![2.5]);
         assert_eq!(cache.stats().entries, 2);
@@ -703,16 +764,17 @@ mod tests {
 
         let fresh = ResultCache::new();
         assert_eq!(fresh.load(&path).unwrap(), 2);
-        let v = fresh.get(1).unwrap();
-        assert_eq!(v[0].to_bits(), (0.1f64 + 0.2).to_bits());
-        assert_eq!(v[1].to_bits(), (-0.0f64).to_bits());
-        assert_eq!(v[2].to_bits(), odd.to_bits());
-        assert_eq!(fresh.get(2).unwrap().len(), 0);
+        let v = fresh.get_all(&[1, 2]).unwrap();
+        assert_eq!(v[0][0].to_bits(), (0.1f64 + 0.2).to_bits());
+        assert_eq!(v[0][1].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(v[0][2].to_bits(), odd.to_bits());
+        assert_eq!(v[1].len(), 0);
         // And a lookup through the compute path is a pure hit returning
         // the loaded record.
+        let hits = fresh.stats().hits;
         let via_compute = fresh.get_or_compute(1, || panic!("loaded entry must hit"));
         assert_eq!(via_compute[0].to_bits(), (0.1f64 + 0.2).to_bits());
-        assert_eq!(fresh.stats().hits, 1);
+        assert_eq!(fresh.stats().hits, hits + 1);
         std::fs::remove_file(path).ok();
     }
 

@@ -27,7 +27,8 @@
 //!   thread per further CPU while distinct points remain;
 //! * [`ResultCache`] (module [`cache`]): a content-hashed store so
 //!   repeated sweeps, overlapping scenarios, and the estimator axis skip
-//!   already-evaluated points;
+//!   already-evaluated points; [`lookup_point`] answers a point from it
+//!   alone when every record the point needs is ready;
 //! * [`error_bands`] / [`class_error_bands`] / [`render_report`]
 //!   (module [`report`]): the comparison layer joining estimates
 //!   against simulation into aggregate and per-class
@@ -66,8 +67,8 @@ pub use plan::{
 };
 pub use report::{class_error_bands, error_bands, render_report, to_csv, ClassBand, SeriesBand};
 pub use runner::{
-    evaluate_point, run_scenario, run_scenario_streaming, select, select_class, PointResult,
-    SimResult, SweepResult,
+    evaluate_point, lookup_point, run_scenario, run_scenario_streaming, select, select_class,
+    CachedPoint, PointResult, SimResult, SweepResult,
 };
 pub use spec::{
     ArrivalSchedule, Backends, EstimatorKind, EvalPoint, JobKind, MixEntry, ReducePolicy,

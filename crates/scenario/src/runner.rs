@@ -14,7 +14,7 @@
 //! back in expansion order.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use mapreduce_sim::profile::{profile_job, MeasuredProfile};
 use mapreduce_sim::{JobSpec, SimPoint};
@@ -229,18 +229,12 @@ pub fn evaluate_point(
 ) -> PointResult {
     let cfg = point.sim_config();
     let submits = point.submit_offsets();
-    // Hash the cluster once and the full point signature once; the
-    // backend branches and the per-entry profile keys below continue
-    // from these prefixes (a `KeyHasher` clone is a register copy)
-    // instead of re-hashing the cluster/mix/arrivals per key.
-    let cluster = cluster_key(point);
-    let base = point_key_from(cluster.clone(), point);
+    let keys = PointKeys::of(point, backends);
 
-    let sim = backends.simulator.map(|reps| {
+    let sim = keys.sim.map(|(key, reps)| {
         // Outer span: cache lookup + (on a miss) the simulation run;
         // the inner span times the run alone.
         let _phase = mr2_obs::span("point.sim");
-        let key = base.clone().str("sim").u64(reps as u64).finish();
         let rec = cache.get_or_compute(key, || {
             let _run = mr2_obs::span("sim.run");
             let classes: Vec<(JobSpec, usize)> = point
@@ -251,31 +245,23 @@ pub fn evaluate_point(
                 .collect();
             mapreduce_sim::eval_mix(&cfg, &classes, &submits, reps).to_record()
         });
-        let p = SimPoint::from_record(&rec).expect("cached sim record shape");
-        SimResult {
-            median_response: p.median_response,
-            mean_response: p.mean_response,
-            makespan: p.makespan,
-            per_class_median: p.per_class_median,
-            reps,
-        }
+        sim_result(&rec, reps)
     });
 
-    let model = backends.analytic.then(|| {
+    let model = keys.model.map(|key| {
         let _phase = mr2_obs::span("point.model");
         let classes: Vec<MixClass> = point
             .mix
             .entries
             .iter()
-            .map(|e| {
+            .enumerate()
+            .map(|(i, e)| {
                 let spec = e.spec();
-                let profile = backends.profile_calibration.then(|| {
-                    // A profiling run executes one job of the class
-                    // alone, so its key must not include the copy count:
-                    // every count of a class on a configuration — and
-                    // every other mix containing it — shares one
-                    // profile.
-                    let key = profile_key(&cluster, e);
+                // A profiling run executes one job of the class alone,
+                // so its key leaves out the copy count: every count of a
+                // class on a configuration — and every other mix
+                // containing it — shares one profile.
+                let profile = keys.profiles.get(i).map(|&key| {
                     let rec = cache.get_or_compute(key, || {
                         let _run = mr2_obs::span("profile.run");
                         profile_job(&spec, &cfg).0.to_record()
@@ -289,11 +275,6 @@ pub fn evaluate_point(
                 }
             })
             .collect();
-        let key = base
-            .clone()
-            .str("model")
-            .bool(backends.profile_calibration)
-            .finish();
         let rec = cache.get_or_compute(key, || {
             let _run = mr2_obs::span("model.eval");
             match point.arrival_rate {
@@ -316,9 +297,137 @@ pub fn evaluate_point(
             }
             .to_record()
         });
-        ModelPoint::from_record(&rec).expect("cached model record shape")
+        model_point(&rec)
     });
 
+    point_result(point, model, sim)
+}
+
+/// A point every record of which was ready in the cache, taken by
+/// [`lookup_point`]: [`CachedPoint::into_result`] decodes it into the
+/// [`PointResult`] that [`evaluate_point`] returns for the point.
+#[derive(Debug)]
+pub struct CachedPoint {
+    /// The simulator record and its repetition count.
+    sim: Option<(Arc<Vec<f64>>, usize)>,
+    /// The analytic record.
+    model: Option<Arc<Vec<f64>>>,
+}
+
+/// Take every record [`evaluate_point`] reads for `point` from `cache`
+/// at once ([`ResultCache::get_all`]), computing nothing. `None` when
+/// any record is missing or in flight: then nothing was counted or
+/// touched, and [`evaluate_point`] counts the lookups as it always does.
+/// Opens no span, so a point passed on to [`evaluate_point`] leaves no
+/// profile sample behind.
+pub fn lookup_point(
+    point: &EvalPoint,
+    backends: &crate::spec::Backends,
+    cache: &ResultCache,
+) -> Option<CachedPoint> {
+    let keys = PointKeys::of(point, backends);
+    let mut records = cache.get_all(&keys.in_lookup_order())?.into_iter();
+    let sim = keys
+        .sim
+        .map(|(_, reps)| (records.next().expect("a record per key"), reps));
+    let model = keys
+        .model
+        .map(|_| records.next_back().expect("a record per key"));
+    Some(CachedPoint { sim, model })
+}
+
+impl CachedPoint {
+    /// Decode the records under the `point.sim` and `point.model` spans
+    /// [`evaluate_point`] opens, and count the point evaluated.
+    pub fn into_result(self, point: &EvalPoint) -> PointResult {
+        let sim = self.sim.map(|(rec, reps)| {
+            let _phase = mr2_obs::span("point.sim");
+            sim_result(&rec, reps)
+        });
+        let model = self.model.map(|rec| {
+            let _phase = mr2_obs::span("point.model");
+            model_point(&rec)
+        });
+        point_result(point, model, sim)
+    }
+}
+
+/// The cache keys of the records a point reads, as [`evaluate_point`]
+/// and [`lookup_point`] both derive them.
+struct PointKeys {
+    /// The simulator record, with its repetition count.
+    sim: Option<(u64, usize)>,
+    /// One profiling record per mix entry, with profile calibration on.
+    profiles: Vec<u64>,
+    /// The analytic record.
+    model: Option<u64>,
+}
+
+impl PointKeys {
+    /// Hash the cluster once and the full point signature once; the
+    /// backend keys and the per-entry profile keys continue from these
+    /// prefixes (a `KeyHasher` clone is a register copy) instead of
+    /// re-hashing the cluster/mix/arrivals per key.
+    fn of(point: &EvalPoint, backends: &crate::spec::Backends) -> PointKeys {
+        let cluster = cluster_key(point);
+        let base = point_key_from(cluster.clone(), point);
+        let calibrated = backends.analytic && backends.profile_calibration;
+        PointKeys {
+            sim: backends
+                .simulator
+                .map(|reps| (base.clone().str("sim").u64(reps as u64).finish(), reps)),
+            profiles: if calibrated {
+                point
+                    .mix
+                    .entries
+                    .iter()
+                    .map(|e| profile_key(&cluster, e))
+                    .collect()
+            } else {
+                Vec::new()
+            },
+            model: backends.analytic.then(|| {
+                base.str("model")
+                    .bool(backends.profile_calibration)
+                    .finish()
+            }),
+        }
+    }
+
+    /// Every key in the order [`evaluate_point`] looks them up: the
+    /// simulator record, the profiles, then the analytic record.
+    fn in_lookup_order(&self) -> Vec<u64> {
+        let mut keys = Vec::with_capacity(self.profiles.len() + 2);
+        keys.extend(self.sim.map(|(key, _)| key));
+        keys.extend(&self.profiles);
+        keys.extend(self.model);
+        keys
+    }
+}
+
+/// Decode a cached simulator record.
+fn sim_result(rec: &[f64], reps: usize) -> SimResult {
+    let p = SimPoint::from_record(rec).expect("cached sim record shape");
+    SimResult {
+        median_response: p.median_response,
+        mean_response: p.mean_response,
+        makespan: p.makespan,
+        per_class_median: p.per_class_median,
+        reps,
+    }
+}
+
+/// Decode a cached analytic record.
+fn model_point(rec: &[f64]) -> ModelPoint {
+    ModelPoint::from_record(rec).expect("cached model record shape")
+}
+
+/// The evaluated point, counted in `mr2_points_evaluated_total`.
+fn point_result(
+    point: &EvalPoint,
+    model: Option<ModelPoint>,
+    sim: Option<SimResult>,
+) -> PointResult {
     points_evaluated().inc();
     PointResult {
         point: point.clone(),
@@ -540,6 +649,66 @@ mod tests {
         // +1 grep profile, +1 mix model record; the wordcount profile
         // is a cache hit.
         assert_eq!(cache.stats().entries, 5);
+    }
+
+    /// A two-class point on every backend: four records (simulator, two
+    /// profiles, model).
+    fn every_backend_point() -> (EvalPoint, Backends) {
+        let s = Scenario::new("all")
+            .axis_nodes([2usize])
+            .axis_mixes([WorkloadMix::new([
+                MixEntry::new(JobKind::Grep, 128 * MB, 1),
+                MixEntry::new(JobKind::WordCount, 128 * MB, 2),
+            ])])
+            .with_backends(Backends {
+                analytic: true,
+                profile_calibration: true,
+                simulator: Some(1),
+            });
+        (crate::expand(&s).remove(0), s.backends)
+    }
+
+    #[test]
+    fn lookup_point_answers_what_evaluate_point_does_once_every_record_is_ready() {
+        let (p, backends) = every_backend_point();
+        let cache = ResultCache::new();
+        assert!(lookup_point(&p, &backends, &cache).is_none());
+        let s = cache.stats();
+        assert_eq!(
+            (s.hits, s.misses, s.entries),
+            (0, 0, 0),
+            "a miss counts nothing"
+        );
+
+        let evaluated = evaluate_point(&p, &backends, &cache);
+        let before = cache.stats();
+        let cached = lookup_point(&p, &backends, &cache).expect("every record is ready");
+        assert_eq!(cached.into_result(&p), evaluated);
+        let after = cache.stats();
+        assert_eq!(
+            (after.hits - before.hits, after.misses - before.misses),
+            (4, 0),
+            "one hit per record"
+        );
+        evaluate_point(&p, &backends, &cache);
+        assert_eq!(
+            cache.stats().hits - after.hits,
+            4,
+            "the hits evaluate_point counts"
+        );
+    }
+
+    #[test]
+    fn lookup_point_counts_nothing_when_one_record_is_missing() {
+        let (p, backends) = every_backend_point();
+        let cache = ResultCache::with_capacity(4);
+        evaluate_point(&p, &backends, &cache);
+        // A fifth record evicts the least recently used: the simulator's.
+        cache.get_or_compute(0, || vec![0.0]);
+        let before = cache.stats();
+        assert_eq!(before.evictions, 1);
+        assert!(lookup_point(&p, &backends, &cache).is_none());
+        assert_eq!(cache.stats(), before);
     }
 
     #[test]

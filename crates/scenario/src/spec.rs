@@ -410,6 +410,17 @@ impl ArrivalSchedule {
         }
     }
 
+    /// Whether the schedule adds no offset to any job: `Batch`, a zero
+    /// stagger, or a trace of zeros. With offset-free entries and no
+    /// open rate, every job is then submitted at t = 0.
+    pub fn submits_at_once(&self) -> bool {
+        match self {
+            ArrivalSchedule::Batch => true,
+            ArrivalSchedule::Staggered { interval_ms } => *interval_ms == 0,
+            ArrivalSchedule::Trace { offsets_ms } => offsets_ms.iter().all(|&o| o == 0),
+        }
+    }
+
     /// Validate the schedule against a mix it would be paired with: a
     /// `Trace` must carry exactly one offset per job.
     pub fn check(&self, mix: &WorkloadMix) -> Result<(), String> {
@@ -884,27 +895,27 @@ impl Scenario {
         // evaluate must be consistent: a `Trace` schedule needs exactly
         // one offset per job. Cartesian pairs every mix with every
         // schedule; zip pairs position-wise (with length-1 broadcast).
-        // Only `Trace` can fail, so the cartesian pairing walk is
-        // skipped for the common batch/staggered axes — it would
-        // otherwise materialize the whole workload grid just to
-        // validate nothing. With the simulator on, no point whose jobs
-        // all arrive at once may deadlock it (see
+        // Only `Trace` can fail, and only on a mix's job total, so the
+        // cartesian walk compares totals and builds no mix but the first
+        // one that fails. With the simulator on, no point whose jobs all
+        // arrive at once may deadlock it (see
         // [`EvalPoint::check_batch_deadlock`]).
         let trace = self
             .arrivals
             .iter()
             .any(|a| matches!(a, ArrivalSchedule::Trace { .. }));
         let sim = self.backends.simulator.is_some();
-        let batch = |a: &ArrivalSchedule, rate: &Option<f64>| {
-            *a == ArrivalSchedule::Batch && rate.is_none()
-        };
+        let batch = |a: &ArrivalSchedule, rate: &Option<f64>| a.submits_at_once() && rate.is_none();
         match self.sweep {
             SweepMode::Cartesian => {
                 if trace {
-                    let mixes = self.workload_values();
+                    let totals = self.workload_jobs();
                     for a in &self.arrivals {
-                        for m in &mixes {
-                            a.check(m)?;
+                        let ArrivalSchedule::Trace { offsets_ms } = a else {
+                            continue;
+                        };
+                        if let Some(i) = totals.iter().position(|&(j, _)| j != offsets_ms.len()) {
+                            a.check(&self.first_workload_with_jobs_at(i))?;
                         }
                     }
                 }
@@ -995,6 +1006,22 @@ impl Scenario {
     /// order.
     pub fn workload_values(&self) -> Vec<WorkloadMix> {
         self.workload.values(self.reduces)
+    }
+
+    /// The first workload value, in cartesian expansion order, whose
+    /// job total is entry `i` of [`Scenario::workload_jobs`]: a `Grid`
+    /// meets each `n_jobs` value first with its first job and input.
+    fn first_workload_with_jobs_at(&self, i: usize) -> WorkloadMix {
+        match &self.workload {
+            WorkloadAxis::Grid {
+                jobs,
+                input_bytes,
+                n_jobs,
+            } => WorkloadMix::new([
+                MixEntry::new(jobs[0], input_bytes[0], n_jobs[i]).with_reduces(self.reduces)
+            ]),
+            WorkloadAxis::Mixes(m) => m[i].clone(),
+        }
     }
 
     /// The job total of each workload value, with whether its mix is
@@ -1098,11 +1125,12 @@ impl EvalPoint {
         self.mix.total_jobs()
     }
 
-    /// Refuse a point whose jobs all arrive at once (batch arrivals, no
-    /// open rate, no entry offsets) in a number that deadlocks the
-    /// simulator. Points with other arrivals are not checked.
+    /// Refuse a point whose jobs all arrive at once (a schedule that
+    /// [submits them at once](ArrivalSchedule::submits_at_once), no open
+    /// rate, no entry offsets) in a number that deadlocks the simulator.
+    /// Points whose jobs arrive over time are not checked.
     pub fn check_batch_deadlock(&self) -> Result<(), String> {
-        let batch = self.arrivals == ArrivalSchedule::Batch
+        let batch = self.arrivals.submits_at_once()
             && self.arrival_rate.is_none()
             && self.mix.entries.iter().all(|e| e.submit_offset_ms == 0);
         if batch {
@@ -1319,8 +1347,8 @@ mod tests {
             .axis_n_jobs([3usize]));
         assert_eq!(big.clone().check(), Ok(()));
         assert!(big.axis_container_mb([1024u32, 2048]).check().is_err());
-        // The analytic model alone, non-batch arrivals and mixes with
-        // submit offsets are not checked.
+        // The analytic model alone, arrivals spread over time and mixes
+        // with submit offsets are not checked.
         let wedged = Scenario::new("t")
             .axis_nodes([1usize])
             .axis_n_jobs([4usize]);
@@ -1331,11 +1359,21 @@ mod tests {
                 .check(),
             Ok(())
         );
-        let staggered = ArrivalSchedule::Staggered { interval_ms: 0 };
-        assert_eq!(
-            sim(wedged.clone()).axis_arrivals([staggered]).check(),
-            Ok(())
-        );
+        let staggered = |interval_ms| ArrivalSchedule::Staggered { interval_ms };
+        let trace = |offset| ArrivalSchedule::Trace {
+            offsets_ms: vec![0, 0, 0, offset],
+        };
+        for spread in [staggered(1), trace(1)] {
+            assert_eq!(sim(wedged.clone()).axis_arrivals([spread]).check(), Ok(()));
+        }
+        // A zero stagger and a trace of zeros submit every job at once.
+        for at_once in [staggered(0), trace(0)] {
+            let e = sim(wedged.clone())
+                .axis_arrivals([at_once])
+                .check()
+                .unwrap_err();
+            assert!(e.contains("the bound is 3 jobs"), "{e}");
+        }
         assert_eq!(
             sim(wedged.clone()).axis_arrival_rate([1e-3]).check(),
             Ok(())
@@ -1351,6 +1389,63 @@ mod tests {
         };
         assert_eq!(zip([2, 1], [4, 3]), Ok(()));
         assert!(zip([2, 1], [3, 4]).unwrap_err().contains("on 1 node(s)"));
+    }
+
+    #[test]
+    fn cartesian_trace_check_builds_only_the_first_failing_mix() {
+        // The pairing walk the check replaces: every schedule against
+        // every mix of the built grid.
+        let walk = |s: &Scenario| -> Result<(), String> {
+            let mixes = s.workload_values();
+            for a in &s.arrivals {
+                for m in &mixes {
+                    a.check(m)?;
+                }
+            }
+            Ok(())
+        };
+        let trace = |jobs: usize| ArrivalSchedule::Trace {
+            offsets_ms: vec![0; jobs],
+        };
+        let kinds = [JobKind::Grep, JobKind::TeraSort, JobKind::WordCount];
+        let grid = |width: usize, n_jobs: Vec<usize>| {
+            Scenario::new("t")
+                .axis_jobs(
+                    kinds
+                        .iter()
+                        .copied()
+                        .cycle()
+                        .take(width)
+                        .collect::<Vec<_>>(),
+                )
+                .axis_input_bytes((1..=width as u64).map(|i| i * GB).collect::<Vec<_>>())
+                .axis_n_jobs(n_jobs)
+        };
+        for (arrivals, n_jobs) in [
+            (vec![trace(3)], vec![3, 3, 5, 1]),
+            (vec![ArrivalSchedule::Batch, trace(3), trace(5)], vec![3, 5]),
+            (vec![trace(2)], vec![2]),
+        ] {
+            let s = grid(3, n_jobs).axis_arrivals(arrivals);
+            assert_eq!(s.check(), walk(&s));
+        }
+        let mixes = WorkloadMix::new([MixEntry::new(JobKind::Grep, GB, 2)]);
+        let s = Scenario::new("t")
+            .axis_mixes([
+                mixes.clone(),
+                mixes.and(MixEntry::new(JobKind::Grep, GB, 1)),
+            ])
+            .axis_arrivals([trace(2)]);
+        assert_eq!(s.check(), walk(&s));
+
+        // 10^9 mixes: walking them would not finish; the check answers
+        // with the same error as the grid's first column.
+        let n_jobs: Vec<usize> = (1..=1000).collect();
+        let huge = grid(1000, n_jobs.clone()).axis_arrivals([trace(3)]);
+        let first = grid(1, n_jobs).axis_arrivals([trace(3)]);
+        let e = huge.check().unwrap_err();
+        assert_eq!(Err(e.clone()), walk(&first));
+        assert!(e.contains("has 1 jobs"), "{e}");
     }
 
     #[test]

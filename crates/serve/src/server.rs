@@ -12,18 +12,26 @@
 //!     ▲                  │  epoll: listener, eventfds,│                │ worker 1 │
 //!     │                  │  N connection fds          │ ◀─completions─ │  …       │
 //!     └──────responses── │  per-conn state machine    │    (eventfd)   └──────────┘
-//!                        └────────────────────────────┘        evaluate via cache
+//!                        │  estimate cache hits       │        evaluate via cache
+//!                        └────────────────────────────┘
 //! ```
 //!
 //! Each connection is an explicit state machine — `read_head` →
 //! `read_body` → `waiting` (for a worker) → `writing` → `idle`
 //! (keep-alive), plus `streaming` for chunked sweeps — driven only by
 //! readiness events, worker completions, and deadlines. Cheap `GET`
-//! routes are answered inline on the loop; `POST` evaluations are
-//! dispatched to the pool, and the loop keeps serving other sockets
-//! while they run. Responses render into one contiguous buffer and are
-//! written opportunistically (usually a single `write`), so small
-//! answers never stall on Nagle/delayed-ACK interaction.
+//! routes are answered inline on the loop. So is a `POST /v1/estimate`
+//! whose body (at most [`LOOP_DECODE_MAX`] bytes) fails to decode, or
+//! whose every record is ready in the result cache: the loop decodes
+//! it, takes its records under one cache lock
+//! ([`mr2_scenario::lookup_point`]) and writes the reply, with no job,
+//! no worker and no queue slot. Every other `POST` evaluation — an
+//! estimate missing a record (with its decoded request), a larger
+//! estimate body, a sweep, a plan — is dispatched to the pool, and the
+//! loop keeps serving other sockets while it runs. Responses render
+//! into one contiguous buffer and are written opportunistically
+//! (usually a single `write`), so small answers never stall on
+//! Nagle/delayed-ACK interaction.
 //!
 //! Endpoints (one row of [`ROUTES`] each):
 //!
@@ -53,7 +61,9 @@
 //! token ([`ServeConfig::token`]) is missing or wrong on a `/v1/*`
 //! route, 422 for well-formed requests that fail validation, 405/404
 //! for routing, 503 (with `Retry-After`) when the job queue is over
-//! [`ServeConfig::max_queue`] — checked both at accept and at dispatch.
+//! [`ServeConfig::max_queue`] — checked both at accept and at dispatch
+//! (an estimate answered from the cache takes no queue slot, so it is
+//! never shed at dispatch).
 //!
 //! Concurrent identical queries cost one evaluation: the cache
 //! coalesces in-flight computations, so a thundering herd of the same
@@ -78,7 +88,9 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mr2_obs as obs;
-use mr2_scenario::{evaluate_point, run_scenario_streaming, PointResult, ResultCache};
+use mr2_scenario::{
+    evaluate_point, lookup_point, run_scenario_streaming, PointResult, ResultCache,
+};
 
 use crate::api::{self, ApiError};
 use crate::http::{
@@ -120,7 +132,8 @@ pub struct ServeConfig {
     /// new evaluation requests (at dispatch) are answered 503
     /// (`Retry-After: 1`) instead of queued, so an overloaded service
     /// degrades with an explicit signal rather than unbounded queueing
-    /// delay.
+    /// delay. Estimates the event loop answers from the cache need no
+    /// job and are answered all the same.
     pub max_queue: usize,
     /// Write one structured line per request to stderr (request id,
     /// method, path, status, response bytes, latency).
@@ -452,6 +465,12 @@ struct Job {
     generation: u64,
     eval: Eval,
     req: Request,
+    /// Assigned on the loop when the request was parsed.
+    request_id: u64,
+    /// The `/v1/estimate` body the loop decoded before its cache lookup
+    /// missed; `None` for a body over [`LOOP_DECODE_MAX`] and for the
+    /// other evaluations, which the worker decodes.
+    estimate: Option<api::EstimateRequest>,
     /// Close the connection after this response (request or cap said so).
     close: bool,
     queued_at: Instant,
@@ -641,6 +660,15 @@ const TOKEN_COMPLETION: u64 = u64::MAX - 2;
 const TICK_MS: i32 = 50;
 /// Read buffer size per readiness event.
 const READ_CHUNK: usize = 16 * 1024;
+/// Reply bytes a connection may hold before the loop answers no further
+/// pipelined request on it until the socket has taken them all.
+const MAX_OUT: usize = 1 << 20;
+/// The largest `/v1/estimate` body the event loop decodes itself, to
+/// answer it from the cache. A typical body decodes in a few
+/// microseconds, but decoding grows with the body (a 4 MiB `trace_ms`
+/// array takes a tenth of a second), and the loop serves every other
+/// connection meanwhile; larger bodies go to the pool undecoded.
+const LOOP_DECODE_MAX: usize = 16 * 1024;
 
 /// Connection state machine states (the `state` label on
 /// `mr2_serve_connection_states`).
@@ -948,6 +976,10 @@ impl EventLoop {
     /// over, or the connection is marked for close. Pipelined requests
     /// are answered strictly in order: responses append to `out` as
     /// requests complete, and parsing halts while a worker owns one.
+    /// Parsing also halts while `out` holds more than [`MAX_OUT`] bytes
+    /// the socket will not take: a client that pipelines without
+    /// reading its replies then fills the parser, the loop stops reading
+    /// it, and TCP flow control holds it back.
     fn advance_parser(&mut self, slot: usize) {
         loop {
             let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
@@ -957,6 +989,14 @@ impl EventLoop {
                 || conn.close_after_write
             {
                 return;
+            }
+            if conn.out.len() > MAX_OUT {
+                let drained =
+                    self.flush(slot) && self.conns[slot].as_ref().is_some_and(|c| c.out.is_empty());
+                if !drained {
+                    return;
+                }
+                continue;
             }
             match conn.parser.try_next() {
                 Err(HttpError { status, message }) => {
@@ -993,10 +1033,11 @@ impl EventLoop {
             conn.close_after_write = true;
         }
         let generation = conn.generation;
+        let request_id = obs::next_request_id();
 
         if !authorized(&req, &self.state.cfg) {
             let resp = Response::error(ApiError::unauthorized());
-            self.respond_inline(slot, &req, resp, close, &[]);
+            self.respond_inline(slot, &req, request_id, resp, close, &[]);
             return;
         }
 
@@ -1005,19 +1046,35 @@ impl EventLoop {
             // Cheap GET routes, 404s, and 405s are answered inline on
             // the loop — no queue round-trip.
             Ok(Endpoint::Inline(handler)) => {
-                let request_id = obs::next_request_id();
                 let started = Instant::now();
                 let resp = guarded(|| handler(&req, &self.state));
                 finish_request(&req, &resp, request_id, started, &self.state);
                 self.append_response(slot, resp, close, &[]);
                 return;
             }
-            Err(e) => return self.respond_inline(slot, &req, Response::error(e), close, &[]),
+            Err(e) => {
+                let resp = Response::error(e);
+                return self.respond_inline(slot, &req, request_id, resp, close, &[]);
+            }
         };
+        // An estimate the cache can answer takes no queue slot, so it is
+        // answered even while the queue is full.
+        let mut estimate = None;
+        if matches!(eval, Eval::Estimate) && req.body.len() <= LOOP_DECODE_MAX {
+            let started = Instant::now();
+            match guarded(|| estimate_on_loop(&req, &self.state, request_id)) {
+                OnLoop::Answered(resp) => {
+                    finish_request(&req, &resp, request_id, started, &self.state);
+                    self.append_response(slot, resp, close, &[]);
+                    return;
+                }
+                OnLoop::Miss(r) => estimate = Some(r),
+            }
+        }
         if self.state.queued.load(Ordering::SeqCst) >= self.state.cfg.max_queue {
             metrics::shed().inc();
             let resp = Response::error(ApiError::backpressure());
-            self.respond_inline(slot, &req, resp, close, &[("Retry-After", "1")]);
+            self.respond_inline(slot, &req, request_id, resp, close, &[("Retry-After", "1")]);
             return;
         }
         self.state.queued.fetch_add(1, Ordering::SeqCst);
@@ -1027,6 +1084,8 @@ impl EventLoop {
             generation,
             eval,
             req,
+            request_id,
+            estimate,
             close,
             queued_at: Instant::now(),
         };
@@ -1047,17 +1106,12 @@ impl EventLoop {
         &mut self,
         slot: usize,
         req: &Request,
+        request_id: u64,
         resp: Response,
         close: bool,
         extra_headers: &[(&str, &str)],
     ) {
-        finish_request(
-            req,
-            &resp,
-            obs::next_request_id(),
-            Instant::now(),
-            &self.state,
-        );
+        finish_request(req, &resp, request_id, Instant::now(), &self.state);
         self.append_response(slot, resp, close, extra_headers);
     }
 
@@ -1251,11 +1305,23 @@ fn finish_request(
 
 /// Evaluate one dispatched request on a worker thread and hand the
 /// rendered response (or stream fragments) back to the event loop.
-fn serve_job(job: Job, state: &State, done: &CompletionTx) {
-    let request_id = obs::next_request_id();
+fn serve_job(mut job: Job, state: &State, done: &CompletionTx) {
+    let request_id = job.request_id;
     let started = Instant::now();
     let resp = match job.eval {
-        Eval::Estimate => guarded(|| estimate_response(&job.req, state, request_id)),
+        // The loop passes on the body it decoded; a body over
+        // `LOOP_DECODE_MAX` is decoded here.
+        Eval::Estimate => {
+            let decoded = job.estimate.take();
+            guarded(
+                || match decoded.map_or_else(|| decode_estimate(&job.req, state), Ok) {
+                    Ok(r) => traced_estimate(&r, request_id, || {
+                        evaluate_point(&r.point, &r.backends, &state.cache)
+                    }),
+                    Err(e) => Response::error(e),
+                },
+            )
+        }
         Eval::Plan => guarded(|| plan_response(&job.req, state, request_id)),
         // A scenario body is decoded once, here: `"stream": true` takes
         // the chunked NDJSON path; a non-streaming or undecodable
@@ -1276,10 +1342,10 @@ fn serve_job(job: Job, state: &State, done: &CompletionTx) {
 /// Run a request handler, answering a panic with a 500. A panicked
 /// debug request may strand its thread-local trace; clear it so later
 /// requests start clean.
-fn guarded(handler: impl FnOnce() -> Response) -> Response {
+fn guarded<T: From<Response>>(handler: impl FnOnce() -> T) -> T {
     std::panic::catch_unwind(AssertUnwindSafe(handler)).unwrap_or_else(|_| {
         let _ = obs::end_trace();
-        Response::error(ApiError::internal("internal error: evaluation panicked"))
+        Response::error(ApiError::internal("internal error: evaluation panicked")).into()
     })
 }
 
@@ -1426,13 +1492,17 @@ fn scenario_bounds_error(scenario: &mr2_scenario::Scenario, state: &State) -> Op
 enum Endpoint {
     /// A cheap read, answered inline on the event loop.
     Inline(fn(&Request, &State) -> Response),
-    /// An evaluation, dispatched to the worker pool.
+    /// An evaluation, dispatched to the worker pool unless the loop can
+    /// answer it ([`Eval::Estimate`]).
     Worker(Eval),
 }
 
 /// The evaluations the worker pool serves.
 #[derive(Clone, Copy)]
 enum Eval {
+    /// `/v1/estimate`: the loop answers a body it fails to decode, or
+    /// whose records are all cached ([`estimate_on_loop`]); the pool
+    /// evaluates the rest.
     Estimate,
     Scenario,
     Plan,
@@ -1610,30 +1680,68 @@ fn profile_response(req: &Request, _: &State) -> Response {
     }
 }
 
-fn estimate_response(req: &Request, state: &State, request_id: u64) -> Response {
-    match std::str::from_utf8(&req.body)
+/// Decode a `/v1/estimate` body and hold its workload to the per-point
+/// jobs bound; failures map to the 400/422 envelope.
+fn decode_estimate(req: &Request, state: &State) -> Result<api::EstimateRequest, ApiError> {
+    let r = std::str::from_utf8(&req.body)
         .map_err(|_| "body is not UTF-8".to_string())
         .and_then(api::parse_estimate_request)
-    {
-        Ok(r) => {
-            let jobs = r.point.total_jobs();
-            if jobs > state.cfg.max_jobs_per_point {
-                return Response::error(jobs_bound_error(jobs, state));
-            }
-            // Every evaluation runs under a trace context (retention
-            // decides what survives); the root serve.request span
-            // nests the evaluation spans (point.model, point.sim) and
-            // the encode span into the breakdown tree.
-            let traced = obs::begin_trace(request_id, "/v1/estimate");
-            let reply = {
-                let _root = obs::span("serve.request");
-                let result: PointResult = evaluate_point(&r.point, &r.backends, &state.cache);
-                let _enc = obs::span("response.encode");
-                api::estimate_reply(&result, &r.deprecations)
-            };
-            Response::reply(reply, traced, r.debug)
-        }
-        Err(e) => Response::error(ApiError::from_parse(e)),
+        .map_err(ApiError::from_parse)?;
+    let jobs = r.point.total_jobs();
+    if jobs > state.cfg.max_jobs_per_point {
+        return Err(jobs_bound_error(jobs, state));
+    }
+    Ok(r)
+}
+
+/// Evaluate a decoded estimate and write its reply. Every evaluation
+/// runs under a trace context (retention decides what survives); the
+/// root serve.request span nests the evaluation spans (point.model,
+/// point.sim) and the encode span into the breakdown tree.
+fn traced_estimate(
+    r: &api::EstimateRequest,
+    request_id: u64,
+    evaluate: impl FnOnce() -> PointResult,
+) -> Response {
+    let traced = obs::begin_trace(request_id, "/v1/estimate");
+    let reply = {
+        let _root = obs::span("serve.request");
+        let result = evaluate();
+        let _enc = obs::span("response.encode");
+        api::estimate_reply(&result, &r.deprecations)
+    };
+    Response::reply(reply, traced, r.debug)
+}
+
+/// What the event loop made of a `/v1/estimate` body.
+enum OnLoop {
+    /// Answered on the loop: a decode or validation error, or a reply
+    /// from records all ready in the cache (or a panic's 500).
+    Answered(Response),
+    /// A record is missing or in flight: the pool evaluates the decoded
+    /// request.
+    Miss(api::EstimateRequest),
+}
+
+impl From<Response> for OnLoop {
+    fn from(resp: Response) -> OnLoop {
+        OnLoop::Answered(resp)
+    }
+}
+
+/// Decode a `/v1/estimate` body on the event loop, and answer it there
+/// when it does not decode or when every record it needs is ready in
+/// the cache. A request passed on leaves no span, trace or count.
+fn estimate_on_loop(req: &Request, state: &State, request_id: u64) -> OnLoop {
+    let r = match decode_estimate(req, state) {
+        Ok(r) => r,
+        Err(e) => return OnLoop::Answered(Response::error(e)),
+    };
+    match lookup_point(&r.point, &r.backends, &state.cache) {
+        Some(cached) => OnLoop::Answered(traced_estimate(&r, request_id, || {
+            cached.into_result(&r.point)
+        })),
+        None => OnLoop::Miss(r),
     }
 }
 

@@ -139,13 +139,24 @@ fn am_deadlocked_simulation_answers_an_error_and_the_service_recovers() {
     assert_eq!(status, 422, "{reply}");
     assert!(reply.contains("on 1 node(s)"), "{reply}");
 
-    // Non-batch arrivals are not checked: a zero stagger submits every
-    // job at once all the same, and the simulator detects the deadlock
-    // instead of re-arming heartbeats forever. Twice: the identical
-    // second request must not wait on a flight the first abandoned.
-    let staggered = wedged.replace(
+    // A zero stagger submits every job at once too, and is refused the
+    // same way.
+    let at_once = wedged.replace(
         "\"n_jobs\":4",
         "\"n_jobs\":4,\"arrivals\":{\"staggered_ms\":0}",
+    );
+    let (status, reply) = request(handle.addr, "POST", "/v1/estimate", &at_once);
+    assert_eq!(status, 422, "{reply}");
+    assert!(reply.contains("the bound is 3 jobs"), "{reply}");
+
+    // Arrivals spread over time are not checked: a 1 ms stagger still
+    // lets every AM in before any task, and the simulator detects the
+    // deadlock instead of re-arming heartbeats forever. Twice: the
+    // identical second request must not wait on a flight the first
+    // abandoned.
+    let staggered = wedged.replace(
+        "\"n_jobs\":4",
+        "\"n_jobs\":4,\"arrivals\":{\"staggered_ms\":1}",
     );
     for attempt in 0..2 {
         let mut conn = TcpStream::connect(handle.addr).expect("connect");
@@ -1719,5 +1730,208 @@ fn unknown_methods_share_one_metric_series() {
         !after.contains("method=\"FOO"),
         "no series per unknown method"
     );
+    handle.shutdown();
+}
+
+/// Whether the service sheds a new connection at accept, which it does
+/// once its job queue is at `max_queue`: the shed reply arrives unasked.
+fn accept_sheds(addr: std::net::SocketAddr) -> bool {
+    let conn = TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_millis(50)))
+        .unwrap();
+    let mut head = [0u8; 12];
+    matches!((&conn).read(&mut head), Ok(n) if head[..n].starts_with(b"HTTP/1.1 503"))
+}
+
+/// A `/v1/estimate` the cache can answer takes no queue slot: with the
+/// only worker busy and the queue at `max_queue`, a repeated estimate
+/// is answered byte for byte, while a new one is shed at dispatch and a
+/// new connection at accept.
+#[test]
+fn cache_hits_are_answered_while_the_queue_is_full() {
+    let handle = serve(ServeConfig {
+        threads: 1,
+        max_queue: 1,
+        ..test_config()
+    })
+    .unwrap();
+    let warm = r#"{"nodes":4,"input_bytes":268435456,"n_jobs":2}"#;
+    let (status, first) = request(handle.addr, "POST", "/v1/estimate", warm);
+    assert_eq!(status, 200, "{first}");
+    // Connections opened before the queue fills are not shed at accept.
+    let mut for_miss = TcpStream::connect(handle.addr).unwrap();
+    let mut for_hit = TcpStream::connect(handle.addr).unwrap();
+
+    // Simulator repetitions holding the only worker for about a second,
+    // then a second such estimate waiting in the queue.
+    let reps = if cfg!(debug_assertions) { 120 } else { 800 };
+    let slow = |seed: u32| {
+        format!(
+            r#"{{"nodes":4,"n_jobs":4,"input_bytes":4294967296,"seed":{seed},
+                "backends":{{"analytic":false,"simulator":{reps}}}}}"#
+        )
+    };
+    let mut running = TcpStream::connect(handle.addr).unwrap();
+    let misses = handle.cache_stats().misses;
+    send_request(&mut running, "POST", "/v1/estimate", &slow(1), false);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while handle.cache_stats().misses == misses {
+        assert!(Instant::now() < deadline, "the worker never took the job");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut queued = TcpStream::connect(handle.addr).unwrap();
+    send_request(&mut queued, "POST", "/v1/estimate", &slow(2), false);
+    while !accept_sheds(handle.addr) {
+        assert!(
+            Instant::now() < deadline,
+            "the second estimate never queued"
+        );
+    }
+
+    send_request(
+        &mut for_miss,
+        "POST",
+        "/v1/estimate",
+        r#"{"nodes":5,"input_bytes":268435456,"n_jobs":2}"#,
+        false,
+    );
+    let (status, reply, _) = read_response(&mut BufReader::new(for_miss));
+    assert_eq!(status, 503, "a miss needs a queue slot: {reply}");
+    send_request(&mut for_hit, "POST", "/v1/estimate", warm, false);
+    let (status, reply, _) = read_response(&mut BufReader::new(for_hit));
+    assert_eq!(status, 200, "{reply}");
+    assert_eq!(reply, first, "the hit's reply is byte-identical");
+
+    for conn in [running, queued] {
+        let (status, reply, _) = read_response(&mut BufReader::new(conn));
+        assert_eq!(status, 200, "{reply}");
+    }
+    handle.shutdown();
+}
+
+/// The loop's lookup is all or nothing: a calibrated point whose model
+/// record was evicted while its profile record stayed goes to the pool,
+/// which counts the profile hit and the model miss as it always did,
+/// and answers with the first reply's bytes.
+#[test]
+fn a_point_missing_one_record_is_evaluated_by_the_pool() {
+    let handle = serve(ServeConfig {
+        cache_capacity: 2,
+        ..test_config()
+    })
+    .unwrap();
+    let calibrated = |n_jobs: u32| {
+        format!(
+            r#"{{"nodes":2,"input_bytes":268435456,"n_jobs":{n_jobs},
+                "backends":{{"analytic":true,"profile_calibration":true}}}}"#
+        )
+    };
+    let (status, first) = request(handle.addr, "POST", "/v1/estimate", &calibrated(1));
+    assert_eq!(status, 200, "{first}");
+    // The same class at two jobs shares the profile record and evicts
+    // the one-job point's model record, the least recently used.
+    let (status, reply) = request(handle.addr, "POST", "/v1/estimate", &calibrated(2));
+    assert_eq!(status, 200, "{reply}");
+    let before = handle.cache_stats();
+    assert_eq!((before.entries, before.evictions), (2, 1));
+
+    let (status, again) = request(handle.addr, "POST", "/v1/estimate", &calibrated(1));
+    assert_eq!(status, 200, "{again}");
+    assert_eq!(again, first);
+    let after = handle.cache_stats();
+    assert_eq!(
+        (after.hits - before.hits, after.misses - before.misses),
+        (1, 1),
+        "the pool's profile hit and model miss, and nothing from the loop"
+    );
+    handle.shutdown();
+}
+
+/// A debug estimate answered from the cache on the event loop traces
+/// like one evaluated by a worker: `point.model` under `serve.request`.
+#[test]
+fn debug_cache_hit_traces_its_point_under_the_request() {
+    let handle = serve(test_config()).unwrap();
+    let body = r#"{"nodes":3,"input_bytes":268435456,"n_jobs":2}"#;
+    let (status, _) = request(handle.addr, "POST", "/v1/estimate", body);
+    assert_eq!(status, 200);
+    let before = handle.cache_stats();
+    let (status, reply) = request(
+        handle.addr,
+        "POST",
+        "/v1/estimate",
+        &body.replace('}', r#","debug":true}"#),
+    );
+    assert_eq!(status, 200, "{reply}");
+    let after = handle.cache_stats();
+    assert_eq!(
+        (after.hits - before.hits, after.misses - before.misses),
+        (1, 0)
+    );
+    let v = Json::parse(&reply).unwrap();
+    assert_debug_breakdown(&v, "point.model");
+    let roots = v
+        .get("debug")
+        .unwrap()
+        .get("spans")
+        .unwrap()
+        .as_arr()
+        .unwrap();
+    let root = find_span(roots, "serve.request").expect("serve.request span");
+    let children = root.get("children").and_then(Json::as_arr).unwrap();
+    assert!(
+        find_span(children, "point.model").is_some(),
+        "point.model under serve.request: {reply}"
+    );
+    handle.shutdown();
+}
+
+/// A client pipelining estimates the loop answers from the cache,
+/// without reading the replies, meets TCP flow control: the loop stops
+/// answering while the connection holds a megabyte of unsent replies,
+/// instead of buffering a reply for every request it can read, and
+/// goes on as the client reads.
+#[test]
+fn pipelined_cache_hits_wait_for_their_replies_to_be_read() {
+    let handle = serve(ServeConfig {
+        keep_alive_requests: usize::MAX,
+        ..test_config()
+    })
+    .unwrap();
+    let body = r#"{"nodes":4,"input_bytes":268435456,"n_jobs":2}"#;
+    let (status, first) = request(handle.addr, "POST", "/v1/estimate", body);
+    assert_eq!(status, 200, "{first}");
+    let n = 20_000;
+    let requests = format!(
+        "POST /v1/estimate HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .repeat(n);
+    let conn = TcpStream::connect(handle.addr).unwrap();
+    let mut writer = conn.try_clone().unwrap();
+    let sender = std::thread::spawn(move || writer.write_all(requests.as_bytes()));
+
+    // Answered requests, counted as cache hits, until the count stays
+    // put for three polls in a row.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let (mut answered, mut still) = (0, 0);
+    while still < 3 {
+        assert!(Instant::now() < deadline, "the loop never settled");
+        std::thread::sleep(Duration::from_millis(100));
+        let now = handle.cache_stats().hits;
+        still = if now == answered { still + 1 } else { 0 };
+        answered = now;
+    }
+    assert!(
+        answered < n as u64 / 2,
+        "the loop answered {answered} of {n} pipelined requests with no reply read"
+    );
+
+    let mut reader = BufReader::new(conn);
+    for i in 0..n {
+        let (status, reply, _) = read_response(&mut reader);
+        assert_eq!((status, reply.as_str()), (200, first.as_str()), "reply {i}");
+    }
+    sender.join().unwrap().expect("every request was taken");
     handle.shutdown();
 }
