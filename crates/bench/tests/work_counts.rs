@@ -150,15 +150,19 @@ type SimPin = (
 /// same bits under both policies. The failure-injection rows cover the
 /// retry path: a failed map attempt goes back to waiting for a
 /// container, the one transition that raises the AM's waiting counts
-/// again.
+/// again. The 32-node rows are the sweep grid's largest corner
+/// (perfbench's `sweep_sim`: 8 GB × 4 jobs on 32 nodes), once per
+/// policy.
 #[rustfmt::skip]
-const SIM_PINNED: [SimPin; 6] = [
-    ("1gb_1job_4n", CapacityFifo, 0.0, 4, GB, 1, 197, 0x40579f261373dbc0),
-    ("5gb_1job_4n", CapacityFifo, 0.0, 4, 5 * GB, 1, 664, 0x406e331b700c8b01),
-    ("5gb_4jobs_8n", CapacityFifo, 0.0, 8, 5 * GB, 4, 3615, 0x40791a56f64c4270),
-    ("5gb_4jobs_8n", Fair, 0.0, 8, 5 * GB, 4, 3727, 0x407688a253fb7b11),
-    ("5gb_4jobs_8n", CapacityFifo, 0.05, 8, 5 * GB, 4, 3778, 0x407b8cf483b681a3),
-    ("5gb_4jobs_8n", Fair, 0.05, 8, 5 * GB, 4, 3774, 0x407849ad4dec5fee),
+const SIM_PINNED: [SimPin; 8] = [
+    ("1gb_1job_4n", CapacityFifo, 0.0, 4, GB, 1, 184, 0x40579f261373dbc0),
+    ("5gb_1job_4n", CapacityFifo, 0.0, 4, 5 * GB, 1, 530, 0x406e331b700c8b01),
+    ("5gb_4jobs_8n", CapacityFifo, 0.0, 8, 5 * GB, 4, 2798, 0x40791a56f64c4270),
+    ("5gb_4jobs_8n", Fair, 0.0, 8, 5 * GB, 4, 2598, 0x407688a253fb7b11),
+    ("5gb_4jobs_8n", CapacityFifo, 0.05, 8, 5 * GB, 4, 2933, 0x407b8cf483b681a3),
+    ("5gb_4jobs_8n", Fair, 0.05, 8, 5 * GB, 4, 2634, 0x407849ad4dec5fee),
+    ("8gb_4jobs_32n", CapacityFifo, 0.0, 32, 8 * GB, 4, 7870, 0x4068b7f283ad801e),
+    ("8gb_4jobs_32n", Fair, 0.05, 32, 8 * GB, 4, 5091, 0x40689f4a1bc326f3),
 ];
 
 /// Bits of the `mix_throughput` bench's `sim_4n_3reps` per-rep mean

@@ -18,12 +18,15 @@
 //! * the AM performs second-level scheduling (late binding): an arriving
 //!   container is matched to whichever pending task has data closest to
 //!   it, falling back from node-local to any.
+//!
+//! Per-task state lives in vectors indexed by task, maps first and then
+//! reduces: the timing records (`records`) and each task's current
+//! container. Nothing is hashed.
 
 use crate::config::SimConfig;
 use crate::job::{JobId, JobSpec, TaskId};
 use crate::metrics::TaskRecord;
 use hdfs_sim::{InputSplit, NodeId, RackId, Topology};
-use std::collections::HashMap;
 use yarn_sim::{AppId, Container, ContainerId, Location, Priority, ResourceRequest};
 
 /// Priority of the AM's own container (above maps).
@@ -93,15 +96,18 @@ pub struct MrAppMaster {
     am_asked: bool,
     /// Cumulative reduce containers requested so far (ramp-up state).
     reduces_requested: u32,
-    task_of: HashMap<ContainerId, TaskId>,
-    container_of: HashMap<TaskId, ContainerId>,
+    /// The container each task's current attempt holds, indexed like
+    /// `records`.
+    container_of: Vec<Option<ContainerId>>,
     /// Node each map ran on (shuffle source locality).
     pub map_node: Vec<Option<NodeId>>,
     /// Node each reduce runs on.
     pub reduce_node: Vec<Option<NodeId>>,
     pending_release: Vec<ContainerId>,
-    /// Timing records, filled in as tasks progress.
-    pub records: HashMap<TaskId, TaskRecord>,
+    /// Timing records, indexed by task — maps `0..m`, then reduces
+    /// `m..m + r` — and filled in as tasks progress: `None` until a task
+    /// is first requested.
+    pub records: Vec<Option<TaskRecord>>,
     /// Failed attempts per job (for metrics and tests).
     pub failed_attempts: u32,
 }
@@ -138,14 +144,27 @@ impl MrAppMaster {
             maps_asked: false,
             am_asked: false,
             reduces_requested: 0,
-            task_of: HashMap::new(),
-            container_of: HashMap::new(),
+            container_of: vec![None; m + r],
             map_node: vec![None; m],
             reduce_node: vec![None; r],
             pending_release: Vec::new(),
-            records: HashMap::new(),
+            records: vec![None; m + r],
             failed_attempts: 0,
         }
+    }
+
+    /// Index of a task in `records`: maps first, then reduces.
+    fn slot(&self, t: TaskId) -> usize {
+        match t {
+            TaskId::Map(i) => i as usize,
+            TaskId::Reduce(i) => self.splits.len() + i as usize,
+        }
+    }
+
+    /// The timing record of a requested task.
+    fn record_mut(&mut self, t: TaskId) -> Option<&mut TaskRecord> {
+        let slot = self.slot(t);
+        self.records[slot].as_mut()
     }
 
     /// Number of map tasks.
@@ -215,7 +234,7 @@ impl MrAppMaster {
                 if self.map_state[i] == TaskState::Pending {
                     let t = TaskId::Map(i as u32);
                     self.set_state(t, TaskState::Scheduled);
-                    self.records.insert(t, blank_record(t, now));
+                    self.records[i] = Some(blank_record(t, now));
                 }
             }
         }
@@ -265,7 +284,8 @@ impl MrAppMaster {
                 for i in self.reduces_requested..target {
                     let t = TaskId::Reduce(i);
                     self.set_state(t, TaskState::Scheduled);
-                    self.records.insert(t, blank_record(t, now));
+                    let slot = self.slot(t);
+                    self.records[slot] = Some(blank_record(t, now));
                 }
                 self.reduces_requested = target;
             }
@@ -311,13 +331,13 @@ impl MrAppMaster {
             None => GrantAction::Release,
             Some(t) => {
                 self.set_state(t, TaskState::Assigned);
-                self.task_of.insert(c.id, t);
-                self.container_of.insert(t, c.id);
+                let slot = self.slot(t);
+                self.container_of[slot] = Some(c.id);
                 match t {
                     TaskId::Map(i) => self.map_node[i as usize] = Some(c.node),
                     TaskId::Reduce(i) => self.reduce_node[i as usize] = Some(c.node),
                 }
-                if let Some(rec) = self.records.get_mut(&t) {
+                if let Some(rec) = self.record_mut(t) {
                     rec.assigned_at = now;
                     rec.node = c.node;
                 }
@@ -326,18 +346,22 @@ impl MrAppMaster {
         }
     }
 
-    /// The container finished launching; work begins.
-    pub fn on_task_started(&mut self, now: f64, container: ContainerId) -> Option<TaskId> {
-        let t = *self.task_of.get(&container)?;
-        if let Some(rec) = self.records.get_mut(&t) {
+    /// Task `t`'s container finished launching; work begins. Returns
+    /// false, and records nothing, when `container` no longer holds
+    /// `t`'s current attempt.
+    pub fn on_task_started(&mut self, now: f64, t: TaskId, container: ContainerId) -> bool {
+        if self.container_of[self.slot(t)] != Some(container) {
+            return false;
+        }
+        if let Some(rec) = self.record_mut(t) {
             rec.started_at = now;
         }
-        Some(t)
+        true
     }
 
     /// Record a phase boundary on a task's record.
     pub fn mark(&mut self, t: TaskId, field: PhaseMark, now: f64) {
-        if let Some(rec) = self.records.get_mut(&t) {
+        if let Some(rec) = self.record_mut(t) {
             match field {
                 PhaseMark::IoDone => rec.io_done_at = now,
                 PhaseMark::CpuDone => rec.cpu_done_at = now,
@@ -349,11 +373,11 @@ impl MrAppMaster {
     /// this completion finished the whole job.
     pub fn on_task_finished(&mut self, now: f64, t: TaskId) -> bool {
         self.set_state(t, TaskState::Completed);
-        if let Some(rec) = self.records.get_mut(&t) {
+        if let Some(rec) = self.record_mut(t) {
             rec.finished_at = now;
         }
-        if let Some(c) = self.container_of.remove(&t) {
-            self.task_of.remove(&c);
+        let slot = self.slot(t);
+        if let Some(c) = self.container_of[slot].take() {
             self.pending_release.push(c);
         }
         match t {
@@ -379,8 +403,8 @@ impl MrAppMaster {
             TaskId::Map(i) => self.map_node[i as usize] = None,
             TaskId::Reduce(i) => self.reduce_node[i as usize] = None,
         }
-        if let Some(c) = self.container_of.remove(&t) {
-            self.task_of.remove(&c);
+        let slot = self.slot(t);
+        if let Some(c) = self.container_of[slot].take() {
             self.pending_release.push(c);
         }
     }
@@ -445,6 +469,7 @@ mod tests {
     use crate::workload::wordcount;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::HashMap;
     use yarn_sim::{ContainerState, ResourceVector};
 
     fn mk_am(maps: usize, reduces: u32) -> MrAppMaster {
@@ -569,7 +594,7 @@ mod tests {
             GrantAction::StartTask(t) => t,
             _ => panic!(),
         };
-        am.on_task_started(2.5, ContainerId(1));
+        am.on_task_started(2.5, t, ContainerId(1));
         am.on_task_finished(10.0, t);
         assert!(am.slowstart_met(&cfg));
         let asks = am.build_asks(11.0, &topo, &cfg);
@@ -595,7 +620,7 @@ mod tests {
                 GrantAction::StartTask(t) => t,
                 _ => panic!(),
             };
-            am.on_task_started(3.0, ContainerId(id));
+            am.on_task_started(3.0, t, ContainerId(id));
             let done = am.on_task_finished(20.0 + k as f64, t);
             assert_eq!(done, k == 1);
         }
@@ -634,10 +659,7 @@ mod tests {
             for (i, s) in am.map_state.iter_mut().enumerate() {
                 if *s == TaskState::Pending {
                     *s = TaskState::Scheduled;
-                    am.records.insert(
-                        TaskId::Map(i as u32),
-                        blank_record(TaskId::Map(i as u32), now),
-                    );
+                    am.records[i] = Some(blank_record(TaskId::Map(i as u32), now));
                 }
             }
         }
@@ -699,8 +721,7 @@ mod tests {
             if target > am.reduces_requested {
                 for i in am.reduces_requested..target {
                     am.reduce_state[i as usize] = TaskState::Scheduled;
-                    am.records
-                        .insert(TaskId::Reduce(i), blank_record(TaskId::Reduce(i), now));
+                    am.records[(m + i) as usize] = Some(blank_record(TaskId::Reduce(i), now));
                 }
                 am.reduces_requested = target;
             }
@@ -794,7 +815,7 @@ mod tests {
                     4..=5 if !running.is_empty() => {
                         let k = rng.gen_range(0..running.len());
                         if !running[k].2 {
-                            running[k].2 = am.on_task_started(now, running[k].0).is_some();
+                            running[k].2 = am.on_task_started(now, running[k].1, running[k].0);
                         }
                     }
                     6..=8 => {

@@ -17,6 +17,18 @@
 //! Resource contention is emergent: all flows on a node share its disk,
 //! NIC, and CPU fair-share resources, so concurrent tasks slow each other
 //! down exactly the way the paper's queueing network is meant to capture.
+//!
+//! Completion ticks are armed once per handler. An admission only notes
+//! its resource as touched; when the event's handler returns, each
+//! touched resource gets one tick at its next completion, in the order
+//! of its last admission. A resource tick's own resource keeps its place
+//! in that order if a finished step admitted to it, and goes last
+//! otherwise. That order and those times are what a tick armed at every
+//! admission would give the ticks that stay live, because nothing
+//! changes a resource between its last admission and the end of the
+//! handler; every other such tick would be stale, or pop after its live
+//! twin and find nothing to collect. So a tick in the calendar goes
+//! stale only when a later event changes its resource.
 
 use crate::appmaster::{GrantAction, MrAppMaster, PhaseMark};
 use crate::config::SimConfig;
@@ -85,8 +97,17 @@ pub struct Step {
 enum Ev {
     Submit(u32),
     Heartbeat(u32),
-    ContainerStarted { job: u32, container: ContainerId },
-    ResourceTick { res: ResKey, gen: u64 },
+    /// A granted container finished launching: the AM's own
+    /// (`task: None`) or one running `task`.
+    ContainerStarted {
+        job: u32,
+        task: Option<TaskId>,
+        container: ContainerId,
+    },
+    ResourceTick {
+        res: ResKey,
+        gen: u64,
+    },
 }
 
 /// Fair-share resources of one node.
@@ -134,6 +155,11 @@ pub struct ClusterSim {
     /// Map attempts doomed to fail partway through their map-function
     /// CPU phase: (job, map, fraction of CPU work done before dying).
     failing: Vec<(u32, u32, f64)>,
+    /// Resources the current handler admitted to, in the order of their
+    /// last admission; armed and cleared when it returns.
+    touched: Vec<ResKey>,
+    /// Reused buffer for the steps a resource tick collects.
+    finished: Vec<Step>,
 }
 
 impl ClusterSim {
@@ -179,6 +205,8 @@ impl ClusterSim {
             rng: SmallRng::seed_from_u64(seed),
             jitter,
             failing: Vec::new(),
+            touched: Vec::new(),
+            finished: Vec::new(),
         }
     }
 
@@ -218,11 +246,14 @@ impl ClusterSim {
             match ev {
                 Ev::Submit(j) => self.on_submit(now, j),
                 Ev::Heartbeat(j) => self.on_heartbeat(now, j),
-                Ev::ContainerStarted { job, container } => {
-                    self.on_container_started(now, job, container)
-                }
+                Ev::ContainerStarted {
+                    job,
+                    task,
+                    container,
+                } => self.on_container_started(now, job, task, container),
                 Ev::ResourceTick { res, gen } => self.on_resource_tick(t, res, gen),
             }
+            self.arm_touched(t);
         }
         assert!(
             self.ams.iter().all(|a| a.done),
@@ -235,14 +266,7 @@ impl ClusterSim {
                 submitted_at: am.submitted_at,
                 am_started_at: am.am_started_at,
                 finished_at: am.finished_at,
-                tasks: {
-                    let mut recs: Vec<_> = am.records.values().cloned().collect();
-                    recs.sort_by_key(|r| match r.task {
-                        TaskId::Map(i) => (0u8, i),
-                        TaskId::Reduce(i) => (1u8, i),
-                    });
-                    recs
-                },
+                tasks: am.records.iter().flatten().cloned().collect(),
             })
             .collect()
     }
@@ -277,30 +301,22 @@ impl ClusterSim {
             )
         };
         for container in self.rm.allocate(app, &asks, &releases) {
-            let action = self.ams[j as usize].on_grant(now, &container);
-            match action {
-                GrantAction::StartAm => {
-                    self.engine.schedule_in(
-                        self.cfg.am_startup_delay,
-                        Ev::ContainerStarted {
-                            job: j,
-                            container: container.id,
-                        },
-                    );
-                }
-                GrantAction::StartTask(_) => {
-                    self.engine.schedule_in(
-                        self.cfg.container_launch_delay,
-                        Ev::ContainerStarted {
-                            job: j,
-                            container: container.id,
-                        },
-                    );
-                }
+            let (delay, task) = match self.ams[j as usize].on_grant(now, &container) {
+                GrantAction::StartAm => (self.cfg.am_startup_delay, None),
+                GrantAction::StartTask(t) => (self.cfg.container_launch_delay, Some(t)),
                 GrantAction::Release => {
                     self.rm.finish_container(container.id);
+                    continue;
                 }
-            }
+            };
+            self.engine.schedule_in(
+                delay,
+                Ev::ContainerStarted {
+                    job: j,
+                    task,
+                    container: container.id,
+                },
+            );
         }
         assert!(
             !self.ams_hold_the_cluster(),
@@ -328,16 +344,22 @@ impl ClusterSim {
             && self.rm.live_containers() == live_ams.count()
     }
 
-    fn on_container_started(&mut self, now: f64, j: u32, container: ContainerId) {
-        if self.ams[j as usize].am_container == Some(container) {
+    fn on_container_started(
+        &mut self,
+        now: f64,
+        j: u32,
+        task: Option<TaskId>,
+        container: ContainerId,
+    ) {
+        let Some(task) = task else {
             let am = &mut self.ams[j as usize];
             am.am_started = true;
             am.am_started_at = now;
             return;
-        }
-        let Some(task) = self.ams[j as usize].on_task_started(now, container) else {
-            return; // container of a task that no longer exists
         };
+        if !self.ams[j as usize].on_task_started(now, task, container) {
+            return; // the container no longer holds the task's attempt
+        }
         match task {
             TaskId::Map(i) => self.start_map(now, j, i),
             TaskId::Reduce(i) => self.start_reduce(now, j, i),
@@ -452,36 +474,46 @@ impl ClusterSim {
         );
     }
 
-    /// Put `work` units on a resource and (re)arm its completion tick.
+    /// Put `work` units on a resource. Its completion tick is armed when
+    /// the handler returns ([`Self::arm_touched`]).
     fn admit(&mut self, now: f64, key: ResKey, step: Step, work: f64) {
-        let t = SimTime::from_secs(now);
         let res = self.nodes[key.node as usize].get(key.kind);
-        res.admit(t, step, work);
-        let gen = res.generation();
-        if let Some(next) = res.next_completion() {
-            self.engine
-                .schedule_at(next.max(t), Ev::ResourceTick { res: key, gen });
+        res.admit(SimTime::from_secs(now), step, work);
+        if let Some(i) = self.touched.iter().position(|&k| k == key) {
+            self.touched.remove(i);
         }
+        self.touched.push(key);
+    }
+
+    /// Arm one completion tick for each resource the handler admitted
+    /// to, in the order of their last admission (see the module docs).
+    fn arm_touched(&mut self, t: SimTime) {
+        for &key in &self.touched {
+            let res = self.nodes[key.node as usize].get(key.kind);
+            let gen = res.generation();
+            if let Some(next) = res.next_completion() {
+                self.engine
+                    .schedule_at(next.max(t), Ev::ResourceTick { res: key, gen });
+            }
+        }
+        self.touched.clear();
     }
 
     fn on_resource_tick(&mut self, t: SimTime, key: ResKey, gen: u64) {
         let now = t.as_secs();
-        let finished = {
-            let res = self.nodes[key.node as usize].get(key.kind);
-            if res.generation() != gen {
-                return; // stale tick
-            }
-            res.collect_finished(t)
-        };
-        for step in finished {
+        let res = self.nodes[key.node as usize].get(key.kind);
+        if res.generation() != gen {
+            return; // stale tick
+        }
+        let mut finished = std::mem::take(&mut self.finished);
+        res.collect_finished(t, &mut finished);
+        for step in finished.drain(..) {
             self.advance(now, key, step);
         }
-        // Re-arm.
-        let res = self.nodes[key.node as usize].get(key.kind);
-        let gen = res.generation();
-        if let Some(next) = res.next_completion() {
-            self.engine
-                .schedule_at(next.max(t), Ev::ResourceTick { res: key, gen });
+        self.finished = finished;
+        // Re-armed last unless a finished step admitted to it.
+        if !self.touched.contains(&key) {
+            self.touched.push(key);
         }
     }
 

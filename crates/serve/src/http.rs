@@ -18,6 +18,8 @@
 //! larger bodies. HTTP/1.1 requests keep the connection alive by
 //! default, `Connection: close` (and HTTP/1.0) closes it, and bytes
 //! over-read past one request's body are kept as the start of the next.
+//! Pipelined requests come off a consumed-prefix cursor, so taking one
+//! copies only its own bytes, not everything buffered behind it.
 
 /// Header block size limit.
 const MAX_HEAD: usize = 16 * 1024;
@@ -98,8 +100,8 @@ struct Head {
 
 /// Parse a complete header block (request line + headers, the bytes up
 /// to and including the blank line).
-fn parse_head(bytes: Vec<u8>) -> Result<Head, HttpError> {
-    let head = String::from_utf8(bytes).map_err(|_| HttpError::new(400, "non-UTF-8 header"))?;
+fn parse_head(bytes: &[u8]) -> Result<Head, HttpError> {
+    let head = std::str::from_utf8(bytes).map_err(|_| HttpError::new(400, "non-UTF-8 header"))?;
     let mut lines = head.lines();
     let request_line = lines.next().unwrap_or_default();
     let mut parts = request_line.split_whitespace();
@@ -177,9 +179,17 @@ enum Phase {
 /// Incremental HTTP/1.1 request parser: feed it bytes as they arrive,
 /// pull complete requests out. Never blocks, never touches I/O — the
 /// event loop owns the socket, the parser owns the protocol.
+///
+/// `buf[pos..]` are the unconsumed bytes. A request that ends the buffer
+/// (one request per read, the common case) takes the buffer itself as
+/// its body; one with bytes behind it copies out its body and advances
+/// `pos`, and the consumed prefix is dropped once it passes half the
+/// buffer. Either way k pipelined requests cost O(total bytes), not
+/// O(k × buffered bytes).
 #[derive(Debug)]
 pub struct RequestParser {
     buf: Vec<u8>,
+    pos: usize,
     phase: Phase,
     /// Set when a parsed head carried `Expect: 100-continue` and its
     /// body had not fully arrived — the driver should write the interim
@@ -198,6 +208,7 @@ impl RequestParser {
     pub fn new() -> RequestParser {
         RequestParser {
             buf: Vec::new(),
+            pos: 0,
             phase: Phase::Head,
             needs_continue: false,
         }
@@ -208,17 +219,23 @@ impl RequestParser {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// The buffered bytes not yet taken by a request.
+    fn unconsumed(&self) -> &[u8] {
+        &self.buf[self.pos..]
+    }
+
     /// Whether the buffer holds a largest-possible request's worth of
-    /// bytes (`MAX_HEAD + MAX_BODY`): the event loop stops feeding it until
-    /// requests drain it, so pipelined bytes wait in the socket.
+    /// unconsumed bytes (`MAX_HEAD + MAX_BODY`): the event loop stops
+    /// feeding it until requests drain it, so pipelined bytes wait in the
+    /// socket.
     pub fn is_full(&self) -> bool {
-        self.buf.len() >= MAX_HEAD + MAX_BODY
+        self.unconsumed().len() >= MAX_HEAD + MAX_BODY
     }
 
     /// Whether any unconsumed bytes are buffered (a pipelined next
     /// request, or a partial one).
     pub fn has_buffered(&self) -> bool {
-        !self.buf.is_empty() || matches!(self.phase, Phase::Body(_))
+        !self.unconsumed().is_empty() || matches!(self.phase, Phase::Body(_))
     }
 
     /// Whether the parser is *inside* a request — a partial header
@@ -227,7 +244,7 @@ impl RequestParser {
     /// error / hostile client) on EOF or timeout.
     pub fn mid_request(&self) -> bool {
         match self.phase {
-            Phase::Head => !self.buf.is_empty(),
+            Phase::Head => !self.unconsumed().is_empty(),
             Phase::Body(_) => true,
         }
     }
@@ -250,16 +267,15 @@ impl RequestParser {
     /// connection's framing (the caller answers and closes).
     pub fn try_next(&mut self) -> Result<Option<Request>, HttpError> {
         if matches!(self.phase, Phase::Head) {
-            let Some(end) = head_end(&self.buf) else {
-                if self.buf.len() >= MAX_HEAD {
+            let Some(end) = head_end(self.unconsumed()) else {
+                if self.unconsumed().len() >= MAX_HEAD {
                     return Err(HttpError::new(431, "header block too large"));
                 }
                 return Ok(None);
             };
-            let rest = self.buf.split_off(end);
-            let head_bytes = std::mem::replace(&mut self.buf, rest);
-            let head = parse_head(head_bytes)?;
-            if head.expects_continue && self.buf.len() < head.content_length {
+            let head = parse_head(&self.unconsumed()[..end])?;
+            self.pos += end;
+            if head.expects_continue && self.unconsumed().len() < head.content_length {
                 self.needs_continue = true;
             }
             self.phase = Phase::Body(head);
@@ -267,14 +283,28 @@ impl RequestParser {
         let Phase::Body(head) = &self.phase else {
             unreachable!("phase advanced above");
         };
-        if self.buf.len() < head.content_length {
+        if self.unconsumed().len() < head.content_length {
             return Ok(None);
         }
         let Phase::Body(head) = std::mem::replace(&mut self.phase, Phase::Head) else {
             unreachable!("checked above");
         };
-        let rest = self.buf.split_off(head.content_length);
-        let body = std::mem::replace(&mut self.buf, rest);
+        let end = self.pos + head.content_length;
+        let body = if end == self.buf.len() {
+            // Nothing behind this request: the buffer becomes the body.
+            let mut body = std::mem::take(&mut self.buf);
+            body.drain(..self.pos);
+            self.pos = 0;
+            body
+        } else {
+            let body = self.buf[self.pos..end].to_vec();
+            self.pos = end;
+            if self.pos > self.buf.len() / 2 {
+                self.buf.drain(..self.pos);
+                self.pos = 0;
+            }
+            body
+        };
         Ok(Some(Request {
             method: head.method,
             path: head.path,
@@ -537,6 +567,92 @@ mod tests {
             parse(&["POST /x HTTP/1.1\r\nContent-Length: 7\r\n\r\n{\"a\":1}junk"]).unwrap();
         assert_eq!(r.body, b"{\"a\":1}");
         assert!(p.has_buffered(), "trailing bytes kept");
+    }
+
+    #[test]
+    fn pipelined_requests_come_out_whole_and_in_order() {
+        // 5000 requests of mixed body sizes (none, small, a few tens of
+        // KiB), about 5.6 MiB in all: fed whole, then in random-sized
+        // chunks. After every step the flags match a model of what the
+        // parser holds: `fed` bytes in, the requests taken so far, and
+        // whether the next request's head is already parsed.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next_rand = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let mut wire = Vec::new();
+        let mut want = Vec::new(); // (method, path, body, head length)
+        for k in 0..5000usize {
+            let len = match next_rand(50) {
+                0 => 20_000 + next_rand(20_000),
+                1..=12 => 0,
+                _ => next_rand(2_000),
+            };
+            let body: Vec<u8> = (0..len).map(|i| b'a' + ((i * 7 + k) % 26) as u8).collect();
+            let (method, head) = if len == 0 && k % 2 == 0 {
+                ("GET", format!("GET /r/{k} HTTP/1.1\r\nHost: x\r\n\r\n"))
+            } else {
+                let head = format!("POST /r/{k}?q={k} HTTP/1.1\r\nContent-Length: {len}\r\n\r\n");
+                ("POST", head)
+            };
+            wire.extend_from_slice(head.as_bytes());
+            wire.extend_from_slice(&body);
+            want.push((method, format!("/r/{k}"), body, head.len()));
+        }
+        assert!(
+            wire.len() > MAX_HEAD + MAX_BODY,
+            "fed whole, the parser fills"
+        );
+
+        let check = |p: &RequestParser, fed: usize, taken: usize, consumed: usize, step: &str| {
+            let head_parsed = p.in_body();
+            let next_head = want.get(taken).map_or(0, |w| w.3);
+            let unconsumed = fed - consumed - if head_parsed { next_head } else { 0 };
+            assert!(!head_parsed || fed - consumed >= next_head, "{step}");
+            assert_eq!(p.has_buffered(), unconsumed > 0 || head_parsed, "{step}");
+            assert_eq!(p.mid_request(), unconsumed > 0 || head_parsed, "{step}");
+            assert_eq!(p.is_full(), unconsumed >= MAX_HEAD + MAX_BODY, "{step}");
+        };
+        let (mut whole, mut chunked) = (false, false);
+        for chunks in [false, true] {
+            let mut p = RequestParser::new();
+            let (mut fed, mut taken, mut consumed) = (0, 0, 0);
+            while taken < want.len() {
+                let n = if chunks {
+                    1 + next_rand(9_000)
+                } else {
+                    wire.len()
+                };
+                let n = n.min(wire.len() - fed);
+                p.feed(&wire[fed..fed + n]);
+                fed += n;
+                check(&p, fed, taken, consumed, &format!("fed {fed}"));
+                whole |= p.is_full();
+                while let Some(r) = p.try_next().unwrap() {
+                    let (method, path, body, head) = &want[taken];
+                    assert_eq!(
+                        (r.method.as_str(), &r.path),
+                        (*method, path),
+                        "request {taken}"
+                    );
+                    assert!(r.body == *body, "request {taken}: body differs");
+                    taken += 1;
+                    consumed += head + body.len();
+                    check(&p, fed, taken, consumed, &format!("took {taken}"));
+                }
+                check(&p, fed, taken, consumed, &format!("drained at {fed}"));
+                chunked |= chunks && p.in_body();
+            }
+            assert_eq!(fed, wire.len());
+            assert!(!p.has_buffered() && !p.mid_request());
+        }
+        assert!(
+            whole && chunked,
+            "full while fed whole, mid-body while chunked"
+        );
     }
 
     #[test]

@@ -7,6 +7,10 @@
 //! (insertion) order, so a tie never depends on heap internals and runs
 //! stay deterministic. The engine enforces that simulated time never
 //! moves backwards and counts processed events for benchmark reporting.
+//! Stale entries are the owner's to recognise: the cluster simulator arms
+//! one completion tick per touched resource when an event's handler
+//! returns, so a tick in the calendar goes stale only when a later event
+//! changes its resource, and its pop is counted like any other.
 //! On drop each engine publishes its lifetime totals — events processed
 //! and peak calendar depth — into the `mr2-obs` registry, so the cost
 //! is two atomic operations per *engine*, not per event.

@@ -8,10 +8,14 @@
 //! fairly).
 //!
 //! It is a *passive* state machine: it never schedules events itself.
-//! After every mutation the owner asks [`FairShare::next_completion`] and
+//! After mutating it, the owner asks [`FairShare::next_completion`] and
 //! schedules a tick in its own event queue, carrying the resource's
-//! `generation()`; stale ticks (generation mismatch) are dropped. This
-//! keeps the resource reusable under any event loop.
+//! `generation()`; a tick whose generation no longer matches is stale
+//! and dropped. An owner may mutate several times before it asks, as
+//! long as it asks before simulated time moves on: an admission
+//! completes nothing by itself, so one tick armed after a run of
+//! admissions finds what a tick armed after each would have. This keeps
+//! the resource reusable under any event loop.
 
 use crate::time::SimTime;
 
@@ -100,25 +104,16 @@ impl<K> FairShare<K> {
         self.generation += 1;
     }
 
-    /// Advance to `now` and return all customers whose work is exhausted,
-    /// in admission order.
-    pub fn collect_finished(&mut self, now: SimTime) -> Vec<K> {
+    /// Advance to `now` and append all customers whose work is exhausted
+    /// to `done`, in admission order. The rest keep their order.
+    pub fn collect_finished(&mut self, now: SimTime, done: &mut Vec<K>) {
         self.integrate_to(now);
-        let mut done = Vec::new();
-        let mut i = 0;
-        while i < self.active.len() {
-            let s = &self.active[i];
-            let eps = WORK_EPS_ABS + WORK_EPS_REL * s.total;
-            if s.remaining <= eps {
-                done.push(self.active.remove(i).key);
-            } else {
-                i += 1;
-            }
-        }
-        if !done.is_empty() {
+        let before = done.len();
+        let finished = |s: &mut Share<K>| s.remaining <= WORK_EPS_ABS + WORK_EPS_REL * s.total;
+        done.extend(self.active.extract_if(.., finished).map(|s| s.key));
+        if done.len() > before {
             self.generation += 1;
         }
-        done
     }
 
     /// The absolute time of the next completion, assuming no further state
@@ -157,13 +152,19 @@ impl<K> FairShare<K> {
 mod tests {
     use super::*;
 
+    fn collect<K>(r: &mut FairShare<K>, now: SimTime) -> Vec<K> {
+        let mut done = Vec::new();
+        r.collect_finished(now, &mut done);
+        done
+    }
+
     #[test]
     fn single_customer_runs_at_cap() {
         // Capacity 12 cores, cap 1 core: one task of 5 core-seconds takes 5s.
         let mut cpu = FairShare::new(12.0, 1.0);
         cpu.admit(SimTime::ZERO, "t1", 5.0);
         assert_eq!(cpu.next_completion(), Some(SimTime::from_secs(5.0)));
-        let done = cpu.collect_finished(SimTime::from_secs(5.0));
+        let done = collect(&mut cpu, SimTime::from_secs(5.0));
         assert_eq!(done, vec!["t1"]);
         assert_eq!(cpu.next_completion(), None, "idle");
     }
@@ -177,7 +178,7 @@ mod tests {
         }
         let t = cpu.next_completion().unwrap();
         assert!((t.as_secs() - 8.0).abs() < 1e-6, "got {t}");
-        let done = cpu.collect_finished(t);
+        let done = collect(&mut cpu, t);
         assert_eq!(done.len(), 4);
     }
 
@@ -191,10 +192,10 @@ mod tests {
         r.admit(SimTime::ZERO, 'b', 2.0);
         let t1 = r.next_completion().unwrap();
         assert!((t1.as_secs() - 2.0).abs() < 1e-6);
-        assert_eq!(r.collect_finished(t1), vec!['a']);
+        assert_eq!(collect(&mut r, t1), vec!['a']);
         let t2 = r.next_completion().unwrap();
         assert!((t2.as_secs() - 3.0).abs() < 1e-6, "got {t2}");
-        assert_eq!(r.collect_finished(t2), vec!['b']);
+        assert_eq!(collect(&mut r, t2), vec!['b']);
     }
 
     #[test]
@@ -209,10 +210,10 @@ mod tests {
         link.admit(SimTime::from_secs(5.0), 'b', 30.0);
         let t = link.next_completion().unwrap();
         assert!((t.as_secs() - 11.0).abs() < 1e-6, "got {t}");
-        assert_eq!(link.collect_finished(t), vec!['b']);
+        assert_eq!(collect(&mut link, t), vec!['b']);
         let t = link.next_completion().unwrap();
         assert!((t.as_secs() - 13.0).abs() < 1e-6, "got {t}");
-        assert_eq!(link.collect_finished(t), vec!['a']);
+        assert_eq!(collect(&mut link, t), vec!['a']);
     }
 
     #[test]
@@ -220,7 +221,7 @@ mod tests {
         let mut r = FairShare::new(1.0, 1.0);
         r.admit(SimTime::ZERO, 'a', 0.0);
         assert_eq!(r.next_completion(), Some(SimTime::ZERO));
-        assert_eq!(r.collect_finished(SimTime::ZERO), vec!['a']);
+        assert_eq!(collect(&mut r, SimTime::ZERO), vec!['a']);
     }
 
     #[test]
@@ -235,7 +236,7 @@ mod tests {
         disk.admit(t0, "tail", 1e-7);
         let next = disk.next_completion().unwrap();
         assert!(next > t0, "no representable progress: {next} vs {t0}");
-        assert_eq!(disk.collect_finished(next), vec!["tail"]);
+        assert_eq!(collect(&mut disk, next), vec!["tail"]);
         assert_eq!(disk.next_completion(), None, "idle");
     }
 }

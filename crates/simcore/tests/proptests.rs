@@ -17,6 +17,7 @@ proptest! {
         let mut sorted = arrivals.clone();
         sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
         let mut done = 0usize;
+        let mut finished = Vec::new();
         let mut next_id = 0usize;
         let mut t = SimTime::ZERO;
         let mut pending = sorted.into_iter().peekable();
@@ -28,7 +29,9 @@ proptest! {
                 (None, None) => break,
                 (Some(c), None) => {
                     t = c;
-                    done += r.collect_finished(t).len();
+                    finished.clear();
+                    r.collect_finished(t, &mut finished);
+                    done += finished.len();
                 }
                 (None, Some(a)) => {
                     t = t.max(a);
@@ -39,7 +42,9 @@ proptest! {
                 (Some(c), Some(a)) => {
                     if c <= a {
                         t = c;
-                        done += r.collect_finished(t).len();
+                        finished.clear();
+                        r.collect_finished(t, &mut finished);
+                        done += finished.len();
                     } else {
                         t = t.max(a);
                         let (_, work) = pending.next().unwrap();

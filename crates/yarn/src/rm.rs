@@ -11,13 +11,18 @@
 //! last pass (see [`ResourceManager::schedule`]): most heartbeats re-send
 //! the rows the RM already holds and release nothing, and a pass over
 //! unchanged inputs grants nothing.
+//!
+//! Every table is dense: each application's Table 1 is a dense
+//! [`AskTable`], grants wait for pick-up in a list per [`AppId`], and
+//! live containers are indexed by [`ContainerId`], which the RM mints
+//! densely from 0. A heartbeat hashes nothing and searches no tree.
 
 use crate::container::{Container, ContainerId, ContainerState};
 use crate::node::ClusterState;
 use crate::request::{AskTable, ResourceRequest};
 use crate::resources::ResourceVector;
 use crate::scheduler::{assign, AppSchedulingState, ContainerIdGen, SchedulerPolicy};
-use std::collections::HashMap;
+use hdfs_sim::NodeId;
 use std::fmt;
 
 /// Application identifier, in submission order.
@@ -35,10 +40,13 @@ pub struct ResourceManager {
     cluster: ClusterState,
     policy: SchedulerPolicy,
     apps: Vec<AppSchedulingState>,
-    /// Granted but not yet picked up, per app.
-    pending_pickup: HashMap<AppId, Vec<Container>>,
-    /// Live containers: id → (owner, node, size).
-    live: HashMap<ContainerId, (AppId, hdfs_sim::NodeId, ResourceVector)>,
+    /// Granted but not yet picked up, indexed by application id.
+    pending_pickup: Vec<Vec<Container>>,
+    /// Every container granted so far, indexed by id: (owner, node,
+    /// size) while live, `None` once finished.
+    live: Vec<Option<(AppId, NodeId, ResourceVector)>>,
+    /// How many of `live` are `Some`.
+    live_count: usize,
     ids: ContainerIdGen,
     /// Whether the asks, an application's registration or the cluster's
     /// free capacity changed since the last scheduling pass.
@@ -52,8 +60,9 @@ impl ResourceManager {
             cluster,
             policy,
             apps: Vec::new(),
-            pending_pickup: HashMap::new(),
-            live: HashMap::new(),
+            pending_pickup: Vec::new(),
+            live: Vec::new(),
+            live_count: 0,
             ids: ContainerIdGen::default(),
             dirty: false,
         }
@@ -68,6 +77,7 @@ impl ResourceManager {
             used: ResourceVector::ZERO,
             finished: false,
         });
+        self.pending_pickup.push(Vec::new());
         self.dirty = true;
         id
     }
@@ -88,7 +98,7 @@ impl ResourceManager {
             self.finish_container(cid);
         }
         self.schedule();
-        self.pending_pickup.remove(&app).unwrap_or_default()
+        std::mem::take(&mut self.pending_pickup[app.0 as usize])
     }
 
     /// Run one scheduling pass; grants become pickable on the next
@@ -116,21 +126,20 @@ impl ResourceManager {
         );
         for mut a in allocs {
             a.container.transition(ContainerState::Acquired);
-            self.live.insert(
-                a.container.id,
-                (a.app, a.container.node, a.container.resource),
-            );
-            self.pending_pickup
-                .entry(a.app)
-                .or_default()
-                .push(a.container);
+            debug_assert_eq!(a.container.id.0, self.live.len() as u64, "ids are dense");
+            self.live
+                .push(Some((a.app, a.container.node, a.container.resource)));
+            self.live_count += 1;
+            self.pending_pickup[a.app.0 as usize].push(a.container);
         }
     }
 
     /// NodeManager reports a container finished (or the AM killed it):
     /// release its resources.
     pub fn finish_container(&mut self, id: ContainerId) {
-        if let Some((app, node, size)) = self.live.remove(&id) {
+        let live = self.live.get_mut(id.0 as usize).and_then(Option::take);
+        if let Some((app, node, size)) = live {
+            self.live_count -= 1;
             self.dirty = true;
             self.cluster.node_mut(node).release(id, size);
             self.app_mut(app).used = self.app_mut(app).used.saturating_sub(&size);
@@ -140,19 +149,15 @@ impl ResourceManager {
     /// Deregister an application; its pending ask is dropped and its live
     /// containers are reclaimed.
     pub fn unregister_application(&mut self, app: AppId) {
-        let live: Vec<ContainerId> = self
-            .live
-            .iter()
-            .filter(|(_, &(a, _, _))| a == app)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in live {
-            self.finish_container(id);
+        for i in 0..self.live.len() {
+            if matches!(self.live[i], Some((owner, _, _)) if owner == app) {
+                self.finish_container(ContainerId(i as u64));
+            }
         }
         let state = self.app_mut(app);
         state.finished = true;
         state.ask = AskTable::new();
-        self.pending_pickup.remove(&app);
+        self.pending_pickup[app.0 as usize].clear();
         self.dirty = true;
     }
 
@@ -163,7 +168,7 @@ impl ResourceManager {
 
     /// Number of live containers.
     pub fn live_containers(&self) -> usize {
-        self.live.len()
+        self.live_count
     }
 
     fn app_mut(&mut self, app: AppId) -> &mut AppSchedulingState {

@@ -59,7 +59,8 @@ pub struct Allocation {
     pub container: Container,
 }
 
-/// Mints container ids.
+/// Mints container ids densely from 0, so the RM indexes live
+/// containers by id.
 #[derive(Debug, Default)]
 pub struct ContainerIdGen(u64);
 
@@ -138,10 +139,13 @@ pub fn assign(
     let mut out = Vec::new();
     match policy {
         // Serve each app fully (all priorities, highest first), in
-        // submission order.
+        // submission order. A priority with nothing outstanding at the
+        // start of the pass stays so: serving only takes rows down.
         SchedulerPolicy::CapacityFifo => {
             for app in apps.iter_mut().filter(|a| !a.finished) {
-                for p in app.ask.active_priorities() {
+                let mut k = 0;
+                while let Some(p) = app.ask.priority_at(k) {
+                    k += 1;
                     while app.ask.outstanding(p) > 0 {
                         match assign_one(cluster, app, p, ids) {
                             Some(a) => out.push(a),
@@ -168,7 +172,9 @@ pub fn assign(
                 let mut assigned = false;
                 'apps: for i in order {
                     let app = &mut apps[i];
-                    for p in app.ask.active_priorities() {
+                    let mut k = 0;
+                    while let Some(p) = app.ask.priority_at(k) {
+                        k += 1;
                         if app.ask.outstanding(p) > 0 {
                             if let Some(a) = assign_one(cluster, app, p, ids) {
                                 out.push(a);
