@@ -25,24 +25,24 @@ use mr2_model::{model_input, solve, solve_both, Calibration, ModelInput, ModelOp
 /// A memoized P-subtree's maxima count once per job estimate, and those
 /// of a subtree over a run of like leaves once per solve.
 const PINNED: [(&str, Estimator, usize, u64, u64); 6] = [
-    ("fig10_1gb_1job_4n", Estimator::ForkJoin, 26, 286, 0),
-    ("fig10_1gb_1job_4n", Estimator::Tripathi, 26, 286, 5),
-    ("fig12_5gb_1job_4n", Estimator::ForkJoin, 26, 338, 0),
-    ("fig12_5gb_1job_4n", Estimator::Tripathi, 26, 338, 110),
-    ("fig13_5gb_4jobs_8n", Estimator::ForkJoin, 28, 392, 0),
-    ("fig13_5gb_4jobs_8n", Estimator::Tripathi, 28, 392, 626),
+    ("fig10_1gb_1job_4n", Estimator::ForkJoin, 3, 33, 0),
+    ("fig10_1gb_1job_4n", Estimator::Tripathi, 3, 33, 5),
+    ("fig12_5gb_1job_4n", Estimator::ForkJoin, 8, 104, 0),
+    ("fig12_5gb_1job_4n", Estimator::Tripathi, 8, 104, 38),
+    ("fig13_5gb_4jobs_8n", Estimator::ForkJoin, 9, 126, 0),
+    ("fig13_5gb_4jobs_8n", Estimator::Tripathi, 9, 126, 208),
 ];
 
 /// `solve_both` on the bench inputs: `(case, fork/join iterations,
 /// Tripathi iterations, A2–A6 iterations, MVA iterations, Tripathi max
 /// evaluations)`. The joint loop runs until the later estimator stops,
-/// so its MVA work is one solve's, not two. On the 3.5 GB input the
-/// estimators stop one iteration apart.
+/// so its MVA work is one solve's, not two. On the 8 GB two-job input
+/// the estimators stop apart.
 const JOINT_PINNED: [(&str, usize, usize, u64, u64, u64); 4] = [
-    ("fig10_1gb_1job_4n", 26, 26, 26, 286, 5),
-    ("fig12_5gb_1job_4n", 26, 26, 26, 338, 110),
-    ("fig13_5gb_4jobs_8n", 28, 28, 28, 392, 626),
-    ("wordcount_3.5gb_1job_8n", 27, 28, 28, 364, 10),
+    ("fig10_1gb_1job_4n", 3, 3, 3, 33, 5),
+    ("fig12_5gb_1job_4n", 8, 8, 8, 104, 38),
+    ("fig13_5gb_4jobs_8n", 9, 9, 9, 126, 208),
+    ("wordcount_8gb_2jobs_8n", 9, 6, 9, 126, 76),
 ];
 
 /// The model input of a pinned case: the `solver` bench inputs
@@ -52,7 +52,7 @@ fn case_input(case: &str, estimator: Estimator) -> ModelInput {
         "fig10_1gb_1job_4n" => (4, GB, 1),
         "fig12_5gb_1job_4n" => (4, 5 * GB, 1),
         "fig13_5gb_4jobs_8n" => (8, 5 * GB, 4),
-        "wordcount_3.5gb_1job_8n" => (8, 7 * GB / 2, 1),
+        "wordcount_8gb_2jobs_8n" => (8, 8 * GB, 2),
         _ => unreachable!("unknown bench case {case}"),
     };
     model_input(

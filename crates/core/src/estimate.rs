@@ -267,7 +267,12 @@ pub fn estimate_mix(
 /// v5: the Tripathi estimator rescales one per-solve shape for every
 /// P-subtree over like leaves, so its values move by up to ~1e-14
 /// relative; fork/join and every other field are unchanged.
-pub const MODEL_SCHEMA_VERSION: u32 = 5;
+///
+/// v6: the A2–A6 loop moves its durations by Aitken's dynamic relaxation
+/// instead of a fixed 0.5 damping, so it stops at a different iterate
+/// near the same fixed point: with overlap factors on, estimates move by
+/// up to ~5e-9 relative.
+pub const MODEL_SCHEMA_VERSION: u32 = 6;
 
 /// Steady-state saturation metrics of an open-arrival evaluation — the
 /// tail of a [`ModelPoint`] produced by [`crate::open::eval_open_mix`]

@@ -20,7 +20,7 @@
 //!
 //! Both read the same per-(job, class) activity sets, which
 //! [`Activities::rebuild`] builds in one pass over the timeline's
-//! segments, measuring each set once.
+//! segments, measuring each set, and each pair's common time, once.
 
 use crate::timeline::Timeline;
 
@@ -66,6 +66,10 @@ impl IntervalSet {
     }
 
     /// Measure of the intersection with another set (two-pointer sweep).
+    ///
+    /// Symmetric bit for bit: merged sets keep a gap between intervals,
+    /// so on equal ends advancing either side meets an empty overlap
+    /// next, and both orders add the same overlaps in the same order.
     pub fn intersection_measure(&self, other: &IntervalSet) -> f64 {
         let (mut i, mut j) = (0usize, 0usize);
         let mut acc = 0.0;
@@ -114,13 +118,14 @@ impl ClassActivity {
         self.busy / self.span
     }
 
-    /// `o(self→other)`: the fraction of this class's active time during
-    /// which `other` is active too (zero for an idle class).
-    fn overlap(&self, other: &ClassActivity) -> f64 {
+    /// `o(self→other)`, given `meet`, the measure of the two classes'
+    /// common active time: the fraction of this class's active time
+    /// during which `other` is active too (zero for an idle class).
+    fn overlap(&self, meet: f64) -> f64 {
         if self.span <= 0.0 {
             0.0
         } else {
-            self.active.intersection_measure(&other.active) / self.span
+            meet / self.span
         }
     }
 }
@@ -131,6 +136,9 @@ impl ClassActivity {
 #[derive(Debug, Default)]
 pub struct Activities {
     jobs: Vec<[ClassActivity; 3]>,
+    /// `meet[p·n + q]`, `n` = 3 × jobs: the common active time of classes
+    /// `p` and `q`, class `3j + c` being job `j`'s class `c`.
+    meet: Vec<f64>,
 }
 
 impl std::ops::Index<usize> for Activities {
@@ -143,8 +151,9 @@ impl std::ops::Index<usize> for Activities {
 
 impl Activities {
     /// Rebuild from one pass over the timeline's segments, in place of
-    /// the previous activities. Every segment must belong to a job below
-    /// `num_jobs`.
+    /// the previous activities, and measure each unordered pair of
+    /// classes' common active time once. Every segment must belong to a
+    /// job below `num_jobs`.
     pub fn rebuild(&mut self, tl: &Timeline, num_jobs: u32) {
         self.jobs.resize_with(num_jobs as usize, Default::default);
         for act in self.jobs.iter_mut().flatten() {
@@ -161,11 +170,27 @@ impl Activities {
             act.active.merge();
             act.span = act.active.measure();
         }
+        let act = &self.jobs;
+        let n = 3 * act.len();
+        self.meet.clear();
+        self.meet.resize(n * n, 0.0);
+        for p in 0..n {
+            let a = &act[p / 3][p % 3].active;
+            if a.is_empty() {
+                continue;
+            }
+            for q in p..n {
+                let m = a.intersection_measure(&act[q / 3][q % 3].active);
+                self.meet[p * n + q] = m;
+                self.meet[q * n + p] = m;
+            }
+        }
     }
 
     /// The overlap-factor matrices α and β.
     pub fn overlap_factors(&self) -> OverlapFactors {
         let act = &self.jobs;
+        let n = 3 * act.len();
         let mut alpha = [[0.0f64; 3]; 3];
         let mut alpha_n = [[0u32; 3]; 3];
         let mut beta = [[0.0f64; 3]; 3];
@@ -176,8 +201,9 @@ impl Activities {
                     if act[a][i].active.is_empty() {
                         continue;
                     }
+                    let row = &self.meet[(3 * a + i) * n + 3 * b..][..3];
                     for j in 0..3 {
-                        let f = act[a][i].overlap(&act[b][j]);
+                        let f = act[a][i].overlap(row[j]);
                         if a == b {
                             alpha[i][j] += f;
                             alpha_n[i][j] += 1;
@@ -324,6 +350,51 @@ mod tests {
         let t = IntervalSet::from_intervals(vec![(2.5, 5.5)]);
         assert!((s.intersection_measure(&t) - 1.0).abs() < 1e-12);
         assert!((t.intersection_measure(&s) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn intersection_measure_is_symmetric_bit_for_bit() {
+        // Ends drawn from a coarse grid meet often (equal ends, touching
+        // and nested intervals); fine offsets make the sums round.
+        let mut state = 0x853c_49e6_748f_ea9b_u64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let set = |next: &mut dyn FnMut(u64) -> u64| {
+            let len = next(12) as usize;
+            let point = |next: &mut dyn FnMut(u64) -> u64| match next(2) {
+                0 => next(24) as f64 * 0.5,
+                _ => next(24) as f64 * 0.5 + next(1 << 20) as f64 * 1e-7,
+            };
+            IntervalSet::from_intervals(
+                (0..len)
+                    .map(|_| {
+                        let (x, y) = (point(next), point(next));
+                        (x.min(y), x.max(y))
+                    })
+                    .collect(),
+            )
+        };
+        let mut equal_ends = 0;
+        for _ in 0..20_000 {
+            let a = set(&mut next);
+            let b = set(&mut next);
+            let ab = a.intersection_measure(&b);
+            assert_eq!(
+                ab.to_bits(),
+                b.intersection_measure(&a).to_bits(),
+                "{a:?} {b:?}"
+            );
+            equal_ends += a
+                .ivs
+                .iter()
+                .filter(|x| b.ivs.iter().any(|y| x.1 == y.1))
+                .count();
+        }
+        assert!(equal_ends > 500, "{equal_ends} equal ends");
     }
 
     #[test]

@@ -19,6 +19,25 @@
 //! A2–A4 never read the estimate, so [`solve_both`] runs them once per
 //! iteration for both estimators and stops each at its own ε-test;
 //! [`solve`] runs the same loop for the one estimator its options name.
+//!
+//! Between A4 and A5 the class durations move toward A4's responses by
+//! Aitken's dynamic relaxation (Irons & Tuck 1969; Küttler & Wall,
+//! Comput. Mech. 43, 2008). The residual is `r = response − duration`
+//! over the classes whose response is positive, and each step moves the
+//! durations by `ω_k · r_k`, where
+//!
+//! ```text
+//! ω_1 = DAMPING
+//! ω_k = −ω_{k−1} · ⟨r_{k−1}, r_k − r_{k−1}⟩ / ‖r_k − r_{k−1}‖²
+//! ```
+//!
+//! When A4's answer repeats, `ω_k` is 1 and the step lands on it; when
+//! successive residuals flip sign, `ω_k` falls below `DAMPING`, which
+//! damps the oscillation a plain replacement would run into. A
+//! non-finite or non-positive `ω_k` falls back to `DAMPING`, and `ω_k`
+//! is capped at `OMEGA_MAX`. A2–A5 and the ε-test are the same as
+//! with a fixed 0.5 damping; only the path to the fixed point differs,
+//! and it takes about a fifth of the iterations.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -31,10 +50,16 @@ use queueing::distribution::ExpPoly;
 use queueing::network::{ClosedNetwork, Station};
 use queueing::{harmonic, OverlapMva};
 
-/// Damping applied when feeding MVA responses back into the timeline
-/// (0 = keep old, 1 = pure replacement). Plain replacement can oscillate
+/// The relaxation factor ω of the first duration update, and the
+/// fallback whenever Aitken's ω is not a finite positive number (0 =
+/// keep old, 1 = pure replacement). Plain replacement can oscillate
 /// between two timelines; 0.5 is a standard safe choice.
 const DAMPING: f64 = 0.5;
+
+/// The largest relaxation factor a duration update takes. Aitken's ω
+/// grows without bound as successive residuals come to differ little;
+/// the cap bounds how far past A4's answer one step extrapolates.
+const OMEGA_MAX: f64 = 2.0;
 
 /// A6's convergence threshold ε (§4.2.6): an estimator stops once its
 /// average response moves by at most this much between iterations.
@@ -417,10 +442,67 @@ fn timeline_jobs(input: &ModelInput, durations: &[[f64; 3]], out: &mut Vec<Timel
     }));
 }
 
+/// How the A2–A6 loop moves the class durations toward A4's answer.
+trait Relax {
+    /// Move `durations` (class `3j + c` is `durations[j][c]`) toward
+    /// A4's per-class `response`, over the classes whose response is
+    /// positive.
+    fn step(&mut self, durations: &mut [[f64; 3]], response: &[f64]);
+}
+
+/// Aitken's dynamic relaxation (see the module docs).
+#[derive(Default)]
+struct Aitken {
+    /// The previous step's residual, zero where its response was not
+    /// positive; empty before the first step.
+    prev: Vec<f64>,
+    /// The previous step's ω.
+    omega: f64,
+    /// This step's residual.
+    r: Vec<f64>,
+}
+
+impl Relax for Aitken {
+    fn step(&mut self, durations: &mut [[f64; 3]], response: &[f64]) {
+        self.r.clear();
+        self.r
+            .extend(durations.iter().flatten().zip(response).map(|(&d, &new)| {
+                if new > 0.0 {
+                    new - d
+                } else {
+                    0.0
+                }
+            }));
+        let omega = if self.prev.is_empty() {
+            DAMPING
+        } else {
+            let (mut dot, mut norm) = (0.0, 0.0);
+            for (&p, &r) in self.prev.iter().zip(&self.r) {
+                let dr = r - p;
+                dot += p * dr;
+                norm += dr * dr;
+            }
+            let omega = -self.omega * dot / norm;
+            if omega.is_finite() && omega > 0.0 {
+                omega.min(OMEGA_MAX)
+            } else {
+                DAMPING
+            }
+        };
+        for (d, &new) in durations.iter_mut().flatten().zip(response) {
+            if new > 0.0 {
+                *d = (1.0 - omega) * *d + omega * new;
+            }
+        }
+        self.omega = omega;
+        std::mem::swap(&mut self.prev, &mut self.r);
+    }
+}
+
 /// Run the modified MVA algorithm on `input` with the estimator its
 /// options name.
 pub fn solve(input: &ModelInput) -> SolveResult {
-    let [result] = run(input, [input.options.estimator]);
+    let [result] = run(input, [input.options.estimator], Aitken::default());
     result
 }
 
@@ -429,13 +511,18 @@ pub fn solve(input: &ModelInput) -> SolveResult {
 /// result is bit-identical to [`solve`] under that estimator, at about
 /// the cost of one such solve.
 pub fn solve_both(input: &ModelInput) -> (SolveResult, SolveResult) {
-    let [fork_join, tripathi] = run(input, [Estimator::ForkJoin, Estimator::Tripathi]);
+    let [fork_join, tripathi] = run(
+        input,
+        [Estimator::ForkJoin, Estimator::Tripathi],
+        Aitken::default(),
+    );
     (fork_join, tripathi)
 }
 
-/// The A1–A6 loop behind [`solve`] and [`solve_both`].
+/// The A1–A6 loop behind [`solve`] and [`solve_both`], moving the
+/// durations by `relax`.
 ///
-/// A2–A4 and the damped duration update never read an estimate: the
+/// A2–A4 and the duration update never read an estimate: the
 /// estimate only feeds the ε-test. So every estimator sees the same
 /// timelines, overlap factors and MVA solutions, and one loop serves
 /// them all. Each iteration runs A2–A4 once, then A5 and A6 for every
@@ -444,7 +531,11 @@ pub fn solve_both(input: &ModelInput) -> (SolveResult, SolveResult) {
 /// for it alone would return it; the loop ends when every estimator
 /// has stopped.
 #[allow(clippy::needless_range_loop)] // (job, class) index pairs read clearer
-fn run<const E: usize>(input: &ModelInput, estimators: [Estimator; E]) -> [SolveResult; E] {
+fn run<const E: usize>(
+    input: &ModelInput,
+    estimators: [Estimator; E],
+    mut relax: impl Relax,
+) -> [SolveResult; E] {
     let _timer = mr2_obs::span("model.solve");
     input.validate();
     let net = build_network(input);
@@ -511,15 +602,8 @@ fn run<const E: usize>(input: &ModelInput, estimators: [Estimator; E]) -> [Solve
         // A4: overlap-adjusted MVA.
         let response = mva.solve(&pops, &factors);
 
-        // New contention-adjusted class durations (damped).
-        for j in 0..n_jobs {
-            for c in 0..3 {
-                let new = response[3 * j + c];
-                if new > 0.0 {
-                    durations[j][c] = (1.0 - DAMPING) * durations[j][c] + DAMPING * new;
-                }
-            }
-        }
+        // New contention-adjusted class durations.
+        relax.step(&mut durations, response);
 
         // A5 input shared by every estimator: each job's waves and
         // first start.
@@ -617,6 +701,20 @@ mod tests {
                 estimator,
                 ..ModelOptions::default()
             },
+        }
+    }
+
+    /// The fixed `DAMPING` step the loop took before Aitken's
+    /// relaxation: the oracle the relaxed loop is checked against.
+    struct Damped;
+
+    impl Relax for Damped {
+        fn step(&mut self, durations: &mut [[f64; 3]], response: &[f64]) {
+            for (d, &new) in durations.iter_mut().flatten().zip(response) {
+                if new > 0.0 {
+                    *d = (1.0 - DAMPING) * *d + DAMPING * new;
+                }
+            }
         }
     }
 
@@ -914,6 +1012,151 @@ mod tests {
         assert_eq!(checked, 3 * 3 * (1 + 4) * 2 * 2 * 2);
     }
 
+    #[test]
+    fn aitken_steps_follow_the_rule() {
+        // Class 0 takes each step toward a response chosen to give it
+        // the residual named; class 1's response is never positive.
+        let mut aitken = Aitken::default();
+        let mut durations = [[100.0, 3.0, 0.0]];
+        let mut step = |r: f64| {
+            let response = [durations[0][0] + r, 0.0, -1.0];
+            aitken.step(&mut durations, &response);
+            assert_eq!(durations[0][1..], [3.0, 0.0], "untouched classes");
+            (aitken.omega, durations[0][0])
+        };
+        assert_eq!(step(4.0), (DAMPING, 102.0), "the first step is damped");
+        assert_eq!(step(2.0), (1.0, 104.0), "a repeated answer is taken whole");
+        let (omega, d) = step(-3.0);
+        assert!((omega - 0.4).abs() < 1e-12, "a sign flip damps: {omega}");
+        assert!((d - 102.8).abs() < 1e-12);
+        assert_eq!(step(-3.0).0, DAMPING, "a repeated residual falls back");
+        assert_eq!(step(-2.9).0, OMEGA_MAX, "a slow residual is capped");
+        assert_eq!(step(-8.0).0, DAMPING, "a growing residual falls back");
+    }
+
+    /// The option sets that change A2–A4: the defaults, then P-balancing,
+    /// slow start and overlap factors each turned off.
+    fn option_sets() -> [ModelOptions; 4] {
+        [
+            ModelOptions::default(),
+            ModelOptions {
+                balance_tree: false,
+                ..ModelOptions::default()
+            },
+            ModelOptions {
+                slow_start: false,
+                ..ModelOptions::default()
+            },
+            ModelOptions {
+                use_overlap_factors: false,
+                ..ModelOptions::default()
+            },
+        ]
+    }
+
+    /// The damped loop on both estimators: `(fork/join, Tripathi)`.
+    fn solve_both_damped(input: &ModelInput) -> (SolveResult, SolveResult) {
+        let [fork_join, tripathi] = run(input, [Estimator::ForkJoin, Estimator::Tripathi], Damped);
+        (fork_join, tripathi)
+    }
+
+    /// Aitken's relaxation against the damped oracle on a seeded third
+    /// of a grid: job kinds × sizes × job counts × nodes × the option
+    /// sets that change A2–A4. Every relaxed solve converges, in no more
+    /// iterations than the damped loop, to within 1e-8 of its estimates.
+    ///
+    /// The exception is Tripathi with overlap factors off, on multi-job
+    /// inputs. There the estimate jumps where a small duration change
+    /// regroups the waves, and which side of a jump the ε-test meets
+    /// depends on the path. On the whole grid, 11 of 288 such solves
+    /// moved by more than 1e-8, at most 1.6e-4. That spread is the
+    /// estimate's, not the relaxation's: in those cases the damped
+    /// loop's own answer is up to 9.8e-5 from the same loop run to ε =
+    /// 1e-13, three of them never meet 1e-13 in 100000 iterations, and
+    /// one (8 × terasort 8 GB on 13 nodes) fails the damped loop's own
+    /// 200-iteration budget. The service never turns overlap factors
+    /// off, so those solves are only held to 1e-3.
+    #[test]
+    fn relaxed_solves_meet_the_damped_fixed_points_in_fewer_iterations() {
+        use crate::{model_input, Calibration};
+        use mapreduce_sim::workload::{grep, terasort, wordcount};
+        use mapreduce_sim::{SimConfig, GB, MB};
+
+        let option_sets = option_sets();
+        let mut grid = Vec::new();
+        for kind in 0..3 {
+            for input in [256 * MB, GB, 4 * GB, 8 * GB] {
+                for count in [1usize, 2, 4, 8] {
+                    for nodes in [1usize, 2, 3, 5, 8, 13, 21, 32] {
+                        for options in &option_sets {
+                            grid.push((kind, input, count, nodes, options));
+                        }
+                    }
+                }
+            }
+        }
+        // A seeded Fisher–Yates shuffle picks the third that runs.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        for i in (1..grid.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            grid.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        grid.truncate(grid.len() / 3);
+
+        let rel = |a: f64, b: f64| (a - b).abs() / b.abs();
+        let (mut iterations, mut damped_iterations) = (0, 0);
+        let mut worst = [0.0f64; 3]; // fork/join, Tripathi, Tripathi without factors
+        for &(kind, input, count, nodes, options) in &grid {
+            let spec = match kind {
+                0 => wordcount(input, nodes as u32),
+                1 => terasort(input, nodes as u32),
+                _ => grep(input),
+            };
+            let inp = model_input(
+                &SimConfig::paper_testbed(nodes),
+                &spec,
+                count,
+                options.clone(),
+                &Calibration::default(),
+                None,
+            );
+            let what = format!("{count} × {} on {nodes} nodes ({options:?})", spec.name);
+            let (fj, tr) = solve_both(&inp);
+            let (damped_fj, damped_tr) = solve_both_damped(&inp);
+            for (r, damped) in [(&fj, &damped_fj), (&tr, &damped_tr)] {
+                assert!(r.converged, "{what}: no convergence");
+                assert!(
+                    r.iterations <= damped.iterations,
+                    "{what}: {} iterations, damped {}",
+                    r.iterations,
+                    damped.iterations
+                );
+                iterations += r.iterations;
+                damped_iterations += damped.iterations;
+            }
+            let fj_move = rel(fj.avg_response, damped_fj.avg_response);
+            let tr_move = rel(tr.avg_response, damped_tr.avg_response);
+            assert!(fj_move <= 1e-8, "{what}: fork/join moved {fj_move:e}");
+            worst[0] = worst[0].max(fj_move);
+            if options.use_overlap_factors {
+                assert!(tr_move <= 1e-8, "{what}: Tripathi moved {tr_move:e}");
+                worst[1] = worst[1].max(tr_move);
+            } else {
+                assert!(tr_move <= 1e-3, "{what}: Tripathi moved {tr_move:e}");
+                worst[2] = worst[2].max(tr_move);
+            }
+        }
+        println!(
+            "{} solves: {iterations} estimator iterations, damped {damped_iterations}; largest relative move: fork/join {:e}, Tripathi {:e}, Tripathi without overlap factors {:e}",
+            grid.len(),
+            worst[0],
+            worst[1],
+            worst[2]
+        );
+    }
+
     /// Every field of a result, floats by bit pattern.
     fn result_bits(r: &SolveResult) -> Vec<u64> {
         let mut b = vec![r.avg_response.to_bits(), r.makespan.to_bits()];
@@ -930,26 +1173,12 @@ mod tests {
         use mapreduce_sim::workload::{grep, terasort, wordcount};
         use mapreduce_sim::{SimConfig, GB};
 
-        let option_sets = [
-            ModelOptions::default(),
-            ModelOptions {
-                balance_tree: false,
-                ..ModelOptions::default()
-            },
-            ModelOptions {
-                slow_start: false,
-                ..ModelOptions::default()
-            },
-            ModelOptions {
-                use_overlap_factors: false,
-                ..ModelOptions::default()
-            },
-            // Neither estimator converges in five iterations.
-            ModelOptions {
-                max_iterations: 5,
-                ..ModelOptions::default()
-            },
-        ];
+        let mut option_sets = option_sets().to_vec();
+        // Neither estimator converges in two iterations.
+        option_sets.push(ModelOptions {
+            max_iterations: 2,
+            ..ModelOptions::default()
+        });
         let mut cases = Vec::new();
         for nodes in [1usize, 3, 8, 14] {
             for spec in [
@@ -962,8 +1191,10 @@ mod tests {
                 }
             }
         }
-        // Fork/join stops one iteration before Tripathi here.
-        cases.push((8, wordcount(7 * GB / 2, 8), 1));
+        // The estimators stop apart here: Tripathi first on the first
+        // input, fork/join first on the second.
+        cases.push((3, terasort(8 * GB, 3), 1));
+        cases.push((8, terasort(4 * GB, 8), 1));
 
         let (mut split, mut unconverged) = (0, 0);
         for options in &option_sets {
@@ -996,7 +1227,7 @@ mod tests {
         assert_eq!(
             unconverged,
             cases.len(),
-            "only max_iterations: 5 stops early"
+            "only max_iterations: 2 stops early"
         );
     }
 }

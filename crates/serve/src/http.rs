@@ -77,13 +77,24 @@ impl HttpError {
     }
 }
 
-/// Find the end of the header block in `buf`: the index just past the
-/// blank line, if present.
-fn head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .map(|i| i + 4)
-        .or_else(|| buf.windows(2).position(|w| w == b"\n\n").map(|i| i + 2))
+/// Find the end of the header block in `buf`, the index just past its
+/// first blank line, searching from `from`. Lines end in LF with an
+/// optional CR before it (RFC 9112 §2.2), so a blank line is an LF, an
+/// optional CR and an LF. `Err(resume)` means no blank line ends in `buf`
+/// yet, and none can start before `resume`: search from there once more
+/// bytes arrive.
+fn head_end(buf: &[u8], from: usize) -> Result<usize, usize> {
+    let mut i = from;
+    while let Some(k) = buf[i..].iter().position(|&b| b == b'\n') {
+        let lf = i + k;
+        match (buf.get(lf + 1), buf.get(lf + 2)) {
+            (Some(b'\n'), _) => return Ok(lf + 2),
+            (Some(b'\r'), Some(b'\n')) => return Ok(lf + 3),
+            (None, _) | (Some(b'\r'), None) => return Err(lf),
+            _ => i = lf + 1,
+        }
+    }
+    Err(buf.len())
 }
 
 /// A parsed header block: everything known before the body arrives.
@@ -184,12 +195,20 @@ enum Phase {
 /// (one request per read, the common case) takes the buffer itself as
 /// its body; one with bytes behind it copies out its body and advances
 /// `pos`, and the consumed prefix is dropped once it passes half the
-/// buffer. Either way k pipelined requests cost O(total bytes), not
+/// buffer. A head's search for its blank line resumes where the last
+/// one stopped. Either way k pipelined requests cost O(total bytes), not
 /// O(k × buffered bytes).
+///
+/// A head longer than 16 KiB is refused (431) whether or not its blank
+/// line has arrived, so a complete request never needs more than
+/// `MAX_HEAD + MAX_BODY` buffered bytes: a full parser always yields a
+/// request or an error.
 #[derive(Debug)]
 pub struct RequestParser {
     buf: Vec<u8>,
     pos: usize,
+    /// How far past `pos` the head's blank-line search got.
+    scanned: usize,
     phase: Phase,
     /// Set when a parsed head carried `Expect: 100-continue` and its
     /// body had not fully arrived — the driver should write the interim
@@ -209,6 +228,7 @@ impl RequestParser {
         RequestParser {
             buf: Vec::new(),
             pos: 0,
+            scanned: 0,
             phase: Phase::Head,
             needs_continue: false,
         }
@@ -267,14 +287,17 @@ impl RequestParser {
     /// connection's framing (the caller answers and closes).
     pub fn try_next(&mut self) -> Result<Option<Request>, HttpError> {
         if matches!(self.phase, Phase::Head) {
-            let Some(end) = head_end(self.unconsumed()) else {
-                if self.unconsumed().len() >= MAX_HEAD {
-                    return Err(HttpError::new(431, "header block too large"));
+            let end = match head_end(self.unconsumed(), self.scanned) {
+                Ok(end) if end <= MAX_HEAD => end,
+                Err(resume) if self.unconsumed().len() < MAX_HEAD => {
+                    self.scanned = resume;
+                    return Ok(None);
                 }
-                return Ok(None);
+                _ => return Err(HttpError::new(431, "header block too large")),
             };
             let head = parse_head(&self.unconsumed()[..end])?;
             self.pos += end;
+            self.scanned = 0;
             if head.expects_continue && self.unconsumed().len() < head.content_length {
                 self.needs_continue = true;
             }
@@ -517,6 +540,217 @@ mod tests {
             ("/b", b"two".as_slice())
         );
         assert!(p.try_next().unwrap().is_none());
+    }
+
+    #[test]
+    fn a_bare_lf_head_ends_at_its_own_blank_line() {
+        // The CRLF blank line behind the first head belongs to the
+        // second request, not to the first.
+        let (a, mut p) = parse(&["GET /a HTTP/1.1\n\nGET /b HTTP/1.1\r\n\r\n"]).unwrap();
+        assert_eq!(a.path, "/a");
+        let b = p.try_next().unwrap().expect("second request buffered");
+        assert_eq!(b.path, "/b");
+        assert!(p.try_next().unwrap().is_none());
+        assert!(!p.has_buffered());
+    }
+
+    /// What the one-shot reference framer makes of a whole stream: the
+    /// requests it frames in order, then the error that ends the stream
+    /// (`None` if it ends waiting for bytes).
+    type Framed = (Vec<(String, String, Vec<u8>)>, Option<u16>);
+
+    /// Frame a whole byte stream at once, line by line: a head ends after
+    /// its first empty line (a line is the bytes before an LF, less one
+    /// trailing CR) and must fit `MAX_HEAD`; its body is the next
+    /// `Content-Length` bytes.
+    fn reference_frame(mut rest: &[u8]) -> Framed {
+        let mut requests = Vec::new();
+        loop {
+            let mut end = None;
+            let mut line_start = 0;
+            for (i, &b) in rest.iter().enumerate() {
+                if b == b'\n' {
+                    let line = &rest[line_start..i];
+                    // A blank line ends the head only after a first line.
+                    if (line.is_empty() || line == b"\r") && line_start > 0 {
+                        end = Some(i + 1);
+                        break;
+                    }
+                    line_start = i + 1;
+                }
+            }
+            let end = match end {
+                Some(end) if end <= MAX_HEAD => end,
+                None if rest.len() < MAX_HEAD => return (requests, None),
+                _ => return (requests, Some(431)),
+            };
+            let head = match parse_head(&rest[..end]) {
+                Ok(head) => head,
+                Err(e) => return (requests, Some(e.status)),
+            };
+            if rest.len() - end < head.content_length {
+                return (requests, None);
+            }
+            let body = rest[end..end + head.content_length].to_vec();
+            requests.push((head.method, head.path, body));
+            rest = &rest[end + head.content_length..];
+        }
+    }
+
+    #[test]
+    fn reference_framer_frames_the_examples() {
+        let (requests, error) = reference_frame(b"GET /a HTTP/1.1\n\nGET /b HTTP/1.1\r\n\r\n");
+        let paths: Vec<&str> = requests.iter().map(|r| r.1.as_str()).collect();
+        assert_eq!((paths, error), (vec!["/a", "/b"], None));
+        let (requests, error) =
+            reference_frame(b"POST /x HTTP/1.1\r\nContent-Length: 2\r\n\nhiGET /y");
+        assert_eq!(requests, [("POST".into(), "/x".into(), b"hi".to_vec())]);
+        assert_eq!(error, None);
+    }
+
+    #[test]
+    fn chunked_streams_frame_as_the_reference_does() {
+        // Seeded streams of pipelined requests whose heads end lines in
+        // CRLF, bare LF or a mix of both, with and without bodies and
+        // `Expect: 100-continue`, some ending in an oversize head, a bad
+        // or oversize `Content-Length`, or arbitrary bytes. Every 25th
+        // stream opens with a largest request: a head just under or just
+        // over `MAX_HEAD` and a `MAX_BODY` body. Each stream is fed the
+        // way the event loop feeds a connection: reads of at most 16 KiB
+        // while the parser is not full, and a drain after a few reads,
+        // or only once the parser is full (a worker held the connection).
+        let mut state = 0x6c07_8965_2f0b_9a4d_u64;
+        let mut next = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        const READ: usize = 16 * 1024;
+        let (mut requests_checked, mut errors, mut full) = (0, 0, 0);
+        for stream in 0..400 {
+            let mut wire = Vec::new();
+            if stream % 25 == 0 {
+                let head = format!(
+                    "POST /big/{stream} HTTP/1.1\r\nContent-Length: {MAX_BODY}\r\nX-Filler: "
+                );
+                let filler = MAX_HEAD + next(64) - 32 - head.len() - 4;
+                wire.extend_from_slice(head.as_bytes());
+                wire.extend(std::iter::repeat_n(b'f', filler));
+                wire.extend_from_slice(b"\r\n\r\n");
+                wire.extend((0..MAX_BODY).map(|i| b'a' + (i % 26) as u8));
+            }
+            for k in 0..1 + next(12) {
+                let eol = |next: &mut dyn FnMut(usize) -> usize, style: usize| -> &'static [u8] {
+                    match style {
+                        0 => b"\r\n",
+                        1 => b"\n",
+                        _ if next(2) == 0 => b"\r\n",
+                        _ => b"\n",
+                    }
+                };
+                let style = next(3);
+                let len = match next(10) {
+                    0..=3 => 0,
+                    4 => 30_000 + next(40_000),
+                    _ => next(300),
+                };
+                let method = if len == 0 && next(2) == 0 {
+                    "GET"
+                } else {
+                    "POST"
+                };
+                wire.extend_from_slice(format!("{method} /s/{stream}/{k} HTTP/1.1").as_bytes());
+                wire.extend_from_slice(eol(&mut next, style));
+                wire.extend_from_slice(b"Host: x");
+                wire.extend_from_slice(eol(&mut next, style));
+                if next(4) == 0 {
+                    wire.extend_from_slice(b"Expect: 100-continue");
+                    wire.extend_from_slice(eol(&mut next, style));
+                }
+                if next(40) == 0 {
+                    // An oversize head, by a little or a lot.
+                    let filler = MAX_HEAD - 40 + next(200);
+                    wire.extend_from_slice(b"X-Filler: ");
+                    wire.extend(std::iter::repeat_n(b'f', filler));
+                    wire.extend_from_slice(eol(&mut next, style));
+                }
+                if method == "POST" {
+                    let value = match next(40) {
+                        0 => "nope".to_string(),
+                        1 => (MAX_BODY + 1).to_string(),
+                        _ => len.to_string(),
+                    };
+                    wire.extend_from_slice(format!("Content-Length: {value}").as_bytes());
+                    wire.extend_from_slice(eol(&mut next, style));
+                }
+                wire.extend_from_slice(eol(&mut next, style));
+                wire.extend((0..len).map(|i| b"ab\r\ncd\n"[(i + k) % 7]));
+            }
+            if next(5) == 0 {
+                // A tail of arbitrary bytes, rich in CR and LF.
+                wire.extend((0..next(600)).map(|_| b"\r\n\nG T/:xy\xff"[next(11)]));
+            }
+            let (want, want_error) = reference_frame(&wire);
+
+            let mut p = RequestParser::new();
+            let (mut fed, mut got, mut error) = (0, Vec::new(), None);
+            while error.is_none() {
+                let reads = if next(4) == 0 {
+                    usize::MAX
+                } else {
+                    1 + next(3)
+                };
+                for _ in 0..reads {
+                    if fed == wire.len() || p.is_full() {
+                        break;
+                    }
+                    let most = if next(3) == 0 { 8 } else { READ };
+                    let n = (1 + next(most)).min(wire.len() - fed);
+                    p.feed(&wire[fed..fed + n]);
+                    fed += n;
+                    assert!(
+                        p.unconsumed().len() < MAX_HEAD + MAX_BODY + READ,
+                        "stream {stream}: the parser took bytes while full"
+                    );
+                }
+                full += usize::from(p.is_full());
+                let was_full = p.is_full();
+                let mut progressed = false;
+                loop {
+                    match p.try_next() {
+                        Ok(Some(r)) => {
+                            got.push((r.method, r.path, r.body));
+                            progressed = true;
+                        }
+                        Ok(None) => break,
+                        Err(e) => {
+                            error = Some(e.status);
+                            progressed = true;
+                            break;
+                        }
+                    }
+                }
+                assert!(
+                    !was_full || progressed,
+                    "stream {stream}: a full parser yielded nothing"
+                );
+                if fed == wire.len() && error.is_none() {
+                    break;
+                }
+            }
+            assert_eq!(got.len(), want.len(), "stream {stream}: request count");
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert!(g == w, "stream {stream}: request {i} differs");
+            }
+            assert_eq!(error, want_error, "stream {stream}: how the stream ends");
+            requests_checked += got.len();
+            errors += usize::from(error.is_some());
+        }
+        println!(
+            "{requests_checked} requests, {errors} streams ended in an error, {full} full reads"
+        );
+        assert!(requests_checked > 1000 && errors > 40 && full > 0);
     }
 
     #[test]
